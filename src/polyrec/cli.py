@@ -11,6 +11,7 @@ Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,11 +25,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from . import dynamics, intpoly, ipstruct, keyengine, lattice, spectral
 from .errors import CheckFailed, InputError, PolyrecError
-
-DEFAULT_CAP = 10**6
 
 RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/[0-9]+)?$"}
 INTEGER_STRING = {"type": "string", "pattern": r"^-?[0-9]+$"}
@@ -194,7 +194,10 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
                 "required": ["W", "colors"],
                 "properties": {
                     "W": {"type": "integer", "minimum": 1},
-                    "colors": {"type": "array"},
+                    "colors": {
+                        "type": "array",
+                        "items": {"not": {"type": ["array", "object"]}},
+                    },
                 },
             },
             "k": {"type": "integer", "minimum": 1},
@@ -224,7 +227,7 @@ def _run_khintchine(payload, cap, seed):
     sys_ = dynamics.system_from_json(payload["system"])
     fs = [intpoly.from_json(p) for p in payload["fs"]]
     query = dynamics.recurrence_query(payload["A"], fs, payload.get("epsilon", 0))
-    rep = dynamics.verify_khintchine(sys_, query, cap=cap)
+    rep = dynamics.verify_khintchine(sys_, query)
     details = {
         "sup": str(rep.sup_value),
         "bound": str(rep.bound),
@@ -282,7 +285,7 @@ def _run_key_lemma(payload, cap, seed):
     target = lattice.from_json(payload["V"])
     hypothesis = lattice.from_json(payload["hypothesis"])
     inst = keyengine.key_instance(v, target)
-    witness = keyengine.key_lemma_lattice(inst, hypothesis, cap=cap)
+    witness = keyengine.key_lemma_lattice(inst, hypothesis)
     details = {
         "witness": lattice.to_json(witness),
         "witness_index": lattice.index(witness),
@@ -305,7 +308,7 @@ def _run_stable_rank(payload, cap, seed):
 def _run_spectral_limit(payload, cap, seed):
     u = spectral.from_json(payload["unitary"])
     fs = [intpoly.from_json(p) for p in payload["fs"]]
-    desc = spectral.limit_projection(u, fs, cap=cap)
+    desc = spectral.limit_projection(u, fs)
     details = {
         "fixed": sorted(desc.fixed),
         "is_identity": len(desc.fixed) == u.dim,
@@ -450,6 +453,21 @@ def _jsonable(value):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(kind: Optional[str]):
+    """Compiled validator of a payload kind, or of the scenario envelope for None.
+
+    The schema itself is checked once here, not on every document; errors
+    are then picked with ``best_match`` exactly as ``jsonschema.validate``
+    does.  Compiled on first use, so commands that load no scenario pay
+    nothing.
+    """
+    schema = SCENARIO_SCHEMA if kind is None else PAYLOAD_SCHEMAS[kind]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
     """Collect (source, scenario) pairs, sorted by scenario id."""
     files: List[Tuple[str, Path]] = []
@@ -472,12 +490,12 @@ def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise InputError(f"{source}: invalid JSON ({exc})") from None
-        try:
-            jsonschema.validate(doc, SCENARIO_SCHEMA)
-            jsonschema.validate(doc["payload"], PAYLOAD_SCHEMAS[doc["kind"]])
-        except jsonschema.ValidationError as exc:
-            where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise InputError(f"{source}: at {where}: {exc.message}") from None
+        error = best_match(_validator(None).iter_errors(doc))
+        if error is None:
+            error = best_match(_validator(doc["kind"]).iter_errors(doc["payload"]))
+        if error is not None:
+            where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise InputError(f"{source}: at {where}: {error.message}")
         if doc["id"] in seen:
             raise InputError(f"{source}: duplicate scenario id {doc['id']!r}")
         seen.add(doc["id"])
@@ -577,14 +595,14 @@ def cmd_verify_certificate(args) -> int:
     kind = doc.get("certificate_kind")
     try:
         if kind == "key-lemma":
-            keyengine.verify_key_certificate_json(doc, cap=args.cap)
+            keyengine.verify_key_certificate_json(doc)
         elif kind == "stable-rank":
             keyengine.verify_rank_certificate_json(doc)
         elif kind == "spectral-limit":
             u = spectral.from_json(doc["unitary"])
             fs = [intpoly.from_json(f) for f in doc["fs"]]
             cert = lattice.from_json(doc["lattice"])
-            spectral.verify_limit_certificate(u, fs, cert, cap=args.cap)
+            spectral.verify_limit_certificate(u, fs, cert)
         else:
             print(f"error: {path}: unknown certificate kind {kind!r}", file=sys.stderr)
             return 2
@@ -636,7 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.cpu_count() or 1,
         help="scenario-level parallelism (output is identical for any value)",
     )
-    run_p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="sweep point budget")
+    run_p.add_argument(
+        "--cap",
+        type=int,
+        default=keyengine.SWEEP_CAP,
+        help="point budget of the r-epsilon, ip-star and stable-rank sweeps",
+    )
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     run_p.add_argument(
         "--emit-certificates", metavar="DIR", help="write re-verifiable certificates"
@@ -645,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify-certificate", help="re-verify an emitted certificate")
     ver_p.add_argument("certificate", help="certificate JSON file")
-    ver_p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     ver_p.set_defaults(func=cmd_verify_certificate)
 
     list_p = sub.add_parser("list-scenarios", help="list the bundled scenario corpus")

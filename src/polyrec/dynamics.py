@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from . import intpoly, ipstruct, keyengine
+from . import intpoly, ipstruct, keyengine, lattice
 from .errors import (
     ArityMismatch,
     NonzeroConstantTerm,
@@ -34,9 +34,8 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .intpoly import BinPoly
+from .keyengine import SWEEP_CAP
 from .numutil import lcm_upto
-
-SWEEP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -218,13 +217,14 @@ def map_orders(sys: FiniteSystem) -> Tuple[int, ...]:
     return tuple(_perm_order(perm) for perm in sys.maps)
 
 
-def system_period(
-    sys: FiniteSystem, fs: Sequence[BinPoly], cap: int = SWEEP_CAP
-) -> Tuple[int, ...]:
+def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     """Per-coordinate period N of z -> (f_i(z) mod q), q = lcm of map orders.
 
-    N = q * lcm(1..d) by binomial divisibility; the value is re-verified
-    exhaustively on one period grid before being returned.
+    N = q * lcm(1..d) by binomial divisibility.  The value is re-checked
+    before being returned: for each coordinate j, the differences
+    f_i(z + N e_j) - f_i(z) (:func:`intpoly.shift`) must land in q * Z^m,
+    which :func:`keyengine.first_escape` decides from their binomial
+    coordinates.  A failure names the least pair (z, j) that breaks it.
     """
     fs = tuple(fs)
     if not fs:
@@ -238,18 +238,19 @@ def system_period(
     q = math.lcm(*map_orders(sys)) if sys.num_maps else 1
     d = max(f.degree for f in fs)
     period = q * lcm_upto(d)
-    if period**n > cap:
-        raise SweepCapExceeded(f"period grid needs {period ** n} points, cap is {cap}")
-    for z in product(range(period), repeat=n):
-        for j in range(n):
-            shifted = list(z)
-            shifted[j] += period
-            for f in fs:
-                if (f.evaluate(shifted) - f.evaluate(z)) % q:
-                    raise VerificationFailed(
-                        witness=z,
-                        message=f"periodicity failed at {z} in coordinate {j}",
-                    )
+    target = lattice.scaled(len(fs), q)
+    failures = []
+    for j in range(n):
+        steps = [intpoly.subtract(intpoly.shift(f, j, period), f) for f in fs]
+        z = keyengine.first_escape(steps, target)
+        if z is not None:
+            failures.append((z, j))
+    if failures:
+        z, j = min(failures)
+        raise VerificationFailed(
+            witness=z,
+            message=f"periodicity failed at {z} in coordinate {j}",
+        )
     return (period,) * n
 
 
@@ -270,13 +271,18 @@ class ResidueVerdict:
 def r_epsilon(
     sys: FiniteSystem, query: RecurrenceQuery, cap: int = SWEEP_CAP
 ) -> ResidueVerdict:
-    """All residues whose return measure clears mu(A)^2 - eps, exactly."""
+    """All residues whose return measure clears mu(A)^2 - eps, exactly.
+
+    Sweeps one period grid; a grid of more than ``cap`` points is refused
+    with :class:`SweepCapExceeded`.
+    """
     if len(query.fs) != sys.num_maps:
         raise ArityMismatch(
             f"{len(query.fs)} polynomials for {sys.num_maps} maps"
         )
-    period = system_period(sys, query.fs, cap=cap)
-    n = query.fs[0].nvars
+    period = system_period(sys, query.fs)
+    if math.prod(period) > cap:
+        raise SweepCapExceeded(f"period grid needs {math.prod(period)} points, cap is {cap}")
     mu_a = sys.measure(sorted(query.A))
     threshold = mu_a * mu_a - query.epsilon
     members = set()
@@ -302,41 +308,39 @@ class KhintchineReport:
     period: Tuple[int, ...]
 
 
-def verify_khintchine(
-    sys: FiniteSystem, query: RecurrenceQuery, cap: int = SWEEP_CAP
-) -> KhintchineReport:
-    """Max return measure over the vanishing sublattice, against mu(A)^2.
+def verify_khintchine(sys: FiniteSystem, query: RecurrenceQuery) -> KhintchineReport:
+    """Return measure on the vanishing sublattice, against mu(A)^2.
 
     The sublattice is the one on which every exponent polynomial is
-    divisible by the system modulus, so the return measure there equals
-    mu(A) >= mu(A)^2; a failing verdict therefore signals an implementation
-    bug, not a property of the system.  The reported supremum is the max
-    over one full period restricted to that sublattice.
+    divisible by the system modulus q; that claim is decided first
+    (:func:`keyengine.first_escape_point` against q * Z^m).  There every
+    exponent acts as the identity, so the return measure is mu(A) >=
+    mu(A)^2 at every sublattice point and is read once, at the origin; a
+    failing verdict therefore signals an implementation bug, not a property
+    of the system.  The period is reported alongside.
     """
     if len(query.fs) != sys.num_maps:
         raise ArityMismatch(
             f"{len(query.fs)} polynomials for {sys.num_maps} maps"
         )
-    period = system_period(sys, query.fs, cap=cap)
+    period = system_period(sys, query.fs)
     q = math.lcm(*map_orders(sys)) if sys.num_maps else 1
     sub = keyengine.vanishing_lattice(query.fs, q)
-    n = query.fs[0].nvars
+    bad = keyengine.first_escape_point(query.fs, lattice.scaled(len(query.fs), q), sub)
+    if bad is not None:
+        raise VerificationFailed(
+            witness=bad,
+            message=f"exponents are not divisible by {q} at {bad} on the vanishing sublattice",
+        )
+    origin = (0,) * query.fs[0].nvars
     mu_a = sys.measure(sorted(query.A))
-    best: Optional[Fraction] = None
-    witness: Tuple[int, ...] = (0,) * n
-    for z in product(*(range(p) for p in period)):
-        if not sub.contains(z):
-            continue
-        exps = [f.evaluate(z) for f in query.fs]
-        value = return_measure(sys, sorted(query.A), exps)
-        if best is None or value > best:
-            best, witness = value, z
-    assert best is not None
+    # recurrence_query makes every f_i vanish at the origin
+    value = return_measure(sys, sorted(query.A), [0] * len(query.fs))
     return KhintchineReport(
-        sup_value=best,
+        sup_value=value,
         bound=mu_a * mu_a,
-        holds=best >= mu_a * mu_a,
-        witness_residue=witness,
+        holds=value >= mu_a * mu_a,
+        witness_residue=origin,
         period=period,
     )
 

@@ -39,18 +39,6 @@ class SweepCapExceeded(CapExceeded):
     """An exhaustive grid sweep would exceed the configured point budget."""
 
 
-class IndexOutOfRange(InputError):
-    """A set refers to a generator index beyond the stored prefix."""
-
-
-class NotBlockOrdered(InputError):
-    """Blocks are not strictly ordered (max of one below min of the next)."""
-
-    def __init__(self, position, message=None):
-        self.position = position
-        super().__init__(message or f"blocks out of order at position {position}")
-
-
 class WeightsNotNormalized(InputError):
     """Point weights are not positive rationals summing exactly to 1."""
 
@@ -92,4 +80,4 @@ class SaturationFailed(CheckFailed):
 
 
 class VerificationFailed(CheckFailed):
-    """An internal construction failed its own exhaustive post-check (bug guard)."""
+    """An internal construction or invariant failed its own post-check (bug guard)."""

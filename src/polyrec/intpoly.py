@@ -225,6 +225,22 @@ def substitute_block_sums(
     return binpoly(max(new_nvars, 1), acc)
 
 
+def shift(f: BinPoly, j: int, step: int) -> BinPoly:
+    """The translate z -> f(z + step * e_j), on the binomial basis.
+
+    One Vandermonde step, C(x + N, k) = sum_i C(N, k - i) C(x, i), moves the
+    shift into the coefficients.
+    """
+    if not 0 <= j < f.nvars:
+        raise ArityMismatch(f"variable {j} outside 0..{f.nvars - 1}")
+    acc: Dict[MultiIndex, int] = {}
+    for idx, coef in f.terms:
+        for i in range(idx[j] + 1):
+            key = idx[:j] + (i,) + idx[j + 1 :]
+            acc[key] = acc.get(key, 0) + coef * binom_int(step, idx[j] - i)
+    return binpoly(f.nvars, acc)
+
+
 def delta(f: BinPoly, s: int) -> BinPoly:
     """The s-fold difference of f, over s blocks of f.nvars fresh variables.
 

@@ -1,56 +1,22 @@
-"""Finite combinatorics of subset sums and block-ordered set sequences.
+"""Finite combinatorics of subset sums.
 
-Works with the semigroup of finite nonempty index sets under union: finite
-generator families and their subset sums, additive value maps over index
-sets, monochromatic subset-sum search on a bounded window, and exhaustive
-window verdicts for the "meets every subset-sum family" property together
-with gap bounds.  Index sets use 0-based indices; generator values are
-positive integers.
+Finite generator families and their subset sums, monochromatic subset-sum
+search on a bounded window, and exhaustive window verdicts for the "meets
+every subset-sum family" property together with gap bounds.  Generator
+values are positive integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from .errors import (
-    ArityMismatch,
-    CapExceeded,
-    IndexOutOfRange,
-    NotBlockOrdered,
-)
+from .errors import ArityMismatch, CapExceeded
 
 MAX_GENERATORS = 20  # subset-sum expansion bound (2^k sums)
 MAX_WINDOW = 12  # exhaustive window searches
 MAX_TUPLE_LEN = 4  # generator-tuple length in exhaustive sweeps
-
-
-@dataclass(frozen=True)
-class FinSet:
-    """Finite nonempty set of indices, stored strictly increasing."""
-
-    elements: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ArityMismatch("index sets must be nonempty")
-        if any(e < 0 for e in self.elements):
-            raise ArityMismatch(f"negative index in {self.elements}")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
-            raise ArityMismatch(f"elements not strictly increasing: {self.elements}")
-
-    @property
-    def max(self) -> int:
-        return self.elements[-1]
-
-    @property
-    def min(self) -> int:
-        return self.elements[0]
-
-
-def finset(elements: Iterable[int]) -> FinSet:
-    return FinSet(tuple(sorted(set(int(e) for e in elements))))
 
 
 @dataclass(frozen=True)
@@ -66,24 +32,6 @@ class FiniteIP:
             raise ArityMismatch(f"generators must be positive: {self.generators}")
 
 
-@dataclass(frozen=True)
-class IpRing:
-    """Strictly block-ordered sequence of index sets (a stored prefix)."""
-
-    blocks: Tuple[FinSet, ...]
-
-
-@dataclass(frozen=True)
-class IpValueMap:
-    """Prefix of a sequence of positive integers, summed over index sets."""
-
-    gens: Tuple[int, ...]
-
-    def __post_init__(self):
-        if any(g < 1 for g in self.gens):
-            raise ArityMismatch(f"generator values must be positive: {self.gens}")
-
-
 def fs_expand(ip: FiniteIP, cap: int = MAX_GENERATORS) -> FrozenSet[int]:
     """All nonempty-subset sums of the generators (duplicates collapse)."""
     k = len(ip.generators)
@@ -94,26 +42,6 @@ def fs_expand(ip: FiniteIP, cap: int = MAX_GENERATORS) -> FrozenSet[int]:
         sums |= {s + g for s in sums}
     sums.discard(0)
     return frozenset(sums)
-
-
-def union_op(a: FinSet, b: FinSet) -> FinSet:
-    return finset(a.elements + b.elements)
-
-
-def block_less(a: FinSet, b: FinSet) -> bool:
-    return a.max < b.min
-
-
-def ip_value(vmap: IpValueMap, alpha: FinSet) -> int:
-    if alpha.max >= len(vmap.gens):
-        raise IndexOutOfRange(
-            f"index {alpha.max} beyond the stored prefix of length {len(vmap.gens)}"
-        )
-    return sum(vmap.gens[i] for i in alpha.elements)
-
-
-def ip_vector(vmaps: Sequence[IpValueMap], alpha: FinSet) -> Tuple[int, ...]:
-    return tuple(ip_value(m, alpha) for m in vmaps)
 
 
 def find_monochromatic_fs(
@@ -195,17 +123,6 @@ def syndetic_gap(s: Iterable[int], lo: int, hi: int) -> Optional[int]:
     gaps.extend(b - a for a, b in zip(elems, elems[1:]))
     gaps.append(hi - elems[-1])
     return max(gaps)
-
-
-def validate_ip_ring(blocks: Sequence[FinSet]) -> IpRing:
-    """Check strict block order; reports the first offending position."""
-    blocks = tuple(blocks)
-    if not blocks:
-        raise ArityMismatch("need at least one block")
-    for i in range(len(blocks) - 1):
-        if not block_less(blocks[i], blocks[i + 1]):
-            raise NotBlockOrdered(i + 1)
-    return IpRing(blocks)
 
 
 def coloring_from_json(obj: Mapping) -> Dict[int, object]:

@@ -2,25 +2,23 @@
 
 Everything here answers questions of the shape: given a tuple of
 integer-valued polynomials v: Z^n -> Z^K and a subgroup V of Z^K, on which
-finite-index sublattice of Z^n can we *prove*, exhaustively, that the
-values of v (shifted to vanish at the origin) lie in V?
+finite-index sublattice of Z^n can we *prove* that the values of v (shifted
+to vanish at the origin) lie in V?
 
-Claims of the form "v(a) - v(0) in V for every a in L" are decidable: on a
-full-rank lattice the membership condition is periodic in the lattice
-coordinates (period governed by the index of V inside its saturation and
-the binomial divisibility of integer-valued polynomials), and the
-off-saturation component is a polynomial identity, settled by a grid with
-degree + 1 points per axis.  Every constructor below re-verifies its output
-on one such complete fundamental domain before returning it.
+Claims of the form "v(a) - v(0) in V for every a in L" are decided without
+sampling (Polya 1915): restricted to L and written on the binomial basis,
+u(k) = sum_a c_a C(k, a), every coordinate vector c_a is a forward
+difference of u at the origin, hence an integer combination of values of
+u.  So u(Z^r) lies in V exactly when every c_a does (:func:`first_escape`).
+Every constructor below re-verifies its output this way before returning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intpoly, lattice
 from .errors import (
@@ -32,13 +30,14 @@ from .errors import (
     SweepCapExceeded,
     VerificationFailed,
 )
-from .intpoly import BinPoly, MonoPoly, PolyTuple
+from .intpoly import BinPoly, MonoPoly, MultiIndex, PolyTuple
 from .lattice import Lattice
 from .numutil import lcm_upto
 
-# Budget for exhaustive fundamental-domain sweeps; larger instances are
-# refused loudly rather than silently truncated.
-DOMAIN_CAP = 10**6
+# Point budget of the package's exhaustive sweeps (the stable-rank window and
+# the r-epsilon period grid); larger instances are refused loudly rather than
+# silently truncated.
+SWEEP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -100,46 +99,53 @@ def vanishing_lattice(fs: Sequence[BinPoly], q: int) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# Complete membership verification on a lattice
+# Deciding "lands in V" from binomial coordinates
 # ---------------------------------------------------------------------------
 
 
-def _membership_period(V: Lattice, degree: int) -> int:
-    """Period (per lattice coordinate) of the condition u(k) in V.
+def first_escape(us: Sequence[BinPoly], V: Lattice) -> Optional[MultiIndex]:
+    """Least binomial index a whose coordinate vector (c_a of each u_i) is not in V.
 
-    For u an integer-valued polynomial tuple of total degree <= degree: in
-    coordinates on the saturation of V, membership only depends on the
-    value modulo the finite-index coordinate lattice, whose index q' gives
-    the shift-invariance u(k + q'*lcm(1..degree) * e_j) = u(k) modulo q'.
+    None means u(z) lies in V for every z in Z^n.  Because
+    u(k) = sum over b <= k of c_b C(k, b), the returned index is also the
+    lexicographically least point k >= 0 with u(k) outside V.
     """
-    if V.rank == 0:
-        return 1
-    sat = lattice.saturate(V)
-    coord_gens = []
-    for col in V.basis:
-        coords = lattice.coordinates(sat, col)
-        assert coords is not None and all(c.denominator == 1 for c in coords)
-        coord_gens.append([int(c) for c in coords])
-    coord_lattice = lattice.hnf_from_generators(sat.rank, coord_gens)
-    idx = lattice.index(coord_lattice)
-    assert idx is not None, "saturation coordinates lost rank"
-    return idx * lcm_upto(degree)
+    coords: Dict[MultiIndex, List[int]] = {}
+    for i, u in enumerate(us):
+        for idx, coef in u.terms:
+            coords.setdefault(idx, [0] * len(us))[i] = coef
+    for idx in sorted(coords):
+        if not V.contains(coords[idx]):
+            return idx
+    return None
+
+
+def first_escape_point(
+    us: Sequence[BinPoly], V: Lattice, lat: Lattice
+) -> Optional[Tuple[int, ...]]:
+    """Decide u(L) in V; else the point B*a for the least failing lattice coordinates a.
+
+    B is the Hermite basis of L; the tuple is restricted to L by pulling it
+    back along B.  A rank-0 lattice is just the origin.
+    """
+    if lat.rank == 0:
+        origin = (0,) * lat.ambient
+        return None if V.contains([u.evaluate(origin) for u in us]) else origin
+    rows = [[col[i] for col in lat.basis] for i in range(lat.ambient)]
+    a = first_escape([intpoly.pullback(u, rows) for u in us], V)
+    if a is None:
+        return None
+    return tuple(sum(c * col[i] for c, col in zip(a, lat.basis)) for i in range(lat.ambient))
 
 
 def verify_value_membership(
-    v: PolyTuple,
-    offset: Sequence[int],
-    V: Lattice,
-    witness: Lattice,
-    cap: int = DOMAIN_CAP,
+    v: PolyTuple, offset: Sequence[int], V: Lattice, witness: Lattice
 ) -> Optional[Tuple[int, ...]]:
     """Decide whether v(a) - offset lies in V for *every* a in the witness.
 
-    Returns None when the claim holds for all lattice points, or a concrete
-    counterexample point otherwise.  The sweep covers one full period of
-    the membership condition (and at least degree + 1 values per axis, so
-    the rational-span component is settled as a polynomial identity); it is
-    therefore a complete decision procedure, not a sample.
+    Returns None when the claim holds for all lattice points, or otherwise
+    the counterexample whose lattice coordinates are lexicographically
+    least among the non-negative ones (:func:`first_escape_point`).
     """
     if witness.ambient != v.nvars:
         raise ArityMismatch(
@@ -149,26 +155,11 @@ def verify_value_membership(
         raise ArityMismatch(
             f"target subgroup lives in Z^{V.ambient}, tuple has {v.arity} components"
         )
-    offset = [int(e) for e in offset]
-    d = max(v.degree, 1)
-    period = _membership_period(V, d)
-    side = period * max(1, -(-(d + 1) // period))
-    r = witness.rank
-    if r == 0:
-        pts = 1
-    else:
-        pts = side**r
-    if pts > cap:
-        raise SweepCapExceeded(f"membership sweep needs {pts} points, cap is {cap}")
-    for ks in product(range(side), repeat=r):
-        point = [0] * witness.ambient
-        for c, col in zip(ks, witness.basis):
-            for i in range(witness.ambient):
-                point[i] += c * col[i]
-        value = [a - b for a, b in zip(v.evaluate(point), offset)]
-        if not V.contains(value):
-            return tuple(point)
-    return None
+    shifted = [
+        intpoly.subtract(c, intpoly.constant(v.nvars, int(off)))
+        for c, off in zip(v.components, offset)
+    ]
+    return first_escape_point(shifted, V, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +167,27 @@ def verify_value_membership(
 # ---------------------------------------------------------------------------
 
 
-def _difference_on_basis(
-    parts: Sequence[MonoPoly], t: int, js: Tuple[int, ...], n: int
-) -> Tuple[Fraction, ...]:
-    """Value of the t-fold difference of the degree-t parts at basis blocks.
-
-    Blocks are the standard basis vectors e_{js[0]}, ..., e_{js[t-1]}; the
-    value is computed pointwise by inclusion-exclusion.
-    """
-    out = [Fraction(0)] * len(parts)
-    for mask in range(1, 1 << t):
-        bits = [i for i in range(t) if mask >> i & 1]
-        sign = (-1) ** (t - len(bits))
-        point = [0] * n
-        for i in bits:
-            point[js[i]] += 1
-        for c, h in enumerate(parts):
-            if not h.is_zero():
-                out[c] += sign * h.evaluate(point)
-    return tuple(out)
-
-
-def key_lemma_lattice(
-    inst: KeyInstance, hypothesis: Lattice, cap: int = DOMAIN_CAP
-) -> Lattice:
+def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
     """Full-rank lattice L with v(a) - v(0) in V for every a in L.
 
     The hypothesis lattice asserts that some nonzero multiple of every
     value v(b), b on that lattice, lies in V; this is checked first (it is
-    a rational-span condition, settled by a grid of degree + 1 lattice
-    points per axis) and reported via :class:`HypothesisFailed` with a
-    counterexample if false.
+    the claim that v lands in the saturation of V on that lattice, decided
+    by :func:`first_escape_point`) and reported via :class:`HypothesisFailed`
+    with a counterexample if false.
 
     The construction peels off homogeneous parts from the top degree down.
-    At degree t the t-fold difference of the degree-t part is multilinear
-    in its t blocks, so a single integer N clears all of its values into V
-    (the lcm of the smallest multiples of the finitely many block-basis
-    values); the homogeneous identity (the t-fold difference on the
+    At degree t the t-fold difference of the degree-t part h is multilinear
+    in its t blocks; at the basis blocks e_{j_1}, ..., e_{j_t} it equals
+    m! * h_m, where m counts how often each coordinate occurs among the j's
+    and h_m is the coefficient of z^m.  So a single integer N clears all of
+    its values into V (the lcm of the smallest multiples of the vectors
+    m! * h_m); the homogeneous identity (the t-fold difference on the
     diagonal equals t! times the part) then places the part itself in V on
     (N * t!) * Z^n.  The returned lattice is the intersection over degrees
-    and is re-verified exhaustively before being returned; a verification
-    failure signals an implementation bug, never a silent wrong answer.
+    and is re-verified with :func:`verify_value_membership` before being
+    returned; a verification failure signals an implementation bug, never
+    a silent wrong answer.
     """
     v, V = inst.v, inst.V
     n = v.nvars
@@ -229,22 +200,17 @@ def key_lemma_lattice(
             f"hypothesis lattice has rank {hypothesis.rank}, need full rank {n}"
         )
 
-    d = v.degree
-    for ks in product(range(d + 1), repeat=n):
-        point = [0] * n
-        for c, col in zip(ks, hypothesis.basis):
-            for i in range(n):
-                point[i] += c * col[i]
-        if lattice.smallest_multiple(V, v.evaluate(point)) is None:
-            raise HypothesisFailed(
-                witness=tuple(point),
-                message=f"no nonzero multiple of v({tuple(point)}) lies in the target subgroup",
-            )
+    point = first_escape_point(v.components, lattice.saturate(V), hypothesis)
+    if point is not None:
+        raise HypothesisFailed(
+            witness=point,
+            message=f"no nonzero multiple of v({point}) lies in the target subgroup",
+        )
 
     offset = v.evaluate([0] * n)
 
     # Everything may already land in V on all of Z^n (e.g. V of full index 1).
-    if verify_value_membership(v, offset, V, lattice.full_lattice(n), cap=cap) is None:
+    if verify_value_membership(v, offset, V, lattice.full_lattice(n)) is None:
         return lattice.full_lattice(n)
 
     parts_per_component: List[Tuple[MonoPoly, ...]] = []
@@ -253,31 +219,28 @@ def key_lemma_lattice(
         parts_per_component.append(intpoly.homogeneous_parts(shifted))
 
     result = lattice.full_lattice(n)
-    for t in range(d, 0, -1):
-        parts_t = [
-            ps[t] if t < len(ps) else intpoly.monopoly(n, {})
-            for ps in parts_per_component
-        ]
-        if all(h.is_zero() for h in parts_t):
+    for t in range(v.degree, 0, -1):
+        parts_t = [ps[t].term_map() if t < len(ps) else {} for ps in parts_per_component]
+        monomials = sorted(set().union(*parts_t))
+        if not monomials:
             continue
         clearing = 1
-        for js in product(range(n), repeat=t):
-            value = _difference_on_basis(parts_t, t, js, n)
-            if not any(value):
-                continue
-            m = lattice.smallest_multiple(V, value)
-            if m is None:
+        for m in monomials:
+            weight = math.prod(math.factorial(e) for e in m)
+            value = [weight * h.get(m, 0) for h in parts_t]
+            multiple = lattice.smallest_multiple(V, value)
+            if multiple is None:
                 raise VerificationFailed(
-                    witness=js,
+                    witness=m,
                     message="difference coefficient escaped the rational span of the target "
                     "after the hypothesis check passed (implementation bug)",
                 )
-            clearing = math.lcm(clearing, m)
+            clearing = math.lcm(clearing, multiple)
         result = lattice.intersect(
             result, lattice.scaled(n, clearing * math.factorial(t))
         )
 
-    counterexample = verify_value_membership(v, offset, V, result, cap=cap)
+    counterexample = verify_value_membership(v, offset, V, result)
     if counterexample is not None:
         raise VerificationFailed(
             witness=counterexample,
@@ -300,7 +263,7 @@ def window_points(n: int, window: int):
 
 
 def stable_rank_subgroup(
-    v: PolyTuple, window: int, cap: int = DOMAIN_CAP
+    v: PolyTuple, window: int, cap: int = SWEEP_CAP
 ) -> RankCertificate:
     """Greedily grow samples until the image subgroup's rank saturates.
 
@@ -383,12 +346,12 @@ def key_certificate_json(inst: KeyInstance, witness: Lattice) -> dict:
     }
 
 
-def verify_key_certificate_json(obj: dict, cap: int = DOMAIN_CAP) -> None:
+def verify_key_certificate_json(obj: dict) -> None:
     v = intpoly.polytuple_from_json(obj["v"])
     target = lattice.from_json(obj["V"])
     witness = lattice.from_json(obj["witness"])
     offset = v.evaluate([0] * v.nvars)
-    counterexample = verify_value_membership(v, offset, target, witness, cap=cap)
+    counterexample = verify_value_membership(v, offset, target, witness)
     if counterexample is not None:
         raise VerificationFailed(
             witness=counterexample,

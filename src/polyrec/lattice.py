@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, VerificationFailed
 from .numutil import divisors, ext_gcd
 
 Vector = Tuple[int, ...]
@@ -208,7 +208,11 @@ def _kernel_basis(columns: Sequence[Sequence[int]], nrows: int) -> List[List[int
     out = []
     for j in range(k):
         if not assigned[j]:
-            assert not any(work[j]), "column survived elimination without a pivot"
+            if any(work[j]):
+                raise VerificationFailed(
+                    witness=tuple(work[j]),
+                    message="column survived elimination without a pivot (implementation bug)",
+                )
             out.append(mirror[j])
     return out
 
@@ -253,20 +257,6 @@ def coordinates(lat: Lattice, v: Sequence[int]) -> Optional[List[Fraction]]:
     if len(v) != lat.ambient:
         raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
     return _solve_rational(lat, [Fraction(e) for e in v])
-
-
-def member_points(lat: Lattice, coeff_range: range) -> Dict[Vector, Tuple[int, ...]]:
-    """All integer combinations with coefficients in the range (small scale)."""
-    from itertools import product as iproduct
-
-    out: Dict[Vector, Tuple[int, ...]] = {}
-    for coeffs in iproduct(coeff_range, repeat=lat.rank):
-        vec = [0] * lat.ambient
-        for c, col in zip(coeffs, lat.basis):
-            for i in range(lat.ambient):
-                vec[i] += c * col[i]
-        out[tuple(vec)] = coeffs
-    return out
 
 
 def to_json(lat: Lattice) -> dict:

@@ -6,9 +6,11 @@ rational phases: eigenvector e is scaled by exp(2*pi*i*theta[e][i]) under
 U_i.  For such families the long-run behaviour of products
 U_1^{f_1(z)} ... U_m^{f_m(z)} along any sufficiently invariant set of z is
 computable exactly: the product is the identity on an explicit finite-index
-sublattice, which is returned as a verified certificate.  Projection
-predicates and the quadratic averaging expansion are checked in exact
-Gaussian-rational arithmetic, with an optional float mode for user data.
+sublattice, which is returned as a certificate verified from the binomial
+coordinates of the phase combinations (:func:`keyengine.first_escape`).
+Projection predicates and the quadratic averaging expansion are checked in
+exact Gaussian-rational arithmetic, with an optional float mode for user
+data.
 """
 
 from __future__ import annotations
@@ -16,24 +18,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
-from . import keyengine, lattice
+from . import intpoly, keyengine, lattice
 from .errors import (
     ArityMismatch,
     CapExceeded,
     DimMismatch,
     NonzeroConstantTerm,
-    SweepCapExceeded,
     VerificationFailed,
 )
 from .intpoly import BinPoly
 from .lattice import Lattice
-from .numutil import lcm_upto
 
 MAX_PHASE_DENOMINATOR = 720
-SWEEP_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,8 @@ class ProjectionDesc:
     """Diagonal 0/1 projection, supported on ``fixed`` eigenvector indices.
 
     ``certificate``, when present, is the sublattice on which the defining
-    operator products equal the identity (verified exhaustively).
+    operator products equal the identity (verified by
+    :func:`verify_limit_certificate`).
     """
 
     dim: int
@@ -274,17 +273,14 @@ class ProjectionDesc:
         )
 
 
-def limit_projection(
-    u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CAP
-) -> ProjectionDesc:
+def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
     """Long-run projection of the powered family, with a lattice certificate.
 
     For exponent polynomials vanishing at the origin and rational phases of
     common order q, every eigen-phase vanishes on N * Z^n with
     N = q * lcm(1..d): the powered product is the identity there.  The
-    certificate lattice is swept exhaustively over one full period (of the
-    lattice parameterization) before being returned, so the identity claim
-    is checked, not assumed.
+    certificate lattice is checked with :func:`verify_limit_certificate`
+    before being returned, so the identity claim is checked, not assumed.
     """
     fs = tuple(fs)
     if len(fs) != u.ops:
@@ -296,44 +292,47 @@ def limit_projection(
             )
     q = phase_lcm(u)
     cert = keyengine.vanishing_lattice(fs, q)
-    verify_limit_certificate(u, fs, cert, cap=cap)
+    verify_limit_certificate(u, fs, cert)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
 
 def verify_limit_certificate(
-    u: PhaseUnitary, fs: Sequence[BinPoly], cert: Lattice, cap: int = SWEEP_CAP
+    u: PhaseUnitary, fs: Sequence[BinPoly], cert: Lattice
 ) -> None:
-    """Exhaustively re-check that all eigen-phases vanish on the lattice.
+    """Decide that all eigen-phases vanish on the whole certificate lattice.
 
-    Sweeps the lattice points over one full period of the phase map in the
-    lattice coordinates (q * lcm(1..d) per axis), which decides the claim
-    for the whole lattice; raises :class:`VerificationFailed` with the
-    first bad point.
+    With q = :func:`phase_lcm`, eigenvector e's phase at z vanishes exactly
+    when g_e(z) = sum_i (q * theta[e][i]) * f_i(z) is divisible by q, so the
+    claim is that the tuple (g_e) lands in q * Z^D on the lattice;
+    :func:`keyengine.first_escape_point` decides it.  Raises
+    :class:`VerificationFailed` with the bad point whose lattice
+    coordinates are lexicographically least among the non-negative ones.
     """
     fs = tuple(fs)
-    if cert.ambient != fs[0].nvars:
-        raise ArityMismatch(
-            f"certificate lattice lives in Z^{cert.ambient}, polynomials take {fs[0].nvars} variables"
-        )
-    q = phase_lcm(u)
     n = fs[0].nvars
-    d = max(f.degree for f in fs)
-    side = q * lcm_upto(d)
-    r = cert.rank
-    if side**r * u.dim > cap:
-        raise SweepCapExceeded(
-            f"certificate sweep needs {side ** r} points x {u.dim} eigenvectors, cap {cap}"
+    if cert.ambient != n:
+        raise ArityMismatch(
+            f"certificate lattice lives in Z^{cert.ambient}, polynomials take {n} variables"
         )
-    for ks in product(range(side), repeat=r):
-        point = [0] * n
-        for c, col in zip(ks, cert.basis):
-            for i in range(n):
-                point[i] += c * col[i]
-        if any(power_phases(u, fs, point)):
-            raise VerificationFailed(
-                witness=tuple(point),
-                message=f"certificate lattice leaves a nonzero phase at {tuple(point)}",
-            )
+    if len(fs) != u.ops:
+        raise ArityMismatch(f"{len(fs)} polynomials for {u.ops} operators")
+    for f in fs:
+        if f.nvars != n:
+            raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
+    q = phase_lcm(u)
+    combos = []
+    for row in u.phases:
+        acc = {}
+        for f, p in zip(fs, row):
+            for idx, coef in f.terms:
+                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
+        combos.append(intpoly.binpoly(n, acc))
+    point = keyengine.first_escape_point(combos, lattice.scaled(u.dim, q), cert)
+    if point is not None:
+        raise VerificationFailed(
+            witness=point,
+            message=f"certificate lattice leaves a nonzero phase at {point}",
+        )
 
 
 def orbit_fixed_projection(
@@ -362,8 +361,8 @@ def orbit_fixed_projection(
 def projection_product_check(ps: Sequence[ProjectionDesc]) -> ProjectionDesc:
     """Product of commuting diagonal projections: intersect the fixed sets.
 
-    Asserts (exactly) that the realized product matrix is again an
-    orthogonal projection.
+    Checks (exactly) that the realized product matrix is again an
+    orthogonal projection, and raises :class:`VerificationFailed` if not.
     """
     ps = list(ps)
     if not ps:
@@ -376,8 +375,11 @@ def projection_product_check(ps: Sequence[ProjectionDesc]) -> ProjectionDesc:
     for p in ps:
         fixed &= p.fixed
     out = ProjectionDesc(dim=dim, fixed=fixed)
-    check = is_orthogonal_projection(out.to_matrix())
-    assert check.ok, "diagonal product stopped being a projection (bug)"
+    if not is_orthogonal_projection(out.to_matrix()).ok:
+        raise VerificationFailed(
+            witness=sorted(fixed),
+            message="diagonal product stopped being a projection (implementation bug)",
+        )
     return out
 
 
@@ -441,7 +443,12 @@ def vdc_expansion(xs: Sequence[Sequence]) -> AveragingExpansion:
         diag += inner(a, a).re
         for b in vecs:
             rhs_c = rhs_c + inner(a, b)
-    assert rhs_c.im == 0, "full double sum must be real"
+    if rhs_c.im:
+        raise VerificationFailed(
+            witness=rhs_c.im,
+            message=f"full double sum has imaginary part {rhs_c.im}, must be real "
+            "(implementation bug)",
+        )
     rhs = rhs_c.re / (n * n)
     diag = diag / (n * n)
     return AveragingExpansion(

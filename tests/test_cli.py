@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
+
+from polyrec import cli
+from polyrec.errors import InputError
 
 GOLDEN = Path(__file__).parent / "golden" / "bundled_reports.json"
 
@@ -155,6 +159,74 @@ class TestExitCodes:
         proc = run_cli("run", str(tmp_path))
         assert proc.returncode == 0
         assert proc.stdout.count("HOLDS") == 3
+
+
+    def test_list_valued_colors_is_input_error(self, tmp_path):
+        doc = {
+            "schema_version": 1,
+            "id": "list-colors",
+            "kind": "hindman-search",
+            "payload": {"coloring": {"W": 4, "colors": [[0], [1], [0], [1]]}, "k": 2},
+        }
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_former_cap_refusals_now_decide(self):
+        # these kinds used to sweep and exited 2 under a 10-point budget
+        bundled = Path(cli.__file__).parent / "scenarios"
+        names = [
+            "khintchine-product6-pair.json",
+            "key-lemma-parabola.json",
+            "spectral-limit-bilinear.json",
+        ]
+        proc = run_cli("run", "--cap", "10", *(str(bundled / n) for n in names))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("HOLDS") == 3
+
+
+class TestSchemaMessages:
+    INVALID = [
+        {"schema_version": 2, "id": "x", "kind": "delta-check", "payload": {}},
+        {"schema_version": 1, "id": "", "kind": "delta-check", "payload": {}},
+        {"schema_version": 1, "id": "x", "kind": "nope", "payload": {}},
+        {"schema_version": 1, "id": "x", "kind": "delta-check"},
+        {"schema_version": 1, "id": "x", "kind": "delta-check", "payload": {"c_table_max": 13}},
+        {"schema_version": 1, "id": "x", "kind": "key-lemma", "payload": {"v": []}},
+        {
+            "schema_version": 1,
+            "id": "x",
+            "kind": "spectral-limit",
+            "payload": {"unitary": {"phases": [["1/2", 3]]}, "fs": [{"nvars": 0, "terms": []}]},
+        },
+        {
+            "schema_version": 1,
+            "id": "x",
+            "kind": "hindman-search",
+            "payload": {"coloring": {"W": 2, "colors": [0, {"c": 1}]}, "k": 1},
+        },
+    ]
+
+    @staticmethod
+    def plain_message(source, doc):
+        try:
+            jsonschema.validate(doc, cli.SCENARIO_SCHEMA)
+            jsonschema.validate(doc["payload"], cli.PAYLOAD_SCHEMAS[doc["kind"]])
+        except jsonschema.ValidationError as exc:
+            where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+            return f"{source}: at {where}: {exc.message}"
+        raise AssertionError("document is valid")
+
+    @pytest.mark.parametrize("index", range(len(INVALID)))
+    def test_same_message_as_plain_validate(self, tmp_path, index):
+        doc = self.INVALID[index]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError) as err:
+            cli.load_scenarios([path], False)
+        assert str(err.value) == self.plain_message(str(path), doc)
 
 
 class TestCertificates:

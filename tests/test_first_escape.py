@@ -1,0 +1,333 @@
+"""The binomial-coordinate decision procedure against the grid sweeps it replaced.
+
+Each ``sweep_*`` function below is the exhaustive grid sweep that production
+code used before ``keyengine.first_escape``: it enumerates lattice
+coordinates over one full period of the claim, in lexicographic order, and
+stops at the first point that breaks it.  Every call site must agree with
+its sweep on the verdict, the witness and the message.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from conftest import random_binpoly, random_fullrank_lattice
+from polyrec import dynamics as dy
+from polyrec import intpoly as ip
+from polyrec import keyengine as ke
+from polyrec import lattice as lat
+from polyrec import spectral as sp
+from polyrec.errors import HypothesisFailed, PolyrecError, VerificationFailed
+from polyrec.numutil import lcm_upto
+
+INSTANCES = 1000
+
+
+# ---------------------------------------------------------------------------
+# Reference sweeps
+# ---------------------------------------------------------------------------
+
+
+def lattice_point(basis, coords, ambient):
+    point = [0] * ambient
+    for c, col in zip(coords, basis):
+        for i in range(ambient):
+            point[i] += c * col[i]
+    return tuple(point)
+
+
+def membership_period(V, degree):
+    """Period of "u(k) in V" per lattice coordinate: index of V in its saturation times lcm(1..d)."""
+    if V.rank == 0:
+        return 1
+    sat = lat.saturate(V)
+    coord_gens = [[int(c) for c in lat.coordinates(sat, col)] for col in V.basis]
+    return lat.index(lat.hnf_from_generators(sat.rank, coord_gens)) * lcm_upto(degree)
+
+
+def sweep_membership(v, offset, V, witness):
+    d = max(v.degree, 1)
+    period = membership_period(V, d)
+    side = period * max(1, -(-(d + 1) // period))
+    for ks in product(range(side), repeat=witness.rank):
+        point = lattice_point(witness.basis, ks, witness.ambient)
+        value = [a - b for a, b in zip(v.evaluate(point), offset)]
+        if not V.contains(value):
+            return point
+    return None
+
+
+def sweep_hypothesis(v, V, hypothesis):
+    n = v.nvars
+    for ks in product(range(v.degree + 1), repeat=n):
+        point = lattice_point(hypothesis.basis, ks, n)
+        if lat.smallest_multiple(V, v.evaluate(point)) is None:
+            raise HypothesisFailed(
+                witness=point,
+                message=f"no nonzero multiple of v({point}) lies in the target subgroup",
+            )
+
+
+def sweep_limit_certificate(u, fs, cert):
+    side = sp.phase_lcm(u) * lcm_upto(max(f.degree for f in fs))
+    for ks in product(range(side), repeat=cert.rank):
+        point = lattice_point(cert.basis, ks, cert.ambient)
+        if any(sp.power_phases(u, fs, point)):
+            raise VerificationFailed(
+                witness=point,
+                message=f"certificate lattice leaves a nonzero phase at {point}",
+            )
+
+
+def sweep_periodicity(fs, q, period):
+    n = fs[0].nvars
+    for z in product(range(period), repeat=n):
+        for j in range(n):
+            shifted = list(z)
+            shifted[j] += period
+            for f in fs:
+                if (f.evaluate(shifted) - f.evaluate(z)) % q:
+                    raise VerificationFailed(
+                        witness=z, message=f"periodicity failed at {z} in coordinate {j}"
+                    )
+    return (period,) * n
+
+
+def sweep_khintchine(sys_, query):
+    period = dy.system_period(sys_, query.fs)
+    q = math.lcm(*dy.map_orders(sys_))
+    sub = ke.vanishing_lattice(query.fs, q)
+    mu_a = sys_.measure(sorted(query.A))
+    best, witness = None, (0,) * query.fs[0].nvars
+    for z in product(*(range(p) for p in period)):
+        if not sub.contains(z):
+            continue
+        value = dy.return_measure(sys_, sorted(query.A), [f.evaluate(z) for f in query.fs])
+        if best is None or value > best:
+            best, witness = value, z
+    return dy.KhintchineReport(
+        sup_value=best,
+        bound=mu_a * mu_a,
+        holds=best >= mu_a * mu_a,
+        witness_residue=witness,
+        period=period,
+    )
+
+
+def outcome(fn, *args):
+    """What a check did: its return value, or the error's type, witness and message."""
+    try:
+        return ("returned", fn(*args))
+    except PolyrecError as exc:
+        return (type(exc).__name__, getattr(exc, "witness", None), str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Random instances
+# ---------------------------------------------------------------------------
+
+
+def random_subgroup(rng, dim):
+    """Full rank, rank deficient or zero, with a small index in its saturation."""
+    pick = rng.random()
+    if pick < 0.5:
+        return random_fullrank_lattice(rng, dim, pivot_max=2)
+    if pick < 0.6:
+        return lat.zero_lattice(dim)
+    gens = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+    return lat.hnf_from_generators(dim, gens)
+
+
+def random_lattice(rng, n, good_step):
+    """Rank 0, rank deficient, full rank, or the multiples of a step that tends to work."""
+    pick = rng.random()
+    if pick < 0.1:
+        return lat.zero_lattice(n)
+    if pick < 0.35:
+        return lat.scaled(n, good_step)
+    if pick < 0.55:
+        return lat.full_lattice(n)
+    if pick < 0.75 and n > 1:
+        return lat.hnf_from_generators(n, [[rng.randint(-3, 3) for _ in range(n)]])
+    return random_fullrank_lattice(rng, n, pivot_max=3)
+
+
+def random_tuple(rng, n, count):
+    max_degree = 3 if n == 1 else 2
+    return [random_binpoly(rng, n, rng.randint(1, max_degree), bound=4) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# The procedure itself
+# ---------------------------------------------------------------------------
+
+
+class TestFirstEscape:
+    def test_index_is_least_failing_point(self):
+        # u(z) = C(z, 2): u(0) = u(1) = 0, u(2) = 1
+        u = ip.binpoly(1, {(2,): 1})
+        assert ke.first_escape([u], lat.scaled(1, 2)) == (2,)
+        assert ke.first_escape([u], lat.full_lattice(1)) is None
+
+    def test_zero_tuple_lands_everywhere(self):
+        assert ke.first_escape([ip.zero(2), ip.zero(2)], lat.zero_lattice(2)) is None
+
+    def test_rank_zero_lattice_is_the_origin(self):
+        v = [ip.binpoly(2, {(0, 0): 3, (1, 1): 1})]
+        assert ke.first_escape_point(v, lat.scaled(1, 3), lat.zero_lattice(2)) is None
+        assert ke.first_escape_point(v, lat.scaled(1, 2), lat.zero_lattice(2)) == (0, 0)
+
+    def test_index_agrees_with_least_failing_value(self):
+        rng = random.Random(151)
+        failures = 0
+        for _ in range(300):
+            n = rng.randint(1, 2)
+            K = rng.randint(1, 3)
+            us = random_tuple(rng, n, K)
+            V = random_subgroup(rng, K)
+            got = ke.first_escape(us, V)
+            box = product(range(4), repeat=n)
+            brute = next((z for z in box if not V.contains([u.evaluate(z) for u in us])), None)
+            assert got == brute
+            failures += got is not None
+        assert failures > 100
+
+
+# ---------------------------------------------------------------------------
+# Every call site against its old sweep
+# ---------------------------------------------------------------------------
+
+
+class TestCallSitesAgreeWithSweeps:
+    def test_value_membership_and_key_certificates(self):
+        rng = random.Random(157)
+        failures = 0
+        for _ in range(INSTANCES):
+            n = rng.randint(1, 2)
+            K = rng.randint(1, 3)
+            v = ip.polytuple(random_tuple(rng, n, K))
+            V = random_subgroup(rng, K)
+            witness = random_lattice(rng, n, rng.choice([2, 4, 6, 12]))
+            offset = list(v.evaluate([0] * n))
+            if rng.random() < 0.3:
+                offset[rng.randrange(K)] += rng.randint(-2, 2)
+            expected = sweep_membership(v, offset, V, witness)
+            assert ke.verify_value_membership(v, offset, V, witness) == expected
+            failures += expected is not None
+            if offset == list(v.evaluate([0] * n)):
+                doc = {
+                    "v": ip.polytuple_to_json(v),
+                    "V": lat.to_json(V),
+                    "witness": lat.to_json(witness),
+                }
+                got = outcome(ke.verify_key_certificate_json, doc)
+                if expected is None:
+                    assert got == ("returned", None)
+                else:
+                    message = f"certificate lattice fails membership at {expected}"
+                    assert got == ("VerificationFailed", expected, message)
+        assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
+
+    def test_key_lemma_hypothesis(self):
+        rng = random.Random(163)
+        failures = 0
+        for _ in range(INSTANCES):
+            n = rng.randint(1, 2)
+            K = rng.randint(1, 3)
+            v = ip.polytuple(random_tuple(rng, n, K))
+            V = random_subgroup(rng, K)
+            hypothesis = random_fullrank_lattice(rng, n, pivot_max=3)
+            expected = outcome(sweep_hypothesis, v, V, hypothesis)
+            got = outcome(ke.key_lemma_lattice, ke.key_instance(v, V), hypothesis)
+            if expected[0] == "returned":
+                assert got[0] == "returned" and got[1].rank == n
+            else:
+                assert got == expected
+                failures += 1
+        assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
+
+    def test_limit_certificates(self):
+        rng = random.Random(167)
+        failures = 0
+        for _ in range(INSTANCES):
+            n = rng.randint(1, 2)
+            ops = rng.randint(1, 2)
+            dim = rng.randint(1, 3)
+            # all-zero phases give q = 1
+            dens = rng.choice([(1,), (1, 2), (2, 3), (1, 2, 3)])
+            u = sp.phase_unitary(
+                [[Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=ops)] for _ in range(dim)]
+            )
+            fs = random_tuple(rng, n, ops)
+            if rng.random() < 0.8:
+                fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
+            q = sp.phase_lcm(u)
+            cert = random_lattice(rng, n, q * rng.choice([1, 2]))
+            expected = outcome(sweep_limit_certificate, u, fs, cert)
+            assert outcome(sp.verify_limit_certificate, u, fs, cert) == expected
+            failures += expected[0] != "returned"
+        assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
+
+    def test_periodicity_recheck(self, monkeypatch):
+        # A period shorter than q * lcm(1..d) makes the re-check fail; it
+        # stays at least d so the sweep's box still holds the least failure.
+        rng = random.Random(173)
+        multiplier = [1]
+        monkeypatch.setattr(dy, "lcm_upto", lambda d: multiplier[0])
+        failures = 0
+        for _ in range(INSTANCES):
+            n = rng.randint(1, 2)
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
+            sys_ = product_system(sizes)
+            fs = [random_binpoly(rng, n, 4 - n, bound=4) for _ in sizes]
+            fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
+            q = math.lcm(*sizes)
+            d = max(f.degree for f in fs)
+            multiplier[0] = rng.choice([m for m in range(1, lcm_upto(d) + 1) if q * m >= d])
+            expected = outcome(sweep_periodicity, fs, q, q * multiplier[0])
+            assert outcome(dy.system_period, sys_, fs) == expected
+            failures += expected[0] != "returned"
+        assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
+
+    def test_khintchine(self):
+        # The verdict always holds; what must agree is the read-out.
+        rng = random.Random(179)
+        for _ in range(INSTANCES):
+            n = 1 if rng.random() < 0.8 else 2
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+            sys_ = product_system(sizes)
+            fs = random_tuple(rng, n, len(sizes))
+            fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
+            if rng.random() < 0.1:
+                fs[0] = ip.zero(n)
+            A = rng.sample(sys_.points, rng.randint(1, sys_.size))
+            query = dy.recurrence_query(A, fs, 0)
+            assert dy.verify_khintchine(sys_, query) == sweep_khintchine(sys_, query)
+
+    def test_khintchine_sublattice_claim_is_checked(self, monkeypatch):
+        # a sublattice on which z^2 is not divisible by 4 must be refused
+        f = ip.from_monomial_coeffs(1, {(2,): 1})
+        monkeypatch.setattr(ke, "vanishing_lattice", lambda fs, q: lat.scaled(1, 3))
+        with pytest.raises(VerificationFailed) as err:
+            dy.verify_khintchine(product_system([4]), dy.recurrence_query(["0"], [f], 0))
+        assert err.value.witness == (3,)
+
+
+def product_system(sizes):
+    """Z/s_1 x ... x Z/s_k with the uniform measure and one rotation per factor.
+
+    A factor of size 1 is a map of order 1, so sizes of all 1 give q = 1.
+    """
+    pts = [",".join(map(str, p)) for p in product(*(range(s) for s in sizes))]
+    maps = []
+    for i, s in enumerate(sizes):
+        image = []
+        for p in product(*(range(t) for t in sizes)):
+            moved = list(p)
+            moved[i] = (moved[i] + 1) % s
+            image.append(",".join(map(str, moved)))
+        maps.append(image)
+    return dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, maps)

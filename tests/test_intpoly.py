@@ -310,6 +310,31 @@ class TestPullback:
                 assert g.evaluate([w]) == f.evaluate(z)
 
 
+class TestShift:
+    def test_example(self):
+        # C(z + 3, 2) = C(z, 2) + 3 z + 3
+        f = ip.binpoly(1, {(2,): 1})
+        assert ip.shift(f, 0, 3).term_map() == {(2,): 1, (1,): 3, (0,): 3}
+
+    def test_against_evaluation(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            nvars = rng.randint(1, 3)
+            f = random_binpoly(rng, nvars, 4)
+            j = rng.randrange(nvars)
+            step = rng.randint(-6, 6)
+            g = ip.shift(f, j, step)
+            for _ in range(10):
+                z = [rng.randint(-5, 5) for _ in range(nvars)]
+                moved = list(z)
+                moved[j] += step
+                assert g.evaluate(z) == f.evaluate(moved)
+
+    def test_variable_out_of_range(self):
+        with pytest.raises(ArityMismatch):
+            ip.shift(ip.binpoly(1, {(1,): 1}), 1, 2)
+
+
 class TestRoundTrips:
     def test_monomial_round_trip(self):
         rng = random.Random(13)

@@ -6,12 +6,7 @@ import random
 import pytest
 
 from polyrec import ipstruct as ips
-from polyrec.errors import (
-    ArityMismatch,
-    CapExceeded,
-    IndexOutOfRange,
-    NotBlockOrdered,
-)
+from polyrec.errors import ArityMismatch, CapExceeded
 
 
 def brute_subset_sums(gens):
@@ -46,65 +41,6 @@ class TestFsExpand:
             assert len(got) <= 2**k - 1
             if len(set(brute_subset_sums(gens))) == 2**k - 1:
                 assert len(got) == 2**k - 1
-
-
-class TestSemigroup:
-    def test_union_and_order(self):
-        assert ips.union_op(ips.finset([1, 3]), ips.finset([2])).elements == (1, 2, 3)
-        assert ips.block_less(ips.finset([1, 2]), ips.finset([3, 5]))
-        assert not ips.block_less(ips.finset([1, 4]), ips.finset([3, 5]))
-
-    def test_laws(self):
-        rng = random.Random(79)
-        for _ in range(40):
-            a = ips.finset(rng.sample(range(12), rng.randint(1, 4)))
-            b = ips.finset(rng.sample(range(12), rng.randint(1, 4)))
-            c = ips.finset(rng.sample(range(12), rng.randint(1, 4)))
-            assert ips.union_op(a, b) == ips.union_op(b, a)
-            assert ips.union_op(ips.union_op(a, b), c) == ips.union_op(
-                a, ips.union_op(b, c)
-            )
-            assert ips.union_op(a, a) == a  # idempotence
-
-    def test_finset_validation(self):
-        with pytest.raises(ArityMismatch):
-            ips.FinSet(())
-        with pytest.raises(ArityMismatch):
-            ips.FinSet((3, 1))
-
-
-class TestIpValue:
-    def test_examples(self):
-        vm = ips.IpValueMap((1, 2, 4, 8))
-        assert ips.ip_value(vm, ips.finset([0, 2])) == 5
-        assert ips.ip_value(vm, ips.finset([3])) == 8
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            ips.ip_value(ips.IpValueMap((1, 2)), ips.finset([5]))
-
-    def test_additive_on_disjoint(self):
-        rng = random.Random(83)
-        vm = ips.IpValueMap(tuple(rng.randint(1, 9) for _ in range(10)))
-        for _ in range(40):
-            members = rng.sample(range(10), rng.randint(2, 6))
-            cut = rng.randint(1, len(members) - 1)
-            a, b = ips.finset(members[:cut]), ips.finset(members[cut:])
-            assert ips.ip_value(vm, ips.union_op(a, b)) == ips.ip_value(
-                vm, a
-            ) + ips.ip_value(vm, b)
-
-    def test_additivity_fails_when_overlapping(self):
-        vm = ips.IpValueMap((1, 2, 4))
-        a = ips.finset([0, 1])
-        b = ips.finset([1, 2])
-        lhs = ips.ip_value(vm, ips.union_op(a, b))
-        assert lhs != ips.ip_value(vm, a) + ips.ip_value(vm, b)
-
-    def test_vector(self):
-        maps = [ips.IpValueMap((1, 2)), ips.IpValueMap((3, 1))]
-        assert ips.ip_vector(maps, ips.finset([0, 1])) == (3, 4)
-        assert ips.ip_vector(maps[:1], ips.finset([0])) == (1,)
 
 
 class TestMonochromaticSearch:
@@ -190,22 +126,6 @@ class TestSyndeticGap:
     def test_bad_interval(self):
         with pytest.raises(ArityMismatch):
             ips.syndetic_gap([1], 5, 5)
-
-
-class TestIpRing:
-    def test_valid(self):
-        ring = ips.validate_ip_ring(
-            [ips.finset([1]), ips.finset([2, 3]), ips.finset([5])]
-        )
-        assert len(ring.blocks) == 3
-
-    def test_invalid_position(self):
-        with pytest.raises(NotBlockOrdered) as err:
-            ips.validate_ip_ring([ips.finset([1, 3]), ips.finset([2])])
-        assert err.value.position == 1
-
-    def test_single_block(self):
-        assert len(ips.validate_ip_ring([ips.finset([4])]).blocks) == 1
 
 
 class TestColoringJson:

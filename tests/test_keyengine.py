@@ -13,7 +13,6 @@ from polyrec.errors import (
     HypothesisFailed,
     NonzeroConstantTerm,
     SaturationFailed,
-    SweepCapExceeded,
 )
 from polyrec.numutil import lcm_upto
 
@@ -69,12 +68,12 @@ class TestMembershipVerifier:
         v = ip.polytuple([ip.binpoly(1, {(1,): 1})])
         assert ke.verify_value_membership(v, [0], lat.scaled(1, 2), lat.scaled(1, 2)) is None
 
-    def test_cap(self):
+    def test_decides_beyond_old_sweep_cap(self):
+        # the period grid of this claim has 194^2 points, far more than the
+        # 10-point budget that used to refuse it
         v = ip.polytuple([ip.binpoly(2, {(1, 1): 1})])
-        with pytest.raises(SweepCapExceeded):
-            ke.verify_value_membership(
-                v, [0], lat.scaled(1, 97), lat.full_lattice(2), cap=10
-            )
+        assert ke.verify_value_membership(v, [0], lat.scaled(1, 97), lat.full_lattice(2)) == (1, 1)
+        assert ke.verify_value_membership(v, [0], lat.scaled(1, 97), lat.scaled(2, 97)) is None
 
     def test_decision_procedure_agrees_with_wide_scan(self):
         # the sweep claims to *decide* the for-all statement; cross-check it

@@ -93,6 +93,8 @@ UNITARY_SCHEMA = {
     },
 }
 
+POLYS = {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1}
+
 PAYLOAD_SCHEMAS: Dict[str, dict] = {
     "khintchine": {
         "schema_version": 1,
@@ -102,7 +104,7 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
         "properties": {
             "system": SYSTEM_SCHEMA,
             "A": {"type": "array", "items": {"type": "string"}},
-            "fs": {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1},
+            "fs": POLYS,
         },
     },
     "r-epsilon": {
@@ -113,7 +115,7 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
         "properties": {
             "system": SYSTEM_SCHEMA,
             "A": {"type": "array", "items": {"type": "string"}},
-            "fs": {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1},
+            "fs": POLYS,
             "epsilon": RATIONAL,
         },
     },
@@ -125,7 +127,7 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
         "properties": {
             "system": SYSTEM_SCHEMA,
             "A": {"type": "array", "items": {"type": "string"}},
-            "fs": {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1},
+            "fs": POLYS,
             "epsilon": RATIONAL,
             "k": {"type": "integer", "minimum": 1},
             "W": {"type": "integer", "minimum": 1},
@@ -137,7 +139,7 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
         "required": ["v", "V", "hypothesis"],
         "additionalProperties": False,
         "properties": {
-            "v": {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1},
+            "v": POLYS,
             "V": LATTICE_SCHEMA,
             "hypothesis": LATTICE_SCHEMA,
         },
@@ -148,7 +150,7 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
         "required": ["v", "window"],
         "additionalProperties": False,
         "properties": {
-            "v": {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1},
+            "v": POLYS,
             "window": {"type": "integer", "minimum": 1},
         },
     },
@@ -159,7 +161,7 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
         "additionalProperties": False,
         "properties": {
             "unitary": UNITARY_SCHEMA,
-            "fs": {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1},
+            "fs": POLYS,
         },
     },
     "delta-check": {
@@ -218,6 +220,36 @@ SCENARIO_SCHEMA = {
 }
 
 
+# The fields of each certificate kind, all of them required.
+CERTIFICATE_FIELDS: Dict[str, dict] = {
+    "key-lemma": {"v": POLYS, "V": LATTICE_SCHEMA, "witness": LATTICE_SCHEMA},
+    "stable-rank": {
+        "v": POLYS,
+        "r": {"type": "integer", "minimum": 0},
+        "samples": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
+        "V": LATTICE_SCHEMA,
+        "saturation_window": {"type": "integer", "minimum": 1},
+    },
+    "spectral-limit": {"unitary": UNITARY_SCHEMA, "fs": POLYS, "lattice": LATTICE_SCHEMA},
+}
+
+CERTIFICATE_SCHEMA = {
+    "type": "object",
+    "required": ["certificate_kind"],
+    "properties": {"certificate_kind": {"enum": sorted(CERTIFICATE_FIELDS)}},
+    "allOf": [
+        {
+            "if": {
+                "required": ["certificate_kind"],
+                "properties": {"certificate_kind": {"const": kind}},
+            },
+            "then": {"required": sorted(fields), "properties": fields},
+        }
+        for kind, fields in sorted(CERTIFICATE_FIELDS.items())
+    ],
+}
+
+
 # ---------------------------------------------------------------------------
 # Scenario runners: payload -> (verdict, details, certificate-or-None)
 # ---------------------------------------------------------------------------
@@ -254,7 +286,7 @@ def _run_r_epsilon(payload, cap, seed):
     query = dynamics.recurrence_query(payload["A"], fs, payload["epsilon"])
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     details = _residue_details(verdict)
-    details["table"] = dynamics.residue_table(sys_, query, verdict)
+    details["table"] = dynamics.residue_table(verdict)
     zero = (0,) * fs[0].nvars
     return zero in verdict.members, details, None
 
@@ -455,17 +487,17 @@ def _jsonable(value):
 
 @functools.lru_cache(maxsize=None)
 def _validator(kind: Optional[str]):
-    """Compiled validator of a payload kind, or of the scenario envelope for None.
+    """Compiled validator of a payload kind, of the scenario envelope for
+    None, or of a certificate document for "certificate".
 
-    The schema itself is checked once here, not on every document; errors
-    are then picked with ``best_match`` exactly as ``jsonschema.validate``
-    does.  Compiled on first use, so commands that load no scenario pay
-    nothing.
+    Errors are picked with ``best_match`` exactly as ``jsonschema.validate``
+    does.  The schemas are constants of this module, so the tests check
+    them against their meta-schema; loading the meta-schema on every run
+    would cost more than validating a document.
     """
-    schema = SCENARIO_SCHEMA if kind is None else PAYLOAD_SCHEMAS[kind]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    envelopes = {None: SCENARIO_SCHEMA, "certificate": CERTIFICATE_SCHEMA}
+    schema = envelopes[kind] if kind in envelopes else PAYLOAD_SCHEMAS[kind]
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
@@ -592,20 +624,22 @@ def cmd_verify_certificate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
-    kind = doc.get("certificate_kind")
+    error = best_match(_validator("certificate").iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        print(f"error: {path}: at {where}: {error.message}", file=sys.stderr)
+        return 2
+    kind = doc["certificate_kind"]
     try:
         if kind == "key-lemma":
             keyengine.verify_key_certificate_json(doc)
         elif kind == "stable-rank":
             keyengine.verify_rank_certificate_json(doc)
-        elif kind == "spectral-limit":
+        else:
             u = spectral.from_json(doc["unitary"])
             fs = [intpoly.from_json(f) for f in doc["fs"]]
             cert = lattice.from_json(doc["lattice"])
             spectral.verify_limit_certificate(u, fs, cert)
-        else:
-            print(f"error: {path}: unknown certificate kind {kind!r}", file=sys.stderr)
-            return 2
     except CheckFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,9 @@ f_i vanishing at the origin, the return measure
 depends only on each f_i(z) modulo the lcm q of the map orders, hence is
 periodic in every coordinate of z with period q * lcm(1..d); the sets where
 it clears the threshold mu(A)^2 - eps are therefore computed *exactly* as
-unions of residue classes.  All measures are rationals; there is no
-floating point anywhere in this module.
+unions of residue classes, in one pass over the period grid that looks each
+return measure up by its exponent residues (e_i mod order_i).  All measures
+are rationals; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
 from .errors import (
@@ -70,27 +71,24 @@ class FiniteSystem:
         )
 
 
-def _perm_order(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    order = 1
+def _perm_cycles(perm: Sequence[int]) -> List[List[int]]:
+    cycles, seen = [], set()
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+        if start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
 
 
 def _perm_power(perm: Sequence[int], e: int) -> List[int]:
-    e %= _perm_order(perm)
-    out = list(range(len(perm)))
-    for _ in range(e):
-        out = [perm[x] for x in out]
+    """perm^e for any integer e: each point moves e steps along its cycle."""
+    out = [0] * len(perm)
+    for cycle in _perm_cycles(perm):
+        for i, x in enumerate(cycle):
+            out[x] = cycle[(i + e) % len(cycle)]
     return out
 
 
@@ -214,7 +212,7 @@ def return_measure(
 
 
 def map_orders(sys: FiniteSystem) -> Tuple[int, ...]:
-    return tuple(_perm_order(perm) for perm in sys.maps)
+    return tuple(math.lcm(*map(len, _perm_cycles(perm))) for perm in sys.maps)
 
 
 def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
@@ -258,7 +256,8 @@ def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
 class ResidueVerdict:
     """Exact description of a threshold set as residue classes mod N.
 
-    z belongs to the set iff (z mod period) is in ``members``.
+    z belongs to the set iff (z mod period) is in ``members``.  ``rows`` holds
+    (residue, exponents, return measure) for every grid point, in order.
     """
 
     period: Tuple[int, ...]
@@ -266,6 +265,7 @@ class ResidueVerdict:
     epsilon: Fraction
     mu_a: Fraction
     mu_a_sq: Fraction
+    rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction], ...] = ()
 
 
 def r_epsilon(
@@ -273,8 +273,9 @@ def r_epsilon(
 ) -> ResidueVerdict:
     """All residues whose return measure clears mu(A)^2 - eps, exactly.
 
-    Sweeps one period grid; a grid of more than ``cap`` points is refused
-    with :class:`SweepCapExceeded`.
+    Sweeps one period grid, once; a grid of more than ``cap`` points is
+    refused with :class:`SweepCapExceeded`.  As T_i^{order_i} = id, each
+    return measure is computed once per tuple (e_i mod order_i), then looked up.
     """
     if len(query.fs) != sys.num_maps:
         raise ArityMismatch(
@@ -283,19 +284,24 @@ def r_epsilon(
     period = system_period(sys, query.fs)
     if math.prod(period) > cap:
         raise SweepCapExceeded(f"period grid needs {math.prod(period)} points, cap is {cap}")
+    orders = map_orders(sys)
     mu_a = sys.measure(sorted(query.A))
-    threshold = mu_a * mu_a - query.epsilon
-    members = set()
+    measures: Dict[Tuple[int, ...], Fraction] = {}
+    rows = []
     for z in product(*(range(p) for p in period)):
-        exps = [f.evaluate(z) for f in query.fs]
-        if return_measure(sys, sorted(query.A), exps) >= threshold:
-            members.add(z)
+        exps = tuple(f.evaluate(z) for f in query.fs)
+        key = tuple(e % order for e, order in zip(exps, orders))
+        if key not in measures:
+            measures[key] = return_measure(sys, sorted(query.A), key)
+        rows.append((z, exps, measures[key]))
+    threshold = mu_a * mu_a - query.epsilon
     return ResidueVerdict(
         period=period,
-        members=frozenset(members),
+        members=frozenset(z for z, _, value in rows if value >= threshold),
         epsilon=query.epsilon,
         mu_a=mu_a,
         mu_a_sq=mu_a * mu_a,
+        rows=tuple(rows),
     )
 
 
@@ -372,28 +378,21 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
 
 
-def residue_table(
-    sys: FiniteSystem, query: RecurrenceQuery, verdict: ResidueVerdict
-) -> str:
-    """Aligned text table: residue, exponents, return measure, threshold, verdict."""
-    threshold = verdict.mu_a_sq - verdict.epsilon
+def residue_table(verdict: ResidueVerdict) -> str:
+    """Aligned text table of the rows :func:`r_epsilon` recorded: residue,
+    exponents, return measure, threshold, verdict.  Nothing is evaluated."""
+    threshold = str(verdict.mu_a_sq - verdict.epsilon)
     rows = [("residue", "exponents", "return measure", "threshold", "verdict")]
-    for z in sorted(verdict.members | _full_grid(verdict.period)):
-        exps = [f.evaluate(z) for f in query.fs]
-        value = return_measure(sys, sorted(query.A), exps)
+    for z, exps, value in verdict.rows:
         rows.append(
             (
                 ",".join(map(str, z)),
                 ",".join(map(str, exps)),
                 str(value),
-                str(threshold),
+                threshold,
                 "holds" if z in verdict.members else "fails",
             )
         )
     widths = [max(len(r[c]) for r in rows) for c in range(5)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines)
-
-
-def _full_grid(period: Tuple[int, ...]) -> FrozenSet[Tuple[int, ...]]:
-    return frozenset(product(*(range(p) for p in period)))

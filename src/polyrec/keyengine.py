@@ -262,6 +262,13 @@ def window_points(n: int, window: int):
                 yield pt
 
 
+def _check_window(n: int, window: int, cap: int) -> None:
+    if (2 * window + 1) ** n > cap:
+        raise SweepCapExceeded(
+            f"window sweep needs {(2 * window + 1) ** n} points, cap is {cap}"
+        )
+
+
 def stable_rank_subgroup(
     v: PolyTuple, window: int, cap: int = SWEEP_CAP
 ) -> RankCertificate:
@@ -278,23 +285,18 @@ def stable_rank_subgroup(
     if window < 1:
         raise ArityMismatch(f"window must be positive, got {window}")
     n = v.nvars
-    if (2 * window + 1) ** n > cap:
-        raise SweepCapExceeded(
-            f"window sweep needs {(2 * window + 1) ** n} points, cap is {cap}"
-        )
+    _check_window(n, window, cap)
     gens: List[Tuple[int, ...]] = []
     samples: List[Tuple[int, ...]] = []
     current = lattice.zero_lattice(v.arity)
-    changed = True
-    while changed:
-        changed = False
-        for pt in window_points(n, window):
-            img = v.evaluate(pt)
-            if lattice.smallest_multiple(current, img) is None:
-                gens.append(img)
-                samples.append(pt)
-                current = lattice.hnf_from_generators(v.arity, gens)
-                changed = True
+    # one pass suffices: the rational span only grows, so a point skipped
+    # once stays inside it
+    for pt in window_points(n, window):
+        img = v.evaluate(pt)
+        if lattice.smallest_multiple(current, img) is None:
+            gens.append(img)
+            samples.append(pt)
+            current = lattice.hnf_from_generators(v.arity, gens)
     for pt in window_points(n, window):
         if lattice.smallest_multiple(current, v.evaluate(pt)) is None:
             raise SaturationFailed(
@@ -310,7 +312,9 @@ def stable_rank_subgroup(
 
 
 def verify_rank_certificate(v: PolyTuple, cert: RankCertificate) -> None:
-    """Re-assert every :class:`RankCertificate` invariant from scratch."""
+    """Re-assert every :class:`RankCertificate` invariant from scratch; a
+    window sweep over :data:`SWEEP_CAP` points is refused."""
+    _check_window(v.nvars, cert.saturation_window, SWEEP_CAP)
     regenerated = lattice.hnf_from_generators(
         v.arity, [v.evaluate(pt) for pt in cert.samples]
     )

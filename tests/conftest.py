@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
+from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
 
@@ -57,3 +59,20 @@ def random_fullrank_lattice(rng: random.Random, dim: int, pivot_max: int = 2) ->
             col[i] = rng.randint(-2, 2)
         gens.append(col)
     return lat.hnf_from_generators(dim, gens)
+
+
+def product_system(sizes):
+    """Z/s_1 x ... x Z/s_k with the uniform measure and one rotation per factor.
+
+    A factor of size 1 is a map of order 1, so sizes of all 1 give q = 1.
+    """
+    pts = [",".join(map(str, p)) for p in itertools.product(*(range(s) for s in sizes))]
+    maps = []
+    for i, s in enumerate(sizes):
+        image = []
+        for p in itertools.product(*(range(t) for t in sizes)):
+            moved = list(p)
+            moved[i] = (moved[i] + 1) % s
+            image.append(",".join(map(str, moved)))
+        maps.append(image)
+    return dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, maps)

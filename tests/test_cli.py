@@ -219,6 +219,11 @@ class TestSchemaMessages:
             return f"{source}: at {where}: {exc.message}"
         raise AssertionError("document is valid")
 
+    def test_schemas_match_their_meta_schema(self):
+        schemas = [cli.SCENARIO_SCHEMA, cli.CERTIFICATE_SCHEMA, *cli.PAYLOAD_SCHEMAS.values()]
+        for schema in schemas:
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
     @pytest.mark.parametrize("index", range(len(INVALID)))
     def test_same_message_as_plain_validate(self, tmp_path, index):
         doc = self.INVALID[index]
@@ -258,6 +263,45 @@ class TestCertificates:
         bad.write_text('{"certificate_kind": "key-le')
         proc = run_cli("verify-certificate", str(bad))
         assert proc.returncode == 2
+
+    def test_emitted_certificates_match_the_schema(self, cert_dir):
+        paths = sorted(cert_dir.glob("*.cert.json"))
+        kinds = {json.loads(p.read_text())["certificate_kind"] for p in paths}
+        assert kinds == set(cli.CERTIFICATE_FIELDS)
+        for path in paths:
+            jsonschema.validate(json.loads(path.read_text()), cli.CERTIFICATE_SCHEMA)
+
+    @staticmethod
+    def verify_in_process(tmp_path, capsys, doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify-certificate", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_schema_violations_are_input_errors(self, cert_dir, tmp_path, capsys):
+        spectral = json.loads((cert_dir / "spectral-limit-bilinear.cert.json").read_text())
+        rank = json.loads((cert_dir / "stable-rank-parabola.cert.json").read_text())
+        cases = [
+            ({**spectral, "fs": []}, "at fs: [] should be non-empty"),
+            ({**rank, "v": []}, "at v: [] should be non-empty"),
+            ([1, 2], "at <root>: [1, 2] is not of type 'object'"),
+            ({"certificate_kind": "nope"}, "at certificate_kind: 'nope' is not one of"),
+            ({"v": []}, "at <root>: 'certificate_kind' is a required property"),
+            ({**rank, "saturation_window": "3"}, "at saturation_window: '3' is not of type"),
+            ({k: v for k, v in spectral.items() if k != "lattice"}, "'lattice' is a required"),
+        ]
+        for doc, message in cases:
+            code, err = self.verify_in_process(tmp_path, capsys, doc)
+            assert code == 2 and message in err, (doc, err)
+
+    def test_rank_window_over_cap_is_refused(self, cert_dir, tmp_path, capsys):
+        rank = json.loads((cert_dir / "stable-rank-parabola.cert.json").read_text())
+        nvars = rank["v"][0]["nvars"]
+        window = next(w for w in range(1, 10**6) if (2 * w + 1) ** nvars > 10**6)
+        code, err = self.verify_in_process(
+            tmp_path, capsys, {**rank, "saturation_window": window}
+        )
+        assert code == 2 and "cap is 1000000" in err
 
 
 class TestSeededRandomScenario:

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from conftest import product_system
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec.errors import (
@@ -258,12 +260,127 @@ class TestTwoVariableQueries:
         assert window.ip_star.holds and window.gap == 2
 
 
+def random_system(rng):
+    """A seeded finite system with one to three commuting maps.
+
+    Either a product of cyclic groups with one rotation per factor (orders
+    coprime or not), or one permutation made of disjoint cycles of mixed
+    lengths, with weights constant on each cycle.
+    """
+    if rng.random() < 0.5:
+        return product_system([rng.randint(1, 4) for _ in range(rng.randint(1, 3))])
+    lengths = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+    masses = [Fraction(rng.randint(1, 5)) for _ in lengths]
+    total = sum(m * k for m, k in zip(masses, lengths))
+    pts, weights, image = [], {}, []
+    for c, (k, m) in enumerate(zip(lengths, masses)):
+        cycle = [f"{c}.{i}" for i in range(k)]
+        pts += cycle
+        weights.update({p: m / total for p in cycle})
+        image += [cycle[(i + 1) % k] for i in range(k)]
+    return dy.build_system(pts, weights, [image])
+
+
+def random_query(rng, sys_):
+    n = rng.randint(1, 2)
+    fs = []
+    for _ in range(sys_.num_maps):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            idx = tuple(rng.randint(0, 2) for _ in range(n))
+            if 0 < sum(idx) <= 2:
+                terms[idx] = rng.randint(-5, 5)  # negative exponent values too
+        fs.append(ip.binpoly(n, terms))
+    A = [p for p in sys_.points if rng.random() < 0.5] or [sys_.points[0]]
+    mu_a = sys_.measure(A)
+    return dy.recurrence_query(A, fs, mu_a * mu_a * Fraction(rng.randint(0, 4), 4))
+
+
+def two_sweeps(sys_, query):
+    """The members and table as once computed: one return measure per grid
+    point for the members, then a second sweep that recomputes them all."""
+    period = dy.system_period(sys_, query.fs)
+    mu_a = sys_.measure(sorted(query.A))
+    threshold = mu_a * mu_a - query.epsilon
+    grid = list(product(*(range(p) for p in period)))
+    members = set()
+    for z in grid:
+        exps = [f.evaluate(z) for f in query.fs]
+        if dy.return_measure(sys_, sorted(query.A), exps) >= threshold:
+            members.add(z)
+    rows = [("residue", "exponents", "return measure", "threshold", "verdict")]
+    for z in sorted(members | set(grid)):
+        exps = [f.evaluate(z) for f in query.fs]
+        value = dy.return_measure(sys_, sorted(query.A), exps)
+        cells = (",".join(map(str, z)), ",".join(map(str, exps)), str(value), str(threshold))
+        rows.append(cells + ("holds" if z in members else "fails",))
+    widths = [max(len(r[c]) for r in rows) for c in range(5)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return frozenset(members), "\n".join(lines)
+
+
+def perm_power_by_composition(perm, e):
+    step = list(perm) if e >= 0 else [perm.index(x) for x in range(len(perm))]
+    out = list(range(len(perm)))
+    for _ in range(abs(e)):
+        out = [step[x] for x in out]
+    return out
+
+
+class TestOnePass:
+    def test_matches_two_sweeps(self):
+        rng = random.Random(109)
+        for _ in range(40):
+            sys_ = random_system(rng)
+            query = random_query(rng, sys_)
+            verdict = dy.r_epsilon(sys_, query)
+            members, table = two_sweeps(sys_, query)
+            assert verdict.members == members
+            assert dy.residue_table(verdict) == table
+
+    def test_perm_power_matches_composition(self):
+        rng = random.Random(113)
+        for _ in range(20):
+            pts = [str(x) for x in range(rng.randint(1, 9))]
+            image = rng.sample(pts, len(pts))
+            sys_ = dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, [image])
+            (perm,), (order,) = sys_.maps, dy.map_orders(sys_)
+            for e in range(-2 * order, 2 * order + 1):
+                assert dy._perm_power(perm, e) == perm_power_by_composition(perm, e)
+
+    def test_one_return_measure_per_exponent_residue(self, monkeypatch):
+        calls = []
+        real = dy.return_measure
+
+        def counted(sys_, A, exps):
+            calls.append(tuple(exps))
+            return real(sys_, A, exps)
+
+        monkeypatch.setattr(dy, "return_measure", counted)
+        rng = random.Random(127)
+        for _ in range(20):
+            sys_ = random_system(rng)
+            query = random_query(rng, sys_)
+            calls.clear()
+            verdict = dy.r_epsilon(sys_, query)
+            orders = dy.map_orders(sys_)
+            residues = {
+                tuple(f.evaluate(z) % o for f, o in zip(query.fs, orders))
+                for z in product(*(range(p) for p in verdict.period))
+            }
+            reduced = [tuple(e % o for e, o in zip(exps, orders)) for exps in calls]
+            assert sorted(reduced) == sorted(residues)
+        calls.clear()
+        dy.r_epsilon(cyclic(4), dy.recurrence_query(["0"], [ZSQ], 0))
+        assert len(calls) == 2  # z^2 mod 4 takes 2 values on the 8-point grid
+
+
 class TestReporting:
     def test_residue_table_alignment(self):
         sys_ = cyclic(4)
         query = dy.recurrence_query(["0"], [ZSQ], "1/100")
         verdict = dy.r_epsilon(sys_, query)
-        table = dy.residue_table(sys_, query, verdict)
+        table = dy.residue_table(verdict)
         lines = table.splitlines()
         assert lines[0].split() == [
             "residue", "exponents", "return", "measure", "threshold", "verdict",

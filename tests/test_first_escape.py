@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_binpoly, random_fullrank_lattice
+from conftest import product_system, random_binpoly, random_fullrank_lattice
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
@@ -314,20 +314,3 @@ class TestCallSitesAgreeWithSweeps:
         with pytest.raises(VerificationFailed) as err:
             dy.verify_khintchine(product_system([4]), dy.recurrence_query(["0"], [f], 0))
         assert err.value.witness == (3,)
-
-
-def product_system(sizes):
-    """Z/s_1 x ... x Z/s_k with the uniform measure and one rotation per factor.
-
-    A factor of size 1 is a map of order 1, so sizes of all 1 give q = 1.
-    """
-    pts = [",".join(map(str, p)) for p in product(*(range(s) for s in sizes))]
-    maps = []
-    for i, s in enumerate(sizes):
-        image = []
-        for p in product(*(range(t) for t in sizes)):
-            moved = list(p)
-            moved[i] = (moved[i] + 1) % s
-            image.append(",".join(map(str, moved)))
-        maps.append(image)
-    return dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, maps)

@@ -13,6 +13,7 @@ from polyrec.errors import (
     HypothesisFailed,
     NonzeroConstantTerm,
     SaturationFailed,
+    SweepCapExceeded,
 )
 from polyrec.numutil import lcm_upto
 
@@ -245,6 +246,45 @@ class TestStableRank:
         )
         with pytest.raises(SaturationFailed):
             ke.verify_rank_certificate(v, bogus)
+
+    @staticmethod
+    def repeated_greedy_passes(v, window):
+        """The greedy construction as it once was: window passes until one adds nothing."""
+        gens, samples = [], []
+        current = lat.zero_lattice(v.arity)
+        changed = True
+        while changed:
+            changed = False
+            for pt in ke.window_points(v.nvars, window):
+                img = v.evaluate(pt)
+                if lat.smallest_multiple(current, img) is None:
+                    gens.append(img)
+                    samples.append(pt)
+                    current = lat.hnf_from_generators(v.arity, gens)
+                    changed = True
+        return tuple(samples), current
+
+    def test_one_pass_matches_repeated_passes(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            n = rng.randint(1, 2)
+            v = ip.polytuple(
+                [random_binpoly(rng, n, 3, bound=4) for _ in range(rng.randint(1, 4))]
+            )
+            window = rng.randint(1, 3)
+            cert = ke.stable_rank_subgroup(v, window)
+            assert (cert.samples, cert.V) == self.repeated_greedy_passes(v, window)
+
+    def test_window_cap(self):
+        v = ip.polytuple([ip.binpoly(2, {(1, 0): 1}), ip.binpoly(2, {(0, 1): 1})])
+        window = 500  # 1001^2 points, just over the cap
+        assert (2 * window + 1) ** 2 > ke.SWEEP_CAP
+        with pytest.raises(SweepCapExceeded):
+            ke.stable_rank_subgroup(v, window)
+        cert = ke.stable_rank_subgroup(v, 3)
+        oversized = ke.RankCertificate(cert.r, cert.samples, cert.V, window)
+        with pytest.raises(SweepCapExceeded):
+            ke.verify_rank_certificate(v, oversized)
 
 
 class TestCertificateJson:

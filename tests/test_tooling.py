@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import runpy
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyrec"
@@ -15,3 +16,30 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_tracer_names_exist():
+    # bench/tracer.py wraps these by name with setattr after import, so a
+    # rename under src/polyrec would silently drop a per-layer metric
+    from polyrec import cli
+
+    tracer = runpy.run_path(str(SRC.parent.parent / "bench" / "tracer.py"))
+    wrapped = [
+        (mod, name)
+        for table in (tracer["SPANNED"], tracer["COUNTED"])
+        for mod, names in table.items()
+        for name in names
+    ]
+    wrapped += [
+        ("intpoly", "evaluate"),
+        ("lattice", "contains"),
+        ("dynamics", "return_measure"),
+        ("dynamics", "map_orders"),
+        ("cli", "json"),
+    ]
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in wrapped
+        if not hasattr(cli if mod == "cli" else getattr(cli, mod), name)
+    ]
+    assert not missing, f"bench/tracer.py wraps names that do not exist: {missing}"

@@ -28,9 +28,9 @@ import jsonschema
 from jsonschema.exceptions import best_match
 
 from . import dynamics, intpoly, ipstruct, keyengine, lattice, spectral
-from .errors import CheckFailed, InputError, PolyrecError
+from .errors import CheckFailed, InputError, PolyrecError, SweepCapExceeded, VerificationFailed
 
-RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/[0-9]+)?$"}
+RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/0*[1-9][0-9]*)?$"}
 INTEGER_STRING = {"type": "string", "pattern": r"^-?[0-9]+$"}
 
 BINPOLY_SCHEMA = {
@@ -403,10 +403,18 @@ def _run_delta_check(payload, cap, seed):
     ok = True
     if "poly" in payload:
         f = intpoly.from_json(payload["poly"])
+        max_s = payload.get("recursion_max_s", 3)
+        # delta(f, d + 1) expands no row; delta(f, 2) is expanded once for the
+        # identities, then delta and delta_recursive once each per s.  The
+        # random suite is not counted: its schema bounds it to polynomials
+        # in at most 3 variables of degree at most 4.
+        rows = intpoly.delta_rows(f, 2)
+        rows += 2 * sum(intpoly.delta_rows(f, s) for s in range(2, max_s + 1))
+        if rows > cap:
+            raise SweepCapExceeded(f"delta-check expands {rows} rows, cap is {cap}")
         good, info = _delta_identities(f)
         ok &= good
         details["poly"] = info
-        max_s = payload.get("recursion_max_s", 3)
         rec = all(_recursion_consistent(f, s) for s in range(2, max_s + 1))
         ok &= rec
         details["recursion_consistent"] = rec
@@ -617,6 +625,16 @@ def cmd_run(args) -> int:
     return 0 if all(r["verdict"] == "holds" for r in reports) else 1
 
 
+def _require_finite_index(lat: lattice.Lattice, field: str) -> None:
+    """A key-lemma witness and a spectral-limit lattice claim finite index."""
+    if lattice.index(lat) is None:
+        raise VerificationFailed(
+            witness=lat.rank,
+            message=f"certificate {field} has rank {lat.rank} in Z^{lat.ambient}, "
+            "so its index is infinite",
+        )
+
+
 def cmd_verify_certificate(args) -> int:
     path = Path(args.certificate)
     try:
@@ -632,6 +650,7 @@ def cmd_verify_certificate(args) -> int:
     kind = doc["certificate_kind"]
     try:
         if kind == "key-lemma":
+            _require_finite_index(lattice.from_json(doc["witness"]), "witness")
             keyengine.verify_key_certificate_json(doc)
         elif kind == "stable-rank":
             keyengine.verify_rank_certificate_json(doc)
@@ -639,6 +658,7 @@ def cmd_verify_certificate(args) -> int:
             u = spectral.from_json(doc["unitary"])
             fs = [intpoly.from_json(f) for f in doc["fs"]]
             cert = lattice.from_json(doc["lattice"])
+            _require_finite_index(cert, "lattice")
             spectral.verify_limit_certificate(u, fs, cert)
     except CheckFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -692,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=keyengine.SWEEP_CAP,
-        help="point budget of the r-epsilon, ip-star and stable-rank sweeps",
+        help="point budget of the r-epsilon, ip-star and stable-rank sweeps, and "
+        "row budget of a delta-check polynomial's difference expansions",
     )
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     run_p.add_argument(

@@ -18,6 +18,15 @@ The central operator is :func:`delta`: the inclusion-exclusion difference
 a polynomial over ``s * nvars`` variables, symmetric in the s blocks.  It
 collapses degree-d polynomials to the constant ``(-1)^d f(0)`` at s = d + 1,
 and extracts d! times the top homogeneous part on the diagonal at s = d.
+
+It is computed in closed form rather than as 2^s - 1 substitutions.  In the
+Vandermonde expansion of f(z_1 + ... + z_s), a row touching the set S of
+blocks also appears in f(sum of z_i for i in a) for every a containing S,
+and the signs (-1)^(s - |a|) over those a cancel unless S is every block;
+for S empty the row is f(0), with total sign (-1)^(s+1).  So delta keeps
+the constant (-1)^(s+1) f(0) and the rows that give every block positive
+degree.  :func:`delta_recursive` builds the same polynomial by the defining
+recursion, as an independent check.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -241,26 +251,75 @@ def shift(f: BinPoly, j: int, step: int) -> BinPoly:
     return binpoly(f.nvars, acc)
 
 
+@lru_cache(maxsize=None)
+def _touched_compositions(total: int, parts: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Compositions of ``total`` into ``parts``, each with the bitmask of its
+    nonzero parts."""
+    return tuple(
+        (comp, sum(1 << b for b, c in enumerate(comp) if c))
+        for comp in compositions(total, parts)
+    )
+
+
+def _all_blocks_rows(idx: MultiIndex, s: int) -> List[MultiIndex]:
+    """Rows of the Vandermonde expansion of C(z_1 + ... + z_s, idx) in which
+    every one of the s blocks gets positive degree, laid out block-first.
+
+    Variable j spreads its degree idx[j] over the blocks; a partial row is
+    dropped as soon as the degree left over cannot reach the blocks still
+    untouched.
+    """
+    left = sum(idx)
+    if left < s:
+        return []
+    partial: List[Tuple[Tuple[Tuple[int, ...], ...], int]] = [((), 0)]
+    for k in idx:
+        left -= k
+        partial = [
+            (chosen + (comp,), reach)
+            for chosen, mask in partial
+            for comp, touched in _touched_compositions(k, s)
+            if s - (reach := mask | touched).bit_count() <= left
+        ]
+    return [tuple(chain.from_iterable(zip(*chosen))) for chosen, _ in partial]
+
+
 def delta(f: BinPoly, s: int) -> BinPoly:
     """The s-fold difference of f, over s blocks of f.nvars fresh variables.
 
     Output variables are laid out block-first: block i (0-based) occupies
     positions i*nvars .. i*nvars + nvars - 1.  The result is symmetric under
     permuting blocks.
+
+    Closed form: a row of the Vandermonde expansion of f(z_1 + ... + z_s)
+    that touches the set S of blocks appears, with the same coefficient, in
+    f(sum of z_i for i in a) for every a containing S, so its signed total
+    is the sum of (-1)^(s - |a|) over nonempty a containing S.  That sum is
+    1 for S = all blocks, 0 for a nonempty proper S, and (-1)^(s+1) for
+    S empty, where the row is the constant term f(0).  So delta(f, s) is
+    (-1)^(s+1) f(0) plus the rows in which every block has positive degree;
+    terms of total degree below s contribute nothing.
     """
     if s < 1:
         raise ArityMismatch(f"s must be positive, got {s}")
-    n = f.nvars
-    new_nvars = s * n
-    acc: Dict[MultiIndex, int] = {}
-    for mask in range(1, 1 << s):
-        blocks = [i for i in range(s) if mask >> i & 1]
-        sign = (-1) ** (s - len(blocks))
-        targets = [tuple(b * n + j for b in blocks) for j in range(n)]
-        piece = substitute_block_sums(f, new_nvars, targets)
-        for idx, coef in piece.terms:
-            acc[idx] = acc.get(idx, 0) + sign * coef
-    return binpoly(new_nvars, acc)
+    # rows of distinct terms differ (a row sums back to its term's index),
+    # every entry is non-negative and every coefficient nonzero
+    rows = [(row, coef) for idx, coef in f.terms for row in _all_blocks_rows(idx, s)]
+    if f.constant_term():
+        rows.append(((0,) * (s * f.nvars), (-1) ** (s + 1) * f.constant_term()))
+    return BinPoly(s * f.nvars, tuple(sorted(rows)))
+
+
+def delta_rows(f: BinPoly, s: int) -> int:
+    """An upper bound on the rows :func:`delta` expands, found before any
+    expansion: the sum over terms of total degree at least s of
+    prod_j C(k_j + s - 1, s - 1), the compositions of each k_j into s parts.
+    """
+    return sum(
+        math.prod(math.comb(k + s - 1, s - 1) for k in idx)
+        for idx, _ in f.terms
+        if sum(idx) >= s
+    )
 
 
 def delta_recursive(f: BinPoly, s: int) -> BinPoly:

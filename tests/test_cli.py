@@ -1,12 +1,19 @@
 """Integration tests for the scenario runner and certificate verifier."""
 
+import contextlib
+import io
+import itertools
 import json
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyrec import cli
 from polyrec.errors import InputError
@@ -22,6 +29,41 @@ def run_cli(*args, cwd=None):
         timeout=120,
         cwd=cwd,
     )
+
+
+def run_in_process(*argv):
+    """cli.main with captured output; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def scenario_file(path, kind, payload):
+    doc = {"schema_version": 1, "id": path.stem, "kind": kind, "payload": payload}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def dense_poly(nvars, degree):
+    terms = [
+        {"idx": list(idx), "coef": str(sum(idx) % 5 - 2 or 3)}
+        for idx in itertools.product(range(degree + 1), repeat=nvars)
+        if sum(idx) <= degree
+    ]
+    return {"nvars": nvars, "terms": terms}
+
+
+R_EPSILON = {
+    "system": {
+        "points": ["0", "1", "2", "3"],
+        "weights": {p: "1/4" for p in "0123"},
+        "maps": [["1", "2", "3", "0"]],
+    },
+    "A": ["0"],
+    "fs": [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}, {"idx": [2], "coef": "2"}]}],
+    "epsilon": "1/100",
+}
 
 
 def strip_wall_time(doc):
@@ -186,6 +228,112 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("HOLDS") == 3
 
+    def test_zero_denominator_is_input_error(self, tmp_path):
+        path = scenario_file(tmp_path / "eps.json", "r-epsilon", {**R_EPSILON, "epsilon": "1/0"})
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert "at epsilon: '1/0' does not match" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_rational_pattern(self):
+        pattern = re.compile(cli.RATIONAL["pattern"])
+        for good in ("0", "-3", "1/4", "-7/100", "1/05", "0/1"):
+            assert pattern.match(good), good
+        for bad in ("1/0", "1/00", "-2/000", "1/", "/2", "1.5", "1/-2"):
+            assert not pattern.match(bad), bad
+
+
+class TestDeltaCheckCap:
+    def test_dense_four_variable_degree_eight_is_refused(self, tmp_path):
+        payload = {"poly": dense_poly(4, 8), "recursion_max_s": 4}
+        path = scenario_file(tmp_path / "dense4.json", "delta-check", payload)
+        start = time.perf_counter()
+        code, out, err = run_in_process("run", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "delta-check expands 1759345 rows, cap is 1000000" in err
+
+    def test_dense_one_variable_degree_eight_decides(self, tmp_path):
+        payload = {"poly": dense_poly(1, 8), "recursion_max_s": 4}
+        path = scenario_file(tmp_path / "dense1.json", "delta-check", payload)
+        code, out, err = run_in_process("run", str(path))
+        assert code == 0 and "HOLDS" in out, err
+        # 42 rows for delta(f, 2) in the identities, then 2 * (42 + 155 + 460)
+        code, out, err = run_in_process("run", str(path), "--cap", "1355")
+        assert code == 2 and "delta-check expands 1356 rows, cap is 1355" in err
+        assert run_in_process("run", str(path), "--cap", "1356")[0] == 0
+
+    def test_random_suite_is_not_counted(self, tmp_path):
+        payload = {"random": {"count": 3, "nvars": 3, "max_degree": 4}}
+        path = scenario_file(tmp_path / "suite.json", "delta-check", payload)
+        assert run_in_process("run", str(path), "--cap", "1")[0] == 0
+
+
+@st.composite
+def delta_payloads(draw):
+    payload = {}
+    if draw(st.booleans()):
+        nvars = draw(st.integers(1, 4))
+        degree = draw(st.integers(0, 8))
+        # an index of the wrong length is schema-valid too
+        width = draw(st.sampled_from([nvars, nvars, nvars, nvars + 1]))
+        index = st.lists(st.integers(0, degree), min_size=width, max_size=width)
+        indices = draw(st.lists(index.filter(lambda i: sum(i) <= degree), max_size=10))
+        coefs = st.integers(-99, 99).map(str)
+        terms = [{"idx": idx, "coef": draw(coefs)} for idx in indices]
+        payload["poly"] = {"nvars": nvars, "terms": terms}
+        if draw(st.booleans()):
+            payload["recursion_max_s"] = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        payload["c_table_max"] = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        payload["random"] = {
+            "count": draw(st.integers(1, 4)),
+            "nvars": draw(st.integers(1, 3)),
+            "max_degree": draw(st.integers(1, 4)),
+            "coeff_bound": draw(st.integers(1, 99)),
+        }
+    return payload
+
+
+RATIONALS = st.builds(
+    lambda sign, num, den: f"{sign}{num}" + (f"/{den}" if den is not None else ""),
+    st.sampled_from(["", "-"]),
+    st.integers(0, 200),
+    st.one_of(st.none(), st.sampled_from(["0", "00", "1", "3", "07", "100"])),
+)
+
+
+class TestFrontDoorFuzz:
+    """Schema-valid payloads end with exit code 0, 1 or 2, never a traceback."""
+
+    FUZZ = settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+    @FUZZ
+    @given(payload=delta_payloads(), cap=st.sampled_from([1, 200, 5000]))
+    def test_delta_check(self, tmp_path_factory, payload, cap):
+        jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["delta-check"])
+        path = scenario_file(tmp_path_factory.mktemp("fuzz") / "dc.json", "delta-check", payload)
+        code, _out, err = run_in_process("run", str(path), "--cap", str(cap), "--jobs", "1")
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @FUZZ
+    @given(epsilon=RATIONALS, weight=st.one_of(st.just("1/4"), st.just("02/8"), RATIONALS))
+    def test_r_epsilon_rationals(self, tmp_path_factory, epsilon, weight):
+        system = {**R_EPSILON["system"], "weights": {**R_EPSILON["system"]["weights"], "0": weight}}
+        payload = {**R_EPSILON, "system": system, "epsilon": epsilon}
+        path = scenario_file(tmp_path_factory.mktemp("fuzz") / "re.json", "r-epsilon", payload)
+        code, _out, err = run_in_process("run", str(path), "--jobs", "1")
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if re.search(r"/0+$", epsilon) or re.search(r"/0+$", weight):
+            assert code == 2 and "does not match" in err
+
 
 class TestSchemaMessages:
     INVALID = [
@@ -293,6 +441,30 @@ class TestCertificates:
         for doc, message in cases:
             code, err = self.verify_in_process(tmp_path, capsys, doc)
             assert code == 2 and message in err, (doc, err)
+
+    def test_zero_denominator_phase_is_input_error(self, cert_dir, tmp_path, capsys):
+        spectral = json.loads((cert_dir / "spectral-limit-bilinear.cert.json").read_text())
+        phases = [["1/0"] + row[1:] for row in spectral["unitary"]["phases"]]
+        doc = {**spectral, "unitary": {**spectral["unitary"], "phases": phases}}
+        code, err = self.verify_in_process(tmp_path, capsys, doc)
+        assert code == 2 and "'1/0' does not match" in err
+
+    def test_rank_deficient_lattices_are_refused(self, cert_dir, tmp_path, capsys):
+        # both certificates claim a finite-index sublattice
+        key = json.loads((cert_dir / "key-lemma-parabola.cert.json").read_text())
+        spectral = json.loads((cert_dir / "spectral-limit-bilinear.cert.json").read_text())
+        assert spectral["lattice"]["ambient"] == 2
+        cases = [
+            ({**key, "witness": {"ambient": key["witness"]["ambient"], "basis": []}}, "witness has rank 0"),
+            ({**spectral, "lattice": {"ambient": 2, "basis": []}}, "lattice has rank 0 in Z^2"),
+            (
+                {**spectral, "lattice": {"ambient": 2, "basis": spectral["lattice"]["basis"][:1]}},
+                "lattice has rank 1 in Z^2",
+            ),
+        ]
+        for doc, message in cases:
+            code, err = self.verify_in_process(tmp_path, capsys, doc)
+            assert code == 1 and "verification failed" in err and message in err, (doc, err)
 
     def test_rank_window_over_cap_is_refused(self, cert_dir, tmp_path, capsys):
         rank = json.loads((cert_dir / "stable-rank-parabola.cert.json").read_text())

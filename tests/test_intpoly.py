@@ -204,6 +204,101 @@ class TestDelta:
                 assert dd.evaluate(list(pt) * d) == math.factorial(d) * h.evaluate(pt)
 
 
+def inclusion_exclusion_delta(f, s):
+    """Reference oracle: delta(f, s) as its definition, 2^s - 1 signed
+    substitutions f(sum of z_i for i in a), one per nonempty a."""
+    n = f.nvars
+    acc = {}
+    for mask in range(1, 1 << s):
+        blocks = [i for i in range(s) if mask >> i & 1]
+        sign = (-1) ** (s - len(blocks))
+        targets = [tuple(b * n + j for b in blocks) for j in range(n)]
+        for idx, coef in ip.substitute_block_sums(f, s * n, targets).terms:
+            acc[idx] = acc.get(idx, 0) + sign * coef
+    return ip.binpoly(s * n, acc)
+
+
+def oracle_rows(f):
+    """Rows the oracle expands for s = 1..d + 2: per term and s, the sum
+    over block counts m of C(s, m) prod_j C(k_j + m - 1, m - 1)."""
+    return sum(
+        math.comb(s, m) * math.prod(math.comb(k + m - 1, m - 1) for k in idx)
+        for s in range(1, f.degree + 3)
+        for idx, _ in f.terms
+        for m in range(1, s + 1)
+    )
+
+
+class TestClosedFormDelta:
+    # degrees 4 to 6 in each variable count, one wide term each: the
+    # oracle's cost grows fast with the degree and with s = d + 2
+    WIDE = [
+        {(6,): -3, (1,): -1, (0,): 5},
+        {(0, 6): 2, (1, 1): 3},
+        {(5, 0, 0): -2, (0, 1, 1): 4, (0, 0, 0): -1},
+        {(0, 0, 0, 6): -3, (1, 0, 1, 0): 2, (0, 0, 0, 0): 9},
+        {(0, 4, 0, 0): 1, (1, 0, 0, 1): -2},
+    ]
+
+    def test_matches_inclusion_exclusion(self):
+        rng = random.Random(2007)
+        polys = [ip.zero(n) for n in range(1, 5)]
+        polys += [ip.constant(n, c) for n in range(1, 5) for c in (-7, 1, 4)]
+        polys += [ip.binpoly(len(next(iter(t))), t) for t in self.WIDE]
+        # the oracle expands 2^s - 1 substitutions for s up to d + 2, so a
+        # random draw is kept only if that stays under a few thousand rows
+        drawn = []
+        while len(drawn) < 520:
+            nvars = rng.randint(1, 4)
+            f = random_binpoly(rng, nvars, rng.randint(0, 6), max_terms=4, ensure_nonconstant=False)
+            if oracle_rows(f) <= 2000:
+                drawn.append(f)
+        polys += drawn
+        for f in polys:
+            for s in range(1, f.degree + 3):
+                got, want = ip.delta(f, s), inclusion_exclusion_delta(f, s)
+                assert got.nvars == want.nvars and got.terms == want.terms, (f, s)
+        assert sum(any(c < 0 for _, c in f.terms) for f in polys) > 250
+        shapes = {(f.nvars, f.degree) for f in polys}
+        assert {(n, d) for n in range(1, 5) for d in range(4)} <= shapes
+        assert {d for _, d in shapes} == set(range(7))
+
+    def test_no_substitution_above_the_degree(self, monkeypatch):
+        calls = []
+        real = ip.substitute_block_sums
+        monkeypatch.setattr(
+            ip, "substitute_block_sums", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        rng = random.Random(2011)
+        for _ in range(40):
+            nvars = rng.randint(1, 4)
+            f = random_binpoly(rng, nvars, rng.randint(0, 8 if nvars == 1 else 4))
+            for s in range(f.degree + 1, f.degree + 4):
+                value = (-1) ** (s + 1) * f.constant_term()
+                assert ip.delta(f, s) == ip.constant(s * nvars, value)
+            ip.delta(f, max(f.degree, 1))
+        assert calls == []
+
+    def test_row_count(self):
+        # delta_rows counts every composition of each variable's degree into
+        # s blocks, before the rows that leave a block empty are dropped
+        rng = random.Random(2017)
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            f = random_binpoly(rng, nvars, rng.randint(0, 5))
+            for s in range(1, f.degree + 2):
+                want = sum(
+                    sum(1 for _ in itertools.product(*(ip._composition_list(k, s) for k in idx)))
+                    for idx, _ in f.terms
+                    if sum(idx) >= s
+                )
+                assert ip.delta_rows(f, s) == want
+                constant = 1 if f.constant_term() else 0
+                assert len(ip.delta(f, s).terms) - constant <= want
+        dense = ip.binpoly(1, {(k,): 1 for k in range(9)})
+        assert [ip.delta_rows(dense, s) for s in (1, 2, 3, 4, 9)] == [8, 42, 155, 460, 0]
+
+
 class TestCNumber:
     def test_paper_values(self):
         assert ip.c_number(3, 3) == 6

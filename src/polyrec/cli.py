@@ -712,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=keyengine.SWEEP_CAP,
-        help="point budget of the r-epsilon, ip-star and stable-rank sweeps, and "
-        "row budget of a delta-check polynomial's difference expansions",
+        help="point budget of the r-epsilon and ip-star sweeps and of the stable-rank "
+        "window, and row budget of a delta-check polynomial's difference expansions",
     )
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     run_p.add_argument(

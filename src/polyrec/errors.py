@@ -76,7 +76,7 @@ class HypothesisFailed(CheckFailed):
 
 
 class SaturationFailed(CheckFailed):
-    """A window point maps outside the rational span of the witness group."""
+    """A point of Z^n maps outside the rational span of the witness group."""
 
 
 class VerificationFailed(CheckFailed):

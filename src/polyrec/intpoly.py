@@ -405,20 +405,6 @@ def monopoly(nvars: int, coeffs: Mapping[MultiIndex, Fraction | int]) -> MonoPol
     return MonoPoly(nvars, items)
 
 
-def mono_add(a: MonoPoly, b: MonoPoly) -> MonoPoly:
-    if a.nvars != b.nvars:
-        raise ArityMismatch(f"variable counts differ: {a.nvars} vs {b.nvars}")
-    acc = a.term_map()
-    for idx, coef in b.terms:
-        acc[idx] = acc.get(idx, Fraction(0)) + coef
-    return monopoly(a.nvars, acc)
-
-
-def mono_scale(a: MonoPoly, c: Fraction | int) -> MonoPoly:
-    c = Fraction(c)
-    return monopoly(a.nvars, {idx: coef * c for idx, coef in a.terms})
-
-
 def _mono_mul_maps(
     a: Mapping[MultiIndex, Fraction], b: Mapping[MultiIndex, Fraction]
 ) -> Dict[MultiIndex, Fraction]:

@@ -34,9 +34,9 @@ from .intpoly import BinPoly, MonoPoly, MultiIndex, PolyTuple
 from .lattice import Lattice
 from .numutil import lcm_upto
 
-# Point budget of the package's exhaustive sweeps (the stable-rank window and
-# the r-epsilon period grid); larger instances are refused loudly rather than
-# silently truncated.
+# Point budget of the package's exhaustive sweeps (the r-epsilon period grid)
+# and of the stable-rank search window; larger instances are refused loudly
+# rather than silently truncated.
 SWEEP_CAP = 10**6
 
 
@@ -61,8 +61,9 @@ class RankCertificate:
     """Greedy rank witness: samples whose images span the image subgroup.
 
     Invariants (re-assertable via :func:`verify_rank_certificate`): V is the
-    lattice generated by the sample images, rank(V) = r, and every point of
-    the search window maps into the rational span of V.
+    lattice generated by the sample images, rank(V) = r, and v(z) lies in
+    the rational span of V for every z in Z^n.  ``saturation_window`` is
+    the box radius the samples were searched in.
     """
 
     r: int
@@ -103,6 +104,15 @@ def vanishing_lattice(fs: Sequence[BinPoly], q: int) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
+def _binomial_coordinates(us: Sequence[BinPoly]) -> Dict[MultiIndex, List[int]]:
+    """The coordinate vector c_a = (coefficient of C(z, a) in each u_i) per stored index a."""
+    coords: Dict[MultiIndex, List[int]] = {}
+    for i, u in enumerate(us):
+        for idx, coef in u.terms:
+            coords.setdefault(idx, [0] * len(us))[i] = coef
+    return coords
+
+
 def first_escape(us: Sequence[BinPoly], V: Lattice) -> Optional[MultiIndex]:
     """Least binomial index a whose coordinate vector (c_a of each u_i) is not in V.
 
@@ -110,10 +120,7 @@ def first_escape(us: Sequence[BinPoly], V: Lattice) -> Optional[MultiIndex]:
     u(k) = sum over b <= k of c_b C(k, b), the returned index is also the
     lexicographically least point k >= 0 with u(k) outside V.
     """
-    coords: Dict[MultiIndex, List[int]] = {}
-    for i, u in enumerate(us):
-        for idx, coef in u.terms:
-            coords.setdefault(idx, [0] * len(us))[i] = coef
+    coords = _binomial_coordinates(us)
     for idx in sorted(coords):
         if not V.contains(coords[idx]):
             return idx
@@ -269,40 +276,53 @@ def _check_window(n: int, window: int, cap: int) -> None:
         )
 
 
+def _check_saturation(v: PolyTuple, V: Lattice) -> None:
+    """Decide that v(z) lies in the rational span of V for every z in Z^n."""
+    pt = first_escape(v.components, lattice.saturate(V))
+    if pt is not None:
+        raise SaturationFailed(
+            witness=pt,
+            message=f"image of {pt} escapes the rational span of the image subgroup",
+        )
+
+
 def stable_rank_subgroup(
     v: PolyTuple, window: int, cap: int = SWEEP_CAP
 ) -> RankCertificate:
-    """Greedily grow samples until the image subgroup's rank saturates.
+    """Greedily grow samples until the image subgroup reaches the rank of v(Z^n).
 
-    Sample points are drawn from [-window, window]^n in increasing-box
-    order; a point is kept only if its image strictly increases the rank of
-    the generated subgroup.  Afterwards, every window point must map into
-    the rational span of the result (so a nonzero multiple lands inside);
-    a violation raises :class:`SaturationFailed` with the offending point.
-    The degenerate map (identically zero on the window) certifies r = 0
-    with the zero subgroup.
+    That rank r is the rank of the binomial coordinate vectors c_a of v
+    (Polya 1915: they span the same rational space as the values).  Sample
+    points are drawn from [-window, window]^n in increasing-box order; a
+    point is kept only if its image strictly increases the rank of the
+    generated subgroup, and the search stops at rank r, which it reaches by
+    radius deg(v) because every c_a is a difference of values on [0, a].
+    A window too small to reach r raises :class:`SaturationFailed` with the
+    least non-negative point whose image escapes the rational span of the
+    samples.  The degenerate map (identically zero) certifies r = 0 with
+    the zero subgroup.
     """
     if window < 1:
         raise ArityMismatch(f"window must be positive, got {window}")
     n = v.nvars
     _check_window(n, window, cap)
+    target = lattice.hnf_from_generators(
+        v.arity, list(_binomial_coordinates(v.components).values())
+    ).rank
     gens: List[Tuple[int, ...]] = []
     samples: List[Tuple[int, ...]] = []
     current = lattice.zero_lattice(v.arity)
     # one pass suffices: the rational span only grows, so a point skipped
     # once stays inside it
     for pt in window_points(n, window):
+        if current.rank == target:
+            break
         img = v.evaluate(pt)
         if lattice.smallest_multiple(current, img) is None:
             gens.append(img)
             samples.append(pt)
             current = lattice.hnf_from_generators(v.arity, gens)
-    for pt in window_points(n, window):
-        if lattice.smallest_multiple(current, v.evaluate(pt)) is None:
-            raise SaturationFailed(
-                witness=pt,
-                message=f"image of {pt} escapes the rational span of the image subgroup",
-            )
+    _check_saturation(v, current)
     return RankCertificate(
         r=current.rank,
         samples=tuple(samples),
@@ -312,9 +332,11 @@ def stable_rank_subgroup(
 
 
 def verify_rank_certificate(v: PolyTuple, cert: RankCertificate) -> None:
-    """Re-assert every :class:`RankCertificate` invariant from scratch; a
-    window sweep over :data:`SWEEP_CAP` points is refused."""
-    _check_window(v.nvars, cert.saturation_window, SWEEP_CAP)
+    """Re-assert every :class:`RankCertificate` invariant from scratch.
+
+    v is evaluated at the samples only; the saturation claim is decided for
+    all of Z^n from binomial coordinates, so the window size costs nothing.
+    """
     regenerated = lattice.hnf_from_generators(
         v.arity, [v.evaluate(pt) for pt in cert.samples]
     )
@@ -328,12 +350,7 @@ def verify_rank_certificate(v: PolyTuple, cert: RankCertificate) -> None:
             witness=cert.r,
             message=f"recorded rank {cert.r} differs from actual {cert.V.rank}",
         )
-    for pt in window_points(v.nvars, cert.saturation_window):
-        if lattice.smallest_multiple(cert.V, v.evaluate(pt)) is None:
-            raise SaturationFailed(
-                witness=pt,
-                message=f"image of {pt} escapes the rational span of the image subgroup",
-            )
+    _check_saturation(v, cert.V)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ computable exactly: the product is the identity on an explicit finite-index
 sublattice, which is returned as a certificate verified from the binomial
 coordinates of the phase combinations (:func:`keyengine.first_escape`).
 Projection predicates and the quadratic averaging expansion are checked in
-exact Gaussian-rational arithmetic, with an optional float mode for user
-data.
+exact Gaussian-rational arithmetic.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class GaussRat:
     def __add__(self, other: "GaussRat") -> "GaussRat":
         return GaussRat(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussRat") -> "GaussRat":
         return GaussRat(
             self.re * other.re - self.im * other.im,
@@ -64,9 +60,6 @@ class GaussRat:
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
 
 def gq(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> GaussRat:
     return GaussRat(Fraction(re), Fraction(im))
@@ -75,15 +68,12 @@ def gq(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> GaussRat:
 GQ_ZERO = gq(0)
 GQ_ONE = gq(1)
 
-Entry = Union[GaussRat, complex]
-
 
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Square matrix, either exact (GaussRat entries) or float (complex)."""
+    """Square matrix with exact Gaussian-rational entries."""
 
-    entries: Tuple[Tuple[Entry, ...], ...]
-    exact: bool
+    entries: Tuple[Tuple[GaussRat, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -99,56 +89,29 @@ def matrix_exact(rows: Sequence[Sequence[Union[GaussRat, Fraction, int]]]) -> Co
         out.append(
             tuple(e if isinstance(e, GaussRat) else gq(Fraction(e)) for e in row)
         )
-    return ComplexMatrix(tuple(out), exact=True)
-
-
-def matrix_float(rows: Sequence[Sequence[complex]]) -> ComplexMatrix:
-    dim = len(rows)
-    out = []
-    for row in rows:
-        if len(row) != dim:
-            raise DimMismatch(f"row of length {len(row)} in a {dim}x{dim} matrix")
-        out.append(tuple(complex(e) for e in row))
-    return ComplexMatrix(tuple(out), exact=False)
+    return ComplexMatrix(tuple(out))
 
 
 def mat_mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    if a.dim != b.dim or a.exact != b.exact:
-        raise DimMismatch("matrix modes or dimensions differ")
-    zero = GQ_ZERO if a.exact else 0j
+    if a.dim != b.dim:
+        raise DimMismatch(f"matrix dimensions differ: {a.dim} vs {b.dim}")
     rows = []
     for i in range(a.dim):
         row = []
         for j in range(a.dim):
-            acc = zero
+            acc = GQ_ZERO
             for t in range(a.dim):
                 acc = acc + a.entries[i][t] * b.entries[t][j]
             row.append(acc)
         rows.append(tuple(row))
-    return ComplexMatrix(tuple(rows), a.exact)
+    return ComplexMatrix(tuple(rows))
 
 
 def mat_adjoint(a: ComplexMatrix) -> ComplexMatrix:
-    if a.exact:
-        rows = tuple(
-            tuple(a.entries[j][i].conj() for j in range(a.dim)) for i in range(a.dim)
-        )
-    else:
-        rows = tuple(
-            tuple(a.entries[j][i].conjugate() for j in range(a.dim))
-            for i in range(a.dim)
-        )
-    return ComplexMatrix(rows, a.exact)
-
-
-def mat_close(a: ComplexMatrix, b: ComplexMatrix, tol: float) -> bool:
-    if a.exact:
-        return all(
-            (x - y).is_zero() for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
-        )
-    return all(
-        abs(x - y) <= tol for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
+    rows = tuple(
+        tuple(a.entries[j][i].conj() for j in range(a.dim)) for i in range(a.dim)
     )
+    return ComplexMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -156,30 +119,18 @@ class ProjectionCheck:
     ok: bool
     normal: bool
     idempotent: bool
-    mode: str
 
 
-def is_orthogonal_projection(
-    m: ComplexMatrix, tol: float = 1e-12, exact: Optional[bool] = None
-) -> ProjectionCheck:
+def is_orthogonal_projection(m: ComplexMatrix) -> ProjectionCheck:
     """Normality (M M* = M* M) plus idempotence (M^2 = M), with diagnostics.
 
-    A normal idempotent is exactly an orthogonal projection.  Exact mode
-    compares entries literally; float mode entrywise within tol.
+    A normal idempotent is exactly an orthogonal projection.  Entries are
+    exact, so both identities are compared literally.
     """
-    if exact is not None and exact != m.exact:
-        raise DimMismatch("requested mode does not match the matrix storage mode")
-    if tol < 0:
-        raise ArityMismatch(f"tolerance must be non-negative, got {tol}")
     adj = mat_adjoint(m)
-    normal = mat_close(mat_mul(m, adj), mat_mul(adj, m), tol)
-    idempotent = mat_close(mat_mul(m, m), m, tol)
-    return ProjectionCheck(
-        ok=normal and idempotent,
-        normal=normal,
-        idempotent=idempotent,
-        mode="exact" if m.exact else "float",
-    )
+    normal = mat_mul(m, adj) == mat_mul(adj, m)
+    idempotent = mat_mul(m, m) == m
+    return ProjectionCheck(ok=normal and idempotent, normal=normal, idempotent=idempotent)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import cli
+from polyrec import intpoly as ip
+from polyrec import lattice as lat
 from polyrec.errors import InputError
 
 GOLDEN = Path(__file__).parent / "golden" / "bundled_reports.json"
@@ -296,6 +298,25 @@ def delta_payloads(draw):
     return payload
 
 
+@st.composite
+def stable_rank_tuples(draw):
+    """A schema-valid `v` of 1 to 4 polynomials in 1 to 3 variables of degree at most 4."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    index = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars)
+    index = index.filter(lambda i: sum(i) <= degree)
+    coefs = st.integers(-9, 9).map(str)
+    v = []
+    for _ in range(draw(st.integers(1, 4))):
+        indices = draw(st.lists(index, max_size=6))
+        v.append({"nvars": nvars, "terms": [{"idx": idx, "coef": draw(coefs)} for idx in indices]})
+    return v
+
+
+# (1, z, C(z,2), C(z,3)): rank 4, but a window of 1 has only 3 points
+RANK_FOUR_CUBIC = [{"nvars": 1, "terms": [{"idx": [a], "coef": "1"}]} for a in range(4)]
+
+
 RATIONALS = st.builds(
     lambda sign, num, den: f"{sign}{num}" + (f"/{den}" if den is not None else ""),
     st.sampled_from(["", "-"]),
@@ -333,6 +354,51 @@ class TestFrontDoorFuzz:
         assert code in (0, 1, 2) and "Traceback" not in err
         if re.search(r"/0+$", epsilon) or re.search(r"/0+$", weight):
             assert code == 2 and "does not match" in err
+
+    @FUZZ
+    @example(v=RANK_FOUR_CUBIC, window=1, cap=10**6)
+    @given(
+        v=stable_rank_tuples(),
+        window=st.one_of(st.integers(1, 6), st.integers(1, 10**6)),
+        cap=st.sampled_from([1, 200, 10**6]),
+    )
+    def test_stable_rank(self, tmp_path_factory, v, window, cap):
+        payload = {"v": v, "window": window}
+        jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["stable-rank"])
+        path = scenario_file(tmp_path_factory.mktemp("fuzz") / "sr.json", "stable-rank", payload)
+        code, out, err = run_in_process("run", str(path), "--cap", str(cap), "--jobs", "1")
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 1:
+            assert 'error: "SaturationFailed"' in out
+            assert window < ip.polytuple_from_json(v).degree
+
+    @FUZZ
+    @given(v=stable_rank_tuples(), extra=st.integers(0, 2), data=st.data())
+    def test_verify_rank_certificate(self, tmp_path_factory, v, extra, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        window = max(1, ip.polytuple_from_json(v).degree) + extra
+        path = scenario_file(tmp / "sr.json", "stable-rank", {"v": v, "window": window})
+        code = run_in_process("run", str(path), "--emit-certificates", str(tmp), "--jobs", "1")[0]
+        assert code == 0
+        cert = json.loads((tmp / "sr.cert.json").read_text())
+        field = data.draw(st.sampled_from(["samples", "V", "r", "saturation_window"]))
+        ints = st.integers(-20, 20)
+        if field == "samples":
+            point = st.lists(ints, min_size=1, max_size=4)
+            cert["samples"] = data.draw(st.lists(point, max_size=5))
+        elif field == "V":
+            column = st.lists(ints, min_size=1, max_size=5)
+            ambient = data.draw(st.integers(1, 5))
+            cert["V"] = {"ambient": ambient, "basis": data.draw(st.lists(column, max_size=5))}
+        elif field == "r":
+            cert["r"] = data.draw(st.integers(0, 6))
+        else:
+            cert["saturation_window"] = data.draw(st.integers(1, 10**9))
+        (tmp / "sr.cert.json").write_text(json.dumps(cert))
+        code, _out, err = run_in_process("verify-certificate", str(tmp / "sr.cert.json"))
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if field == "saturation_window":
+            assert code == 0
 
 
 class TestSchemaMessages:
@@ -466,14 +532,39 @@ class TestCertificates:
             code, err = self.verify_in_process(tmp_path, capsys, doc)
             assert code == 1 and "verification failed" in err and message in err, (doc, err)
 
-    def test_rank_window_over_cap_is_refused(self, cert_dir, tmp_path, capsys):
+    def test_rank_window_over_cap_verifies(self, cert_dir, tmp_path, capsys):
+        # the saturation claim is decided for all of Z^n without a sweep
         rank = json.loads((cert_dir / "stable-rank-parabola.cert.json").read_text())
         nvars = rank["v"][0]["nvars"]
         window = next(w for w in range(1, 10**6) if (2 * w + 1) ** nvars > 10**6)
+        start = time.perf_counter()
         code, err = self.verify_in_process(
             tmp_path, capsys, {**rank, "saturation_window": window}
         )
-        assert code == 2 and "cap is 1000000" in err
+        assert code == 0 and time.perf_counter() - start < 1.0, err
+
+    def test_rank_window_below_degree_fails_globally(self, tmp_path, capsys):
+        v = RANK_FOUR_CUBIC
+        path = scenario_file(tmp_path / "sr.json", "stable-rank", {"v": v, "window": 1})
+        code, out, _err = run_in_process("run", str(path), "--jobs", "1")
+        assert code == 1 and 'error: "SaturationFailed"' in out and "witness: [2]" in out
+        # the certificate the window alone used to accept
+        tup = ip.polytuple_from_json(v)
+        samples = [(0,), (-1,), (1,)]
+        V = lat.hnf_from_generators(4, [tup.evaluate(pt) for pt in samples])
+        least = next(z for z in range(10) if lat.smallest_multiple(V, tup.evaluate((z,))) is None)
+        assert least == 2
+        doc = {
+            "schema_version": 1,
+            "certificate_kind": "stable-rank",
+            "v": v,
+            "r": 3,
+            "samples": [list(pt) for pt in samples],
+            "V": lat.to_json(V),
+            "saturation_window": 1,
+        }
+        code, err = self.verify_in_process(tmp_path, capsys, doc)
+        assert code == 1 and "image of (2,) escapes" in err, err
 
 
 class TestSeededRandomScenario:

@@ -4,7 +4,10 @@ Each ``sweep_*`` function below is the exhaustive grid sweep that production
 code used before ``keyengine.first_escape``: it enumerates lattice
 coordinates over one full period of the claim, in lexicographic order, and
 stops at the first point that breaks it.  Every call site must agree with
-its sweep on the verdict, the witness and the message.
+its sweep on the verdict, the witness and the message.  The stable-rank
+sweep instead searches and checks a box window, so it decides less than the
+global claim that replaced it: the two agree whenever the window reaches
+the rank of v(Z^n), which a window at or above the degree always does.
 """
 
 import math
@@ -20,7 +23,7 @@ from polyrec import intpoly as ip
 from polyrec import keyengine as ke
 from polyrec import lattice as lat
 from polyrec import spectral as sp
-from polyrec.errors import HypothesisFailed, PolyrecError, VerificationFailed
+from polyrec.errors import HypothesisFailed, PolyrecError, SaturationFailed, VerificationFailed
 from polyrec.numutil import lcm_upto
 
 INSTANCES = 1000
@@ -115,6 +118,25 @@ def sweep_khintchine(sys_, query):
         witness_residue=witness,
         period=period,
     )
+
+
+def sweep_stable_rank(v, window):
+    """Greedy samples over the window, then every window point must lie in their span."""
+    gens, samples = [], []
+    current = lat.zero_lattice(v.arity)
+    for pt in ke.window_points(v.nvars, window):
+        img = v.evaluate(pt)
+        if lat.smallest_multiple(current, img) is None:
+            gens.append(img)
+            samples.append(pt)
+            current = lat.hnf_from_generators(v.arity, gens)
+    for pt in ke.window_points(v.nvars, window):
+        if lat.smallest_multiple(current, v.evaluate(pt)) is None:
+            raise SaturationFailed(
+                witness=pt,
+                message=f"image of {pt} escapes the rational span of the image subgroup",
+            )
+    return ke.RankCertificate(current.rank, tuple(samples), current, window)
 
 
 def outcome(fn, *args):
@@ -306,6 +328,36 @@ class TestCallSitesAgreeWithSweeps:
             A = rng.sample(sys_.points, rng.randint(1, sys_.size))
             query = dy.recurrence_query(A, fs, 0)
             assert dy.verify_khintchine(sys_, query) == sweep_khintchine(sys_, query)
+
+    def test_stable_rank(self):
+        # A window below the degree may miss the rank of v(Z^n): the sweep
+        # then passes on the window alone, and the global claim fails at the
+        # least non-negative point outside the span, in the search and in
+        # verification of the certificate the sweep made.
+        rng = random.Random(181)
+        failures = 0
+        for _ in range(INSTANCES // 2):
+            n = rng.randint(1, 3)
+            # up to six components, more than a window of 1 spans in one variable
+            v = ip.polytuple(
+                [random_binpoly(rng, n, rng.randint(1, 5 - n), bound=4)
+                 for _ in range(rng.randint(1, 6))]
+            )
+            window = rng.randint(1, 3 if n < 3 else 2)
+            expected = sweep_stable_rank(v, window)
+            got = outcome(ke.stable_rank_subgroup, v, window)
+            if got[0] == "returned":
+                assert got[1] == expected
+                continue
+            assert window < v.degree
+            box = product(range(v.degree + 1), repeat=n)
+            escapes = (z for z in box if lat.smallest_multiple(expected.V, v.evaluate(z)) is None)
+            least = next(escapes)
+            message = f"image of {least} escapes the rational span of the image subgroup"
+            assert got == ("SaturationFailed", least, message)
+            assert outcome(ke.verify_rank_certificate, v, expected) == got
+            failures += 1
+        assert failures > 10
 
     def test_khintchine_sublattice_claim_is_checked(self, monkeypatch):
         # a sublattice on which z^2 is not divisible by 4 must be refused

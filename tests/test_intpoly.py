@@ -354,11 +354,11 @@ class TestHomogeneousParts:
         for _ in range(25):
             nvars = rng.randint(1, 3)
             f = random_binpoly(rng, nvars, 4)
-            parts = ip.homogeneous_parts(f)
-            total = ip.monopoly(nvars, {})
-            for p in parts:
-                total = ip.mono_add(total, p)
-            assert total == ip.to_monomial(f)
+            total = {}
+            for part in ip.homogeneous_parts(f):
+                for idx, coef in part.term_map().items():
+                    total[idx] = total.get(idx, 0) + coef
+            assert ip.monopoly(nvars, total) == ip.to_monomial(f)
 
     def test_scaled_parts_are_integer_valued(self):
         rng = random.Random(19)
@@ -368,7 +368,8 @@ class TestHomogeneousParts:
                 if part.is_zero():
                     continue
                 denom = math.lcm(*(c.denominator for _, c in part.terms))
-                ip.from_monopoly(ip.mono_scale(part, denom))  # must not raise
+                scaled = {idx: coef * denom for idx, coef in part.term_map().items()}
+                ip.from_monomial_coeffs(2, scaled)  # must not raise
 
 
 class TestPullback:

@@ -1,7 +1,10 @@
 """Unit tests for witness-lattice constructions."""
 
 import itertools
+import json
 import random
+import time
+from importlib import resources
 
 import pytest
 
@@ -233,8 +236,8 @@ class TestStableRank:
             ke.verify_rank_certificate(v, tampered)
 
     def test_saturation_failure_unreachable_by_construction(self):
-        # the greedy construction makes window saturation tautological;
-        # a certificate with a foreign V must fail instead
+        # a certificate whose samples regenerate V but miss the global rank
+        # fails at the least point escaping the span: c_2 of z^2 = C(z,1) + 2 C(z,2)
         v = ip.polytuple(
             [ip.binpoly(1, {(1,): 1}), ip.from_monomial_coeffs(1, {(2,): 1})]
         )
@@ -244,8 +247,9 @@ class TestStableRank:
             V=lat.hnf_from_generators(2, [(1, 1)]),
             saturation_window=3,
         )
-        with pytest.raises(SaturationFailed):
+        with pytest.raises(SaturationFailed) as err:
             ke.verify_rank_certificate(v, bogus)
+        assert err.value.witness == (2,)
 
     @staticmethod
     def repeated_greedy_passes(v, window):
@@ -265,15 +269,61 @@ class TestStableRank:
         return tuple(samples), current
 
     def test_one_pass_matches_repeated_passes(self):
+        # A window below the degree may miss the rank of v(Z^n); the claim is
+        # global, so those draws fail at the least non-negative escaping point.
         rng = random.Random(73)
+        failures = 0
         for _ in range(200):
             n = rng.randint(1, 2)
             v = ip.polytuple(
                 [random_binpoly(rng, n, 3, bound=4) for _ in range(rng.randint(1, 4))]
             )
             window = rng.randint(1, 3)
-            cert = ke.stable_rank_subgroup(v, window)
-            assert (cert.samples, cert.V) == self.repeated_greedy_passes(v, window)
+            samples, V = self.repeated_greedy_passes(v, window)
+            try:
+                cert = ke.stable_rank_subgroup(v, window)
+            except SaturationFailed as exc:
+                assert window < v.degree
+                box = itertools.product(range(v.degree + 1), repeat=n)
+                escapes = (z for z in box if lat.smallest_multiple(V, v.evaluate(z)) is None)
+                assert exc.witness == next(escapes)
+                failures += 1
+                continue
+            assert (cert.samples, cert.V) == (samples, V)
+        assert failures > 0
+
+    @pytest.fixture()
+    def evaluated(self, monkeypatch):
+        """The points PolyTuple.evaluate is called at, in call order."""
+        points = []
+        evaluate = ip.PolyTuple.evaluate
+        monkeypatch.setattr(
+            ip.PolyTuple, "evaluate", lambda self, z: points.append(z) or evaluate(self, z)
+        )
+        return points
+
+    def test_search_stops_at_the_global_rank(self, evaluated):
+        # rank 4 is reached by box radius 2 = the degree: 25 of the 625 window points
+        v = ip.polytuple(
+            [ip.binpoly(2, {idx: 1}) for idx in [(1, 0), (0, 1), (2, 0), (1, 1)]]
+        )
+        cert = ke.stable_rank_subgroup(v, 12)
+        assert cert.r == 4 and len(evaluated) <= 25
+
+    def test_verification_evaluates_only_the_samples(self, evaluated, monkeypatch):
+        payload = json.loads(
+            resources.files("polyrec").joinpath("scenarios/stable-rank-parabola.json").read_text()
+        )["payload"]
+        v = ip.polytuple_from_json(payload["v"])
+        cert = ke.stable_rank_subgroup(v, payload["window"])
+
+        def no_sweep(n, window):
+            raise AssertionError("window swept")
+
+        monkeypatch.setattr(ke, "window_points", no_sweep)
+        evaluated.clear()
+        ke.verify_rank_certificate_json(ke.rank_certificate_json(v, cert))
+        assert evaluated == list(cert.samples)
 
     def test_window_cap(self):
         v = ip.polytuple([ip.binpoly(2, {(1, 0): 1}), ip.binpoly(2, {(0, 1): 1})])
@@ -281,10 +331,13 @@ class TestStableRank:
         assert (2 * window + 1) ** 2 > ke.SWEEP_CAP
         with pytest.raises(SweepCapExceeded):
             ke.stable_rank_subgroup(v, window)
+        # the cap bounds the search on the run path only: verification
+        # evaluates the samples and never sweeps the window
         cert = ke.stable_rank_subgroup(v, 3)
         oversized = ke.RankCertificate(cert.r, cert.samples, cert.V, window)
-        with pytest.raises(SweepCapExceeded):
-            ke.verify_rank_certificate(v, oversized)
+        start = time.perf_counter()
+        ke.verify_rank_certificate(v, oversized)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCertificateJson:

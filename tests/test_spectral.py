@@ -126,12 +126,6 @@ class TestProjectionPredicates:
         m = sp.matrix_exact([[half, half], [half, half]])
         assert sp.is_orthogonal_projection(m).ok
 
-    def test_float_mode(self):
-        m = sp.matrix_float([[0.5, 0.5], [0.5, 0.5]])
-        assert sp.is_orthogonal_projection(m, tol=1e-12).ok
-        skew = sp.matrix_float([[0.5, 0.500001], [0.5, 0.5]])
-        assert not sp.is_orthogonal_projection(skew, tol=1e-12).ok
-
     def test_realized_projections_pass_and_commute(self):
         u = sp.phase_unitary([["0"], ["1/2"], ["1/3"], ["1/6"]])
         descs = [

@@ -18,9 +18,7 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -394,8 +392,15 @@ def _delta_identities(f) -> Tuple[bool, dict]:
     }
 
 
-def _recursion_consistent(f, s: int) -> bool:
-    return intpoly.delta(f, s) == intpoly.delta_recursive(f, s)
+def _recursion_consistent(f, max_s: int) -> bool:
+    """delta(f, s) equals the recursion at every 2 <= s <= max_s.  The chain
+    of recursion levels is built once, and stops at the first mismatch."""
+    level = f
+    for s in range(2, max_s + 1):
+        level = intpoly.delta_recursive(f, s, level)
+        if intpoly.delta(f, s) != level:
+            return False
+    return True
 
 
 def _run_delta_check(payload, cap, seed):
@@ -415,7 +420,7 @@ def _run_delta_check(payload, cap, seed):
         good, info = _delta_identities(f)
         ok &= good
         details["poly"] = info
-        rec = all(_recursion_consistent(f, s) for s in range(2, max_s + 1))
+        rec = _recursion_consistent(f, max_s)
         ok &= rec
         details["recursion_consistent"] = rec
     if "c_table_max" in payload:
@@ -508,14 +513,19 @@ def _validator(kind: Optional[str]):
     return jsonschema.validators.validator_for(schema)(schema)
 
 
+def _bundled_entries():
+    """The bundled scenario files, by name."""
+    from importlib import resources
+
+    root = resources.files("polyrec") / "scenarios"
+    return [e for e in sorted(root.iterdir(), key=lambda e: e.name) if e.name.endswith(".json")]
+
+
 def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
     """Collect (source, scenario) pairs, sorted by scenario id."""
     files: List[Tuple[str, Path]] = []
     if bundled:
-        root = resources.files("polyrec") / "scenarios"
-        for entry in sorted(root.iterdir(), key=lambda e: e.name):
-            if entry.name.endswith(".json"):
-                files.append((f"bundled:{entry.name}", entry))
+        files.extend((f"bundled:{entry.name}", entry) for entry in _bundled_entries())
     for path in paths:
         if path.is_dir():
             files.extend((str(p), p) for p in sorted(path.glob("*.json")))
@@ -592,14 +602,18 @@ def cmd_run(args) -> int:
     if not scenarios:
         print("error: no scenarios given (pass files, a directory, or --bundled)", file=sys.stderr)
         return 2
+
+    def run_one(item):
+        return run_scenario(item[0], item[1], args.cap, args.seed)
+
     try:
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            reports = list(
-                pool.map(
-                    lambda item: run_scenario(item[0], item[1], args.cap, args.seed),
-                    scenarios,
-                )
-            )
+        if args.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                reports = list(pool.map(run_one, scenarios))
+        else:
+            reports = [run_one(item) for item in scenarios]
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -671,11 +685,9 @@ def cmd_verify_certificate(args) -> int:
 
 
 def cmd_list_scenarios(args) -> int:
-    root = resources.files("polyrec") / "scenarios"
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            doc = json.loads(entry.read_text())
-            print(f"{doc['id']}  [{doc['kind']}]  bundled:{entry.name}")
+    for entry in _bundled_entries():
+        doc = json.loads(entry.read_text())
+        print(f"{doc['id']}  [{doc['kind']}]  bundled:{entry.name}")
     return 0
 
 
@@ -706,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="scenario-level parallelism (output is identical for any value)",
+        help="scenario-level parallelism; 1 runs sequentially (output is identical for any value)",
     )
     run_p.add_argument(
         "--cap",

@@ -6,20 +6,25 @@ f_i vanishing at the origin, the return measure
 
     z  |->  mu(A intersect T_1^{-f_1(z)} ... T_m^{-f_m(z)} A)
 
-depends only on each f_i(z) modulo the lcm q of the map orders, hence is
-periodic in every coordinate of z with period q * lcm(1..d); the sets where
-it clears the threshold mu(A)^2 - eps are therefore computed *exactly* as
-unions of residue classes, in one pass over the period grid that looks each
-return measure up by its exponent residues (e_i mod order_i).  All measures
-are rationals; there is no floating point anywhere in this module.
+depends only on the residues f_i(z) mod order_i, the orders of the maps.
+Those residues are periodic in each coordinate j of z, with a least period
+N_j that divides q * lcm(1..d) (q the lcm of the orders, d the max degree)
+and is decided from binomial coordinates.  The sets where the return
+measure clears the threshold mu(A)^2 - eps are therefore computed *exactly*
+as unions of residue classes, in one pass over the minimal period grid that
+sums the exponents up from forward differences along the last axis and
+looks each return measure up by its exponent residues (e_i mod order_i).
+All measures are rationals; there is no floating point anywhere in this
+module.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
@@ -36,7 +41,7 @@ from .errors import (
 )
 from .intpoly import BinPoly
 from .keyengine import SWEEP_CAP
-from .numutil import lcm_upto
+from .numutil import lcm_upto, prime_factors
 
 
 @dataclass(frozen=True)
@@ -216,48 +221,65 @@ def map_orders(sys: FiniteSystem) -> Tuple[int, ...]:
 
 
 def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
-    """Per-coordinate period N of z -> (f_i(z) mod q), q = lcm of map orders.
+    """Minimal per-coordinate periods (N_1, ..., N_n) of z -> (f_i(z) mod order_i)_i.
 
-    N = q * lcm(1..d) by binomial divisibility.  The value is re-checked
-    before being returned: for each coordinate j, the differences
-    f_i(z + N e_j) - f_i(z) (:func:`intpoly.shift`) must land in q * Z^m,
-    which :func:`keyengine.first_escape` decides from their binomial
-    coordinates.  A failure names the least pair (z, j) that breaks it.
+    P = q * lcm(1..d), q the lcm of the map orders and d the max degree, is a
+    period of every coordinate by binomial divisibility.  It is re-checked
+    before anything else: for each coordinate j, the differences
+    f_i(z + P e_j) - f_i(z) (:func:`intpoly.shift`) must land in the
+    diagonal lattice of the orders, which :func:`keyengine.first_escape`
+    decides from their binomial coordinates.  A failure names the least pair
+    (z, j) that breaks it.  The periods of coordinate j form a subgroup
+    N_j * Z that contains P, so N_j is found by dividing P by one prime at a
+    time while the quotient still passes the same check.
     """
     fs = tuple(fs)
     if not fs:
         raise ArityMismatch("need at least one polynomial")
+    orders = map_orders(sys)
+    if len(fs) != len(orders):
+        raise ArityMismatch(f"{len(fs)} polynomials for {len(orders)} maps")
     n = fs[0].nvars
     for f in fs:
         if f.constant_term() != 0:
             raise NonzeroConstantTerm(
                 f"exponent polynomial has value {f.constant_term()} at the origin"
             )
-    q = math.lcm(*map_orders(sys)) if sys.num_maps else 1
-    d = max(f.degree for f in fs)
-    period = q * lcm_upto(d)
-    target = lattice.scaled(len(fs), q)
-    failures = []
-    for j in range(n):
-        steps = [intpoly.subtract(intpoly.shift(f, j, period), f) for f in fs]
-        z = keyengine.first_escape(steps, target)
-        if z is not None:
-            failures.append((z, j))
+    period = math.lcm(*orders) * lcm_upto(max(f.degree for f in fs))
+    target = lattice.hnf_from_generators(
+        len(fs), [[o if i == k else 0 for i in range(len(fs))] for k, o in enumerate(orders)]
+    )
+
+    def escape(j: int, step: int) -> Optional[Tuple[int, ...]]:
+        steps = [intpoly.subtract(intpoly.shift(f, j, step), f) for f in fs]
+        return keyengine.first_escape(steps, target)
+
+    failures = [(z, j) for j in range(n) if (z := escape(j, period)) is not None]
     if failures:
         z, j = min(failures)
         raise VerificationFailed(
             witness=z,
             message=f"periodicity failed at {z} in coordinate {j}",
         )
-    return (period,) * n
+    minimal = []
+    for j in range(n):
+        step = period
+        for p in sorted(set(prime_factors(period))):
+            while step % p == 0 and escape(j, step // p) is None:
+                step //= p
+        minimal.append(step)
+    return tuple(minimal)
 
 
 @dataclass(frozen=True)
 class ResidueVerdict:
-    """Exact description of a threshold set as residue classes mod N.
+    """Exact description of a threshold set as residue classes.
 
-    z belongs to the set iff (z mod period) is in ``members``.  ``rows`` holds
-    (residue, exponents, return measure) for every grid point, in order.
+    z belongs to the set iff (z_1 mod N_1, ..., z_n mod N_n) is in
+    ``members``, N = ``period`` the minimal per-coordinate periods.  ``rows``
+    holds (residue, exponents, return measure) for every point of that
+    grid, in lexicographic order; the exponents are the exact values
+    f_i(residue), not reduced.
     """
 
     period: Tuple[int, ...]
@@ -268,14 +290,42 @@ class ResidueVerdict:
     rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction], ...] = ()
 
 
+def _exponent_rows(fs: Sequence[BinPoly], period: Sequence[int]):
+    """(z, (f_1(z), ..., f_m(z))) for every z of the grid, in lexicographic order.
+
+    For each prefix of the first n - 1 coordinates, each f_i is evaluated at
+    the first k + 1 points of the last axis only, k its degree in the last
+    variable.  Its forward differences there start the axis: the k-th one is
+    constant, and each lower one is the running sum of the one above.
+    """
+    *head, last = period
+    depths = [intpoly.degree_in_vars(f, [len(period) - 1]) for f in fs]
+    for prefix in product(*(range(p) for p in head)):
+        columns = []
+        for f, k in zip(fs, depths):
+            values = [intpoly.evaluate(f, prefix + (t,)) for t in range(k + 1)]
+            leading = [values[0]]
+            for _ in range(k):
+                values = [b - a for a, b in zip(values, values[1:])]
+                leading.append(values[0])
+            column = [leading.pop()] * last
+            while leading:
+                column = list(accumulate(column[: last - 1], initial=leading.pop()))
+            columns.append(column)
+        for t, exps in enumerate(zip(*columns)):
+            yield prefix + (t,), exps
+
+
 def r_epsilon(
     sys: FiniteSystem, query: RecurrenceQuery, cap: int = SWEEP_CAP
 ) -> ResidueVerdict:
     """All residues whose return measure clears mu(A)^2 - eps, exactly.
 
-    Sweeps one period grid, once; a grid of more than ``cap`` points is
-    refused with :class:`SweepCapExceeded`.  As T_i^{order_i} = id, each
-    return measure is computed once per tuple (e_i mod order_i), then looked up.
+    Sweeps the minimal period grid (:func:`system_period`) once; a grid of
+    more than ``cap`` points is refused with :class:`SweepCapExceeded`.  The
+    exponents come from forward differences along the last axis
+    (:func:`_exponent_rows`).  As T_i^{order_i} = id, each return measure is
+    computed once per tuple (e_i mod order_i), then looked up.
     """
     if len(query.fs) != sys.num_maps:
         raise ArityMismatch(
@@ -285,14 +335,14 @@ def r_epsilon(
     if math.prod(period) > cap:
         raise SweepCapExceeded(f"period grid needs {math.prod(period)} points, cap is {cap}")
     orders = map_orders(sys)
-    mu_a = sys.measure(sorted(query.A))
+    A = sorted(query.A)
+    mu_a = sys.measure(A)
     measures: Dict[Tuple[int, ...], Fraction] = {}
     rows = []
-    for z in product(*(range(p) for p in period)):
-        exps = tuple(f.evaluate(z) for f in query.fs)
-        key = tuple(e % order for e, order in zip(exps, orders))
+    for z, exps in _exponent_rows(query.fs, period):
+        key = tuple(map(operator.mod, exps, orders))
         if key not in measures:
-            measures[key] = return_measure(sys, sorted(query.A), key)
+            measures[key] = return_measure(sys, A, key)
         rows.append((z, exps, measures[key]))
     threshold = mu_a * mu_a - query.epsilon
     return ResidueVerdict(
@@ -323,7 +373,8 @@ def verify_khintchine(sys: FiniteSystem, query: RecurrenceQuery) -> KhintchineRe
     exponent acts as the identity, so the return measure is mu(A) >=
     mu(A)^2 at every sublattice point and is read once, at the origin; a
     failing verdict therefore signals an implementation bug, not a property
-    of the system.  The period is reported alongside.
+    of the system.  The minimal periods (:func:`system_period`) are reported
+    alongside.
     """
     if len(query.fs) != sys.num_maps:
         raise ArityMismatch(
@@ -364,10 +415,10 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     The residue classes are lifted to the explicit positive values
     {t in [1, horizon] : (t mod N_1, ..., t mod N_n) in members} (the
     diagonal embedding; for one variable this is just the set itself), with
-    horizon = max(window * k, 2 * max period) so the window sweep is
-    meaningful.
+    horizon = max(window * k, 2 * lcm(N_1, ..., N_n)): the lift has period
+    lcm(N), so the window holds at least two of its periods.
     """
-    horizon = max(window * k, 2 * max(verdict.period))
+    horizon = max(window * k, 2 * math.lcm(*verdict.period))
     values = {
         t
         for t in range(1, horizon + 1)

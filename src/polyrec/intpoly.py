@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -322,11 +322,14 @@ def delta_rows(f: BinPoly, s: int) -> int:
     )
 
 
-def delta_recursive(f: BinPoly, s: int) -> BinPoly:
+def delta_recursive(f: BinPoly, s: int, prev: Optional[BinPoly] = None) -> BinPoly:
     """The s-fold difference built by the defining recursion.
 
     delta(f, s) arises from delta(f, s-1) by replacing the last block with
     the sum of two fresh blocks and subtracting both single-block versions.
+    The sum goes through :func:`substitute_block_sums`; the two single-block
+    versions only relabel indices.  ``prev``, when given, must be
+    delta_recursive(f, s - 1), so a chain of levels costs one step each.
     Mathematically equal to :func:`delta`; computed along a different code
     path, which makes the equality a useful consistency oracle.
     """
@@ -335,22 +338,18 @@ def delta_recursive(f: BinPoly, s: int) -> BinPoly:
     if s == 1:
         return f
     n = f.nvars
-    prev = delta_recursive(f, s - 1)
+    if prev is None:
+        prev = delta_recursive(f, s - 1)
     wide = s * n
-    merged_targets, kept_targets, moved_targets = [], [], []
-    for b in range(s - 1):
-        for j in range(n):
-            kept_targets.append((b * n + j,))
-            if b < s - 2:
-                merged_targets.append((b * n + j,))
-                moved_targets.append((b * n + j,))
-            else:
-                merged_targets.append(((s - 2) * n + j, (s - 1) * n + j))
-                moved_targets.append(((s - 1) * n + j,))
-    merged = substitute_block_sums(prev, wide, merged_targets)
-    kept = substitute_block_sums(prev, wide, kept_targets)
-    moved = substitute_block_sums(prev, wide, moved_targets)
-    return add(subtract(merged, kept), negate(moved))
+    merged_targets = [(pos,) for pos in range((s - 2) * n)]
+    merged_targets += [((s - 2) * n + j, (s - 1) * n + j) for j in range(n)]
+    acc = substitute_block_sums(prev, wide, merged_targets).term_map()
+    # the last block kept in place, and moved one block up
+    pad, cut = (0,) * n, (s - 2) * n
+    for idx, coef in prev.terms:
+        for key in (idx + pad, idx[:cut] + pad + idx[cut:]):
+            acc[key] = acc.get(key, 0) - coef
+    return BinPoly(wide, tuple(sorted((idx, c) for idx, c in acc.items() if c)))
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,11 @@ def window_points(n: int, window: int):
                 yield pt
 
 
-def _check_window(n: int, window: int, cap: int) -> None:
-    if (2 * window + 1) ** n > cap:
+def _check_window(n: int, radius: int, cap: int) -> None:
+    """Refuse a search that may visit more than ``cap`` points of [-radius, radius]^n."""
+    if (2 * radius + 1) ** n > cap:
         raise SweepCapExceeded(
-            f"window sweep needs {(2 * window + 1) ** n} points, cap is {cap}"
+            f"window sweep needs {(2 * radius + 1) ** n} points, cap is {cap}"
         )
 
 
@@ -297,7 +298,8 @@ def stable_rank_subgroup(
     point is kept only if its image strictly increases the rank of the
     generated subgroup, and the search stops at rank r, which it reaches by
     radius deg(v) because every c_a is a difference of values on [0, a].
-    A window too small to reach r raises :class:`SaturationFailed` with the
+    So ``cap`` bounds the (2 * min(window, deg(v)) + 1)^n points the search
+    can visit, not the window.  A window too small to reach r raises :class:`SaturationFailed` with the
     least non-negative point whose image escapes the rational span of the
     samples.  The degenerate map (identically zero) certifies r = 0 with
     the zero subgroup.
@@ -305,7 +307,7 @@ def stable_rank_subgroup(
     if window < 1:
         raise ArityMismatch(f"window must be positive, got {window}")
     n = v.nvars
-    _check_window(n, window, cap)
+    _check_window(n, min(window, v.degree), cap)
     target = lattice.hnf_from_generators(
         v.arity, list(_binomial_coordinates(v.components).values())
     ).rank

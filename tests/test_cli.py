@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from polyrec import cli
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
 from polyrec.errors import InputError
+from polyrec.numutil import lcm_upto
 
 GOLDEN = Path(__file__).parent / "golden" / "bundled_reports.json"
 
@@ -230,6 +232,20 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("HOLDS") == 3
 
+    def test_stable_rank_window_beyond_cap_decides(self, tmp_path):
+        # (z, 3 C(z, 2)) has degree 2: the search visits at most the 5 points
+        # of radius 2, whatever the window
+        v = [
+            {"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]},
+            {"nvars": 1, "terms": [{"idx": [2], "coef": "3"}]},
+        ]
+        path = scenario_file(tmp_path / "sr.json", "stable-rank", {"v": v, "window": 500000})
+        code, out, err = run_in_process("run", str(path), "--jobs", "1")
+        assert code == 0 and "HOLDS" in out and "r: 2" in out, err
+        assert run_in_process("run", str(path), "--cap", "5", "--jobs", "1")[0] == 0
+        code, _out, err = run_in_process("run", str(path), "--cap", "4", "--jobs", "1")
+        assert code == 2 and "window sweep needs 5 points, cap is 4" in err
+
     def test_zero_denominator_is_input_error(self, tmp_path):
         path = scenario_file(tmp_path / "eps.json", "r-epsilon", {**R_EPSILON, "epsilon": "1/0"})
         proc = run_cli("run", str(path))
@@ -325,6 +341,40 @@ RATIONALS = st.builds(
 )
 
 
+@st.composite
+def recurrence_payloads(draw, kind):
+    """A schema-valid payload of ``kind`` on a product of one to three cyclic
+    factors, with one exponent polynomial per factor in 1 to 3 variables of
+    degree at most 4, and the lcm q of the factor sizes.  Now and then a
+    polynomial is nonzero at the origin, which is an input error."""
+    sizes = [draw(st.integers(2, 4))] + draw(st.lists(st.integers(1, 4), max_size=2))
+    cells = list(itertools.product(*(range(s) for s in sizes)))
+    points = [",".join(map(str, c)) for c in cells]
+    maps = [
+        [",".join(str((e + (k == i)) % sizes[k]) for k, e in enumerate(c)) for c in cells]
+        for i in range(len(sizes))
+    ]
+    system = {"points": points, "weights": {p: f"1/{len(points)}" for p in points}, "maps": maps}
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    index = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars)
+    index = index.filter(lambda i: 0 < sum(i) <= degree)
+    coefs = st.integers(-9, 9).filter(bool).map(str)
+    fs = []
+    for _ in sizes:
+        indices = draw(st.lists(index, min_size=1, max_size=4)) if degree else []
+        if draw(st.sampled_from([False] * 9 + [True])):
+            indices.append([0] * nvars)
+        fs.append({"nvars": nvars, "terms": [{"idx": i, "coef": draw(coefs)} for i in indices]})
+    payload = {"system": system, "A": draw(st.lists(st.sampled_from(points), min_size=1)), "fs": fs}
+    if kind != "khintchine":
+        payload["epsilon"] = draw(st.sampled_from(["0", "1/100", "1/16", "1/2"]))
+    if kind == "ip-star":
+        payload["k"] = draw(st.integers(1, 3))
+        payload["W"] = draw(st.integers(1, 8))
+    return payload, math.lcm(*sizes)
+
+
 class TestFrontDoorFuzz:
     """Schema-valid payloads end with exit code 0, 1 or 2, never a traceback."""
 
@@ -356,6 +406,28 @@ class TestFrontDoorFuzz:
             assert code == 2 and "does not match" in err
 
     @FUZZ
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["r-epsilon", "ip-star", "khintchine"]),
+        cap=st.sampled_from([1, 200, None]),
+    )
+    def test_recurrence(self, tmp_path_factory, data, kind, cap):
+        payload, q = data.draw(recurrence_payloads(kind))
+        jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS[kind])
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = scenario_file(tmp / "rec.json", kind, payload)
+        limit = [] if cap is None else ["--cap", str(cap)]
+        code, _out, err = run_in_process(
+            "run", str(path), *limit, "--jobs", "1", "--json", str(tmp / "out.json")
+        )
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            return
+        (report,) = json.loads((tmp / "out.json").read_text())["reports"]
+        full = q * lcm_upto(max(ip.from_json(f).degree for f in payload["fs"]))
+        assert all(full % p == 0 for p in report["details"].get("period", [])), (full, report)
+
+    @FUZZ
     @example(v=RANK_FOUR_CUBIC, window=1, cap=10**6)
     @given(
         v=stable_rank_tuples(),
@@ -368,9 +440,14 @@ class TestFrontDoorFuzz:
         path = scenario_file(tmp_path_factory.mktemp("fuzz") / "sr.json", "stable-rank", payload)
         code, out, err = run_in_process("run", str(path), "--cap", str(cap), "--jobs", "1")
         assert code in (0, 1, 2) and "Traceback" not in err
+        tup = ip.polytuple_from_json(v)
         if code == 1:
             assert 'error: "SaturationFailed"' in out
-            assert window < ip.polytuple_from_json(v).degree
+            assert window < tup.degree
+        if code == 2:
+            # the search stops by radius deg(v), so only that box is counted
+            points = (2 * min(window, tup.degree) + 1) ** tup.nvars
+            assert points > cap and f"window sweep needs {points} points" in err
 
     @FUZZ
     @given(v=stable_rank_tuples(), extra=st.integers(0, 2), data=st.data())

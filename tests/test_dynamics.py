@@ -1,12 +1,13 @@
 """Unit tests for recurrence verification on finite systems."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import product_system
+from conftest import product_system, random_binpoly
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec.errors import (
@@ -18,6 +19,7 @@ from polyrec.errors import (
     UnknownPoint,
     WeightsNotNormalized,
 )
+from polyrec.numutil import lcm_upto, prime_factors
 
 
 def cyclic(n):
@@ -119,7 +121,8 @@ class TestReturnMeasure:
 
 class TestSystemPeriod:
     def test_square_on_cyclic4(self):
-        assert dy.system_period(cyclic(4), [ZSQ]) == (8,)
+        # (z + 2)^2 = z^2 + 4(z + 1), and z^2 mod 4 tells 0 from 1
+        assert dy.system_period(cyclic(4), [ZSQ]) == (2,)
 
     def test_linear(self):
         assert dy.system_period(cyclic(6), [Z]) == (6,)
@@ -128,7 +131,7 @@ class TestSystemPeriod:
         pts = ["x", "y"]
         sys_ = dy.build_system(pts, {"x": "1/2", "y": "1/2"}, [["x", "y"]])
         f = ip.from_monomial_coeffs(1, {(3,): 1})
-        assert dy.system_period(sys_, [f]) == (6,)  # lcm(1..3)
+        assert dy.system_period(sys_, [f]) == (1,)  # every exponent acts as the identity
 
     def test_constant_term_rejected(self):
         with pytest.raises(NonzeroConstantTerm):
@@ -151,15 +154,15 @@ class TestREpsilon:
         verdict = dy.r_epsilon(
             cyclic(4), dy.recurrence_query(["0"], [ZSQ], "1/100")
         )
-        assert verdict.period == (8,)
-        assert verdict.members == frozenset({(0,), (2,), (4,), (6,)})
+        assert verdict.period == (2,)
+        assert verdict.members == frozenset({(0,)})
         assert verdict.mu_a == Fraction(1, 4)
 
     def test_large_epsilon_gives_everything(self):
         verdict = dy.r_epsilon(
             cyclic(4), dy.recurrence_query(["0"], [ZSQ], Fraction(1, 16))
         )
-        assert len(verdict.members) == 8
+        assert verdict.members == frozenset({(0,), (1,)})
 
     def test_full_space(self):
         sys_ = cyclic(3)
@@ -248,11 +251,11 @@ class TestTwoVariableQueries:
         f = ip.binpoly(2, {(1, 1): 1})  # z1 * z2
         query = dy.recurrence_query(["0"], [f], 0)
         verdict = dy.r_epsilon(sys_, query)
-        assert verdict.period == (8, 8)
+        assert verdict.period == (4, 4)  # z1 * z2 + 2 * z2 differs mod 4 when z2 is odd
         for z1 in range(8):
             for z2 in range(8):
                 expected = (z1 * z2) % 4 == 0
-                assert ((z1, z2) in verdict.members) == expected
+                assert ((z1 % 4, z2 % 4) in verdict.members) == expected
         report = dy.verify_khintchine(sys_, query)
         assert report.holds and report.witness_residue == (0, 0)
         # diagonal lift: t belongs iff t*t is divisible by 4, i.e. t even
@@ -375,6 +378,109 @@ class TestOnePass:
         assert len(calls) == 2  # z^2 mod 4 takes 2 values on the 8-point grid
 
 
+def random_product_query(rng, n):
+    """A product of one to three cyclic factors (orders coprime or not) and
+    exponent polynomials in n variables with negative coefficients too; the
+    degree shrinks as n grows so that the q * lcm(1..d) grid stays small."""
+    sys_ = product_system([rng.randint(1, 4) for _ in range(rng.randint(1, 3))])
+    fs = [
+        ip.subtract(f, ip.constant(n, f.constant_term()))
+        for f in (random_binpoly(rng, n, (3, 2, 2)[n - 1], bound=5) for _ in sys_.maps)
+    ]
+    A = rng.sample(sys_.points, rng.randint(1, sys_.size))
+    mu_a = sys_.measure(A)
+    return sys_, dy.recurrence_query(A, fs, mu_a * mu_a * Fraction(rng.randint(0, 4), 4))
+
+
+def full_period(sys_, fs):
+    """q * lcm(1..d): the per-coordinate period of the old uniform grid."""
+    return math.lcm(*dy.map_orders(sys_)) * lcm_upto(max(f.degree for f in fs))
+
+
+def is_period(sys_, fs, j, step, side):
+    """Brute force over [0, side)^n: shifting coordinate j by step keeps every f_i mod order_i."""
+    orders = dy.map_orders(sys_)
+    for z in product(range(side), repeat=fs[0].nvars):
+        moved = list(z)
+        moved[j] += step
+        if any((f.evaluate(moved) - f.evaluate(z)) % o for f, o in zip(fs, orders)):
+            return False
+    return True
+
+
+class TestMinimalGrid:
+    def test_members_match_the_full_grid(self):
+        # z is a member on the minimal grid iff z mod P clears the threshold
+        # on the old P-grid, every return measure computed directly
+        rng = random.Random(131)
+        shrunk = 0
+        for case in range(48):
+            sys_, query = random_product_query(rng, case % 3 + 1)
+            verdict = dy.r_epsilon(sys_, query)
+            full = full_period(sys_, query.fs)
+            assert all(full % p == 0 for p in verdict.period)
+            shrunk += verdict.period != (full,) * len(verdict.period)
+            A = sorted(query.A)
+            threshold = verdict.mu_a_sq - verdict.epsilon
+            direct = {}  # by exact exponents
+            for z in product(range(full), repeat=len(verdict.period)):
+                exps = tuple(f.evaluate(z) for f in query.fs)
+                if exps not in direct:
+                    direct[exps] = dy.return_measure(sys_, A, exps) >= threshold
+                residue = tuple(c % p for c, p in zip(z, verdict.period))
+                assert (residue in verdict.members) == direct[exps], (case, z)
+        assert shrunk > 24
+
+    def test_no_proper_divisor_is_a_period(self):
+        rng = random.Random(137)
+        for case in range(40):
+            sys_, query = random_product_query(rng, case % 2 + 1)
+            period = dy.system_period(sys_, query.fs)
+            # P >= d, so [0, P)^n holds [0, d - 1]^n, which decides a shift
+            # difference of degree at most d - 1
+            side = full_period(sys_, query.fs)
+            for j, step in enumerate(period):
+                assert is_period(sys_, query.fs, j, step, side), (case, j)
+                for p in set(prime_factors(step)):
+                    assert not is_period(sys_, query.fs, j, step // p, side), (case, j, p)
+
+    def test_forward_differences_match_evaluate(self):
+        rng = random.Random(139)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            fs = [random_binpoly(rng, n, rng.randint(0, 4), bound=7) for _ in range(rng.randint(1, 3))]
+            period = tuple(rng.randint(1, 6) for _ in range(n))
+            want = [
+                (z, tuple(f.evaluate(z) for f in fs))
+                for z in product(*(range(p) for p in period))
+            ]
+            assert list(dy._exponent_rows(fs, period)) == want
+        for case in range(20):
+            sys_, query = random_product_query(rng, case % 3 + 1)
+            for z, exps, _ in dy.r_epsilon(sys_, query).rows:
+                assert exps == tuple(f.evaluate(z) for f in query.fs)
+
+    def test_evaluate_calls_per_line(self, monkeypatch):
+        # each f_i is evaluated at d + 1 points per line of the last axis
+        calls = [0]
+        real = ip.evaluate
+
+        def counted(f, z):
+            calls[0] += 1
+            return real(f, z)
+
+        monkeypatch.setattr(ip, "evaluate", counted)
+        rng = random.Random(149)
+        cases = [(cyclic(4), dy.recurrence_query(["0"], [ZSQ], 0))]
+        cases += [random_product_query(rng, case % 3 + 1) for case in range(30)]
+        for sys_, query in cases:
+            calls[0] = 0
+            verdict = dy.r_epsilon(sys_, query)
+            d = max(f.degree for f in query.fs)
+            lines = math.prod(verdict.period[:-1])
+            assert calls[0] <= len(query.fs) * lines * (d + 1), verdict.period
+
+
 class TestReporting:
     def test_residue_table_alignment(self):
         sys_ = cyclic(4)
@@ -385,7 +491,7 @@ class TestReporting:
         assert lines[0].split() == [
             "residue", "exponents", "return", "measure", "threshold", "verdict",
         ]
-        assert len(lines) == 9  # header + 8 residues
+        assert len(lines) == 3  # header + 2 residues
 
     def test_system_json_round_trip(self):
         sys_ = product_23()

@@ -24,7 +24,7 @@ from polyrec import keyengine as ke
 from polyrec import lattice as lat
 from polyrec import spectral as sp
 from polyrec.errors import HypothesisFailed, PolyrecError, SaturationFailed, VerificationFailed
-from polyrec.numutil import lcm_upto
+from polyrec.numutil import divisors, lcm_upto
 
 INSTANCES = 1000
 
@@ -85,18 +85,26 @@ def sweep_limit_certificate(u, fs, cert):
             )
 
 
-def sweep_periodicity(fs, q, period):
+def sweep_periodicity(fs, orders, period):
+    """Re-check the period on [0, period)^n, then take the least divisor per coordinate."""
     n = fs[0].nvars
-    for z in product(range(period), repeat=n):
+    box = list(product(range(period), repeat=n))
+
+    def breaks(z, j, step):
+        shifted = list(z)
+        shifted[j] += step
+        return any((f.evaluate(shifted) - f.evaluate(z)) % o for f, o in zip(fs, orders))
+
+    for z in box:
         for j in range(n):
-            shifted = list(z)
-            shifted[j] += period
-            for f in fs:
-                if (f.evaluate(shifted) - f.evaluate(z)) % q:
-                    raise VerificationFailed(
-                        witness=z, message=f"periodicity failed at {z} in coordinate {j}"
-                    )
-    return (period,) * n
+            if breaks(z, j, period):
+                raise VerificationFailed(
+                    witness=z, message=f"periodicity failed at {z} in coordinate {j}"
+                )
+    return tuple(
+        next(step for step in divisors(period) if not any(breaks(z, j, step) for z in box))
+        for j in range(n)
+    )
 
 
 def sweep_khintchine(sys_, query):
@@ -294,8 +302,12 @@ class TestCallSitesAgreeWithSweeps:
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
 
     def test_periodicity_recheck(self, monkeypatch):
-        # A period shorter than q * lcm(1..d) makes the re-check fail; it
-        # stays at least d so the sweep's box still holds the least failure.
+        # A period shorter than q * lcm(1..d) may make the re-check fail; it
+        # stays at least d so the sweep's box still holds the least failure,
+        # and the least shift that keeps every f_i mod order_i.  The target
+        # is the diagonal lattice of the orders, which passes more periods
+        # than q * Z^m did, so the multiplier stays below lcm(1..d) when
+        # such a one keeps the period at least d.
         rng = random.Random(173)
         multiplier = [1]
         monkeypatch.setattr(dy, "lcm_upto", lambda d: multiplier[0])
@@ -308,8 +320,9 @@ class TestCallSitesAgreeWithSweeps:
             fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
             q = math.lcm(*sizes)
             d = max(f.degree for f in fs)
-            multiplier[0] = rng.choice([m for m in range(1, lcm_upto(d) + 1) if q * m >= d])
-            expected = outcome(sweep_periodicity, fs, q, q * multiplier[0])
+            short = [m for m in range(1, lcm_upto(d)) if q * m >= d]
+            multiplier[0] = rng.choice(short or [lcm_upto(d)])
+            expected = outcome(sweep_periodicity, fs, sizes, q * multiplier[0])
             assert outcome(dy.system_period, sys_, fs) == expected
             failures += expected[0] != "returned"
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5

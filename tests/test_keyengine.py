@@ -329,8 +329,11 @@ class TestStableRank:
         v = ip.polytuple([ip.binpoly(2, {(1, 0): 1}), ip.binpoly(2, {(0, 1): 1})])
         window = 500  # 1001^2 points, just over the cap
         assert (2 * window + 1) ** 2 > ke.SWEEP_CAP
-        with pytest.raises(SweepCapExceeded):
-            ke.stable_rank_subgroup(v, window)
+        # the search stops by radius deg(v) = 1, so the cap counts 3^2 points
+        assert ke.stable_rank_subgroup(v, window).r == 2
+        assert ke.stable_rank_subgroup(v, window, cap=9).r == 2
+        with pytest.raises(SweepCapExceeded, match="needs 9 points, cap is 8"):
+            ke.stable_rank_subgroup(v, window, cap=8)
         # the cap bounds the search on the run path only: verification
         # evaluates the samples and never sweeps the window
         cert = ke.stable_rank_subgroup(v, 3)

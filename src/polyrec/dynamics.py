@@ -365,39 +365,28 @@ class KhintchineReport:
 
 
 def verify_khintchine(sys: FiniteSystem, query: RecurrenceQuery) -> KhintchineReport:
-    """Return measure on the vanishing sublattice, against mu(A)^2.
+    """Return measure on the period lattice, against mu(A)^2.
 
-    The sublattice is the one on which every exponent polynomial is
-    divisible by the system modulus q; that claim is decided first
-    (:func:`keyengine.first_escape_point` against q * Z^m).  There every
-    exponent acts as the identity, so the return measure is mu(A) >=
-    mu(A)^2 at every sublattice point and is read once, at the origin; a
-    failing verdict therefore signals an implementation bug, not a property
-    of the system.  The minimal periods (:func:`system_period`) are reported
-    alongside.
+    The period lattice is N_1 Z x ... x N_n Z, N the minimal periods that
+    :func:`system_period` decides: f_i(z + N_j e_j) - f_i(z) lies in
+    order_i * Z for every z, and f_i(0) = 0, so on that lattice every
+    exponent is divisible by its map's order and acts as the identity.  The
+    return measure is therefore mu(A) >= mu(A)^2 at every lattice point and
+    is read once, at the origin; a failing verdict signals an implementation
+    bug, not a property of the system.
     """
     if len(query.fs) != sys.num_maps:
         raise ArityMismatch(
             f"{len(query.fs)} polynomials for {sys.num_maps} maps"
         )
     period = system_period(sys, query.fs)
-    q = math.lcm(*map_orders(sys)) if sys.num_maps else 1
-    sub = keyengine.vanishing_lattice(query.fs, q)
-    bad = keyengine.first_escape_point(query.fs, lattice.scaled(len(query.fs), q), sub)
-    if bad is not None:
-        raise VerificationFailed(
-            witness=bad,
-            message=f"exponents are not divisible by {q} at {bad} on the vanishing sublattice",
-        )
-    origin = (0,) * query.fs[0].nvars
     mu_a = sys.measure(sorted(query.A))
-    # recurrence_query makes every f_i vanish at the origin
     value = return_measure(sys, sorted(query.A), [0] * len(query.fs))
     return KhintchineReport(
         sup_value=value,
         bound=mu_a * mu_a,
         holds=value >= mu_a * mu_a,
-        witness_residue=origin,
+        witness_residue=(0,) * query.fs[0].nvars,
         period=period,
     )
 

@@ -32,11 +32,11 @@ class FiniteIP:
             raise ArityMismatch(f"generators must be positive: {self.generators}")
 
 
-def fs_expand(ip: FiniteIP, cap: int = MAX_GENERATORS) -> FrozenSet[int]:
+def fs_expand(ip: FiniteIP) -> FrozenSet[int]:
     """All nonempty-subset sums of the generators (duplicates collapse)."""
     k = len(ip.generators)
-    if k > cap:
-        raise CapExceeded(f"{k} generators exceed the expansion cap {cap}")
+    if k > MAX_GENERATORS:
+        raise CapExceeded(f"{k} generators exceed the expansion cap {MAX_GENERATORS}")
     sums = {0}
     for g in ip.generators:
         sums |= {s + g for s in sums}
@@ -44,12 +44,7 @@ def fs_expand(ip: FiniteIP, cap: int = MAX_GENERATORS) -> FrozenSet[int]:
     return frozenset(sums)
 
 
-def find_monochromatic_fs(
-    coloring: Mapping[int, object],
-    k: int,
-    window_cap: int = MAX_WINDOW,
-    tuple_cap: int = MAX_TUPLE_LEN,
-) -> Optional[FiniteIP]:
+def find_monochromatic_fs(coloring: Mapping[int, object], k: int) -> Optional[FiniteIP]:
     """Least strictly increasing generators with a one-color subset-sum set.
 
     ``coloring`` maps 1..W to colors.  The search runs over strictly
@@ -58,10 +53,10 @@ def find_monochromatic_fs(
     monochromatic; None when the window has no witness.
     """
     w = _coloring_window(coloring)
-    if w > window_cap:
-        raise CapExceeded(f"window {w} exceeds the cap {window_cap}")
-    if k < 1 or k > tuple_cap:
-        raise CapExceeded(f"tuple length {k} outside 1..{tuple_cap}")
+    if w > MAX_WINDOW:
+        raise CapExceeded(f"window {w} exceeds the cap {MAX_WINDOW}")
+    if k < 1 or k > MAX_TUPLE_LEN:
+        raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
     for gens in combinations(range(1, w + 1), k):
         sums = fs_expand(FiniteIP(gens))
         if max(sums) > w:
@@ -87,23 +82,17 @@ class IpStarVerdict:
     window: int
 
 
-def is_ip_star_window(
-    s: Iterable[int],
-    k: int,
-    window: int,
-    window_cap: int = MAX_WINDOW,
-    tuple_cap: int = MAX_TUPLE_LEN,
-) -> IpStarVerdict:
+def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
     """Does S meet the subset sums of *every* generator tuple in {1..W}^k?
 
     Repeated generators are allowed.  Fails with the lexicographically
     least counterexample tuple.  The verdict is a statement about the
     stated window only.
     """
-    if window < 1 or window > window_cap:
-        raise CapExceeded(f"window {window} outside 1..{window_cap}")
-    if k < 1 or k > tuple_cap:
-        raise CapExceeded(f"tuple length {k} outside 1..{tuple_cap}")
+    if window < 1 or window > MAX_WINDOW:
+        raise CapExceeded(f"window {window} outside 1..{MAX_WINDOW}")
+    if k < 1 or k > MAX_TUPLE_LEN:
+        raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
     members = frozenset(int(x) for x in s)
     for tup in product(range(1, window + 1), repeat=k):
         if not (fs_expand(FiniteIP(tup)) & members):

@@ -187,14 +187,14 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
     At degree t the t-fold difference of the degree-t part h is multilinear
     in its t blocks; at the basis blocks e_{j_1}, ..., e_{j_t} it equals
     m! * h_m, where m counts how often each coordinate occurs among the j's
-    and h_m is the coefficient of z^m.  So a single integer N clears all of
-    its values into V (the lcm of the smallest multiples of the vectors
+    and h_m is the coefficient of z^m.  So a single integer N_t clears all
+    of its values into V (the lcm of the smallest multiples of the vectors
     m! * h_m); the homogeneous identity (the t-fold difference on the
     diagonal equals t! times the part) then places the part itself in V on
-    (N * t!) * Z^n.  The returned lattice is the intersection over degrees
-    and is re-verified with :func:`verify_value_membership` before being
-    returned; a verification failure signals an implementation bug, never
-    a silent wrong answer.
+    (N_t * t!) * Z^n.  These lattices meet in M * Z^n, M the lcm of the
+    N_t * t!, which is re-verified with :func:`verify_value_membership`
+    before being returned; a verification failure signals an implementation
+    bug, never a silent wrong answer.
     """
     v, V = inst.v, inst.V
     n = v.nvars
@@ -225,7 +225,7 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
         shifted = intpoly.subtract(comp, intpoly.constant(n, off))
         parts_per_component.append(intpoly.homogeneous_parts(shifted))
 
-    result = lattice.full_lattice(n)
+    scale = 1
     for t in range(v.degree, 0, -1):
         parts_t = [ps[t].term_map() if t < len(ps) else {} for ps in parts_per_component]
         monomials = sorted(set().union(*parts_t))
@@ -243,10 +243,9 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
                     "after the hypothesis check passed (implementation bug)",
                 )
             clearing = math.lcm(clearing, multiple)
-        result = lattice.intersect(
-            result, lattice.scaled(n, clearing * math.factorial(t))
-        )
+        scale = math.lcm(scale, clearing * math.factorial(t))
 
+    result = lattice.scaled(n, scale)
     counterexample = verify_value_membership(v, offset, V, result)
     if counterexample is not None:
         raise VerificationFailed(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, VerificationFailed
-from .numutil import divisors, ext_gcd
+from .numutil import ext_gcd
 
 Vector = Tuple[int, ...]
 
@@ -155,9 +155,10 @@ def smallest_multiple(lat: Lattice, v: Sequence[int | Fraction]) -> Optional[int
     """Minimal N >= 1 with N * v in the lattice; None if v is off the span.
 
     Accepts exact rational entries as well as integers.  Computed by the
-    rational solve followed by the lcm of coefficient denominators; a scan
-    over proper divisors re-asserts minimality (the set of valid N is
-    closed under gcd, so divisors are the only candidates below the lcm).
+    rational solve followed by the lcm of coefficient denominators, which is
+    already minimal: the basis is independent, so N * v lies in the lattice
+    exactly when N * c is an integer for every coefficient c, that is, when
+    every denominator divides N.
     """
     if len(v) != lat.ambient:
         raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
@@ -167,13 +168,7 @@ def smallest_multiple(lat: Lattice, v: Sequence[int | Fraction]) -> Optional[int
     coeffs = _solve_rational(lat, vec)
     if coeffs is None:
         return None
-    n = 1
-    for c in coeffs:
-        n = math.lcm(n, c.denominator)
-    for d in divisors(n):
-        if d < n and all((d * c).denominator == 1 for c in coeffs):
-            return d
-    return n
+    return math.lcm(*(c.denominator for c in coeffs))
 
 
 def _kernel_basis(columns: Sequence[Sequence[int]], nrows: int) -> List[List[int]]:
@@ -215,24 +210,6 @@ def _kernel_basis(columns: Sequence[Sequence[int]], nrows: int) -> List[List[int
                 )
             out.append(mirror[j])
     return out
-
-
-def intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Canonical lattice of the intersection, via the stacked kernel."""
-    if a.ambient != b.ambient:
-        raise ArityMismatch(f"ambient dimensions differ: {a.ambient} vs {b.ambient}")
-    if a.rank == 0 or b.rank == 0:
-        return zero_lattice(a.ambient)
-    columns = [list(col) for col in a.basis] + [[-e for e in col] for col in b.basis]
-    gens = []
-    for x in _kernel_basis(columns, a.ambient):
-        coeff_a = x[: a.rank]
-        vec = [0] * a.ambient
-        for c, col in zip(coeff_a, a.basis):
-            for i in range(a.ambient):
-                vec[i] += c * col[i]
-        gens.append(vec)
-    return hnf_from_generators(a.ambient, gens)
 
 
 def orthogonal_complement(lat: Lattice) -> Lattice:

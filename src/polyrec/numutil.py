@@ -72,17 +72,3 @@ def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
 
-
-def divisors(n: int) -> Iterator[int]:
-    """Positive divisors of n >= 1 in increasing order."""
-    small = []
-    large = []
-    t = 1
-    while t * t <= n:
-        if n % t == 0:
-            small.append(t)
-            if t != n // t:
-                large.append(n // t)
-        t += 1
-    yield from small
-    yield from reversed(large)

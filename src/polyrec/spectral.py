@@ -151,10 +151,7 @@ class PhaseUnitary:
     phases: Tuple[Tuple[Fraction, ...], ...]
 
 
-def phase_unitary(
-    phases: Sequence[Sequence[Union[Fraction, int, str]]],
-    max_denominator: int = MAX_PHASE_DENOMINATOR,
-) -> PhaseUnitary:
+def phase_unitary(phases: Sequence[Sequence[Union[Fraction, int, str]]]) -> PhaseUnitary:
     """Normalize a D x m rational phase table into [0, 1) and validate."""
     rows = [[Fraction(p) for p in row] for row in phases]
     if not rows or not rows[0]:
@@ -166,9 +163,9 @@ def phase_unitary(
             raise ArityMismatch("ragged phase table")
         normalized = tuple(p - math.floor(p) for p in row)
         for p in normalized:
-            if p.denominator > max_denominator:
+            if p.denominator > MAX_PHASE_DENOMINATOR:
                 raise CapExceeded(
-                    f"phase denominator {p.denominator} exceeds {max_denominator}"
+                    f"phase denominator {p.denominator} exceeds {MAX_PHASE_DENOMINATOR}"
                 )
         table.append(normalized)
     return PhaseUnitary(dim=len(table), ops=ops, phases=tuple(table))

@@ -341,6 +341,29 @@ RATIONALS = st.builds(
 )
 
 
+def now_and_then(value, otherwise):
+    """``value`` one time in ten, else ``otherwise``."""
+    return st.sampled_from([otherwise] * 9 + [value])
+
+
+@st.composite
+def exponent_polys(draw, count):
+    """``count`` polynomials in 1 to 3 variables of degree at most 4 that
+    vanish at the origin; now and then one of them does not."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    index = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars)
+    index = index.filter(lambda i: 0 < sum(i) <= degree)
+    coefs = st.integers(-9, 9).filter(bool).map(str)
+    fs = []
+    for _ in range(count):
+        indices = draw(st.lists(index, min_size=1, max_size=4)) if degree else []
+        if draw(now_and_then(True, False)):
+            indices.append([0] * nvars)
+        fs.append({"nvars": nvars, "terms": [{"idx": i, "coef": draw(coefs)} for i in indices]})
+    return fs
+
+
 @st.composite
 def recurrence_payloads(draw, kind):
     """A schema-valid payload of ``kind`` on a product of one to three cyclic
@@ -355,17 +378,7 @@ def recurrence_payloads(draw, kind):
         for i in range(len(sizes))
     ]
     system = {"points": points, "weights": {p: f"1/{len(points)}" for p in points}, "maps": maps}
-    nvars = draw(st.integers(1, 3))
-    degree = draw(st.integers(0, 4))
-    index = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars)
-    index = index.filter(lambda i: 0 < sum(i) <= degree)
-    coefs = st.integers(-9, 9).filter(bool).map(str)
-    fs = []
-    for _ in sizes:
-        indices = draw(st.lists(index, min_size=1, max_size=4)) if degree else []
-        if draw(st.sampled_from([False] * 9 + [True])):
-            indices.append([0] * nvars)
-        fs.append({"nvars": nvars, "terms": [{"idx": i, "coef": draw(coefs)} for i in indices]})
+    fs = draw(exponent_polys(len(sizes)))
     payload = {"system": system, "A": draw(st.lists(st.sampled_from(points), min_size=1)), "fs": fs}
     if kind != "khintchine":
         payload["epsilon"] = draw(st.sampled_from(["0", "1/100", "1/16", "1/2"]))
@@ -373,6 +386,69 @@ def recurrence_payloads(draw, kind):
         payload["k"] = draw(st.integers(1, 3))
         payload["W"] = draw(st.integers(1, 8))
     return payload, math.lcm(*sizes)
+
+
+@st.composite
+def lattice_docs(draw, ambient, full=False):
+    """A schema-valid lattice document in Z^ambient, of any rank, or for
+    ``full`` mostly with at least ``ambient`` columns; now and then it claims
+    the next dimension instead, which is an input error."""
+    column = st.lists(st.integers(-6, 6), min_size=ambient, max_size=ambient)
+    least = draw(now_and_then(0, ambient)) if full else 0
+    basis = draw(st.lists(column, min_size=least, max_size=ambient + 1))
+    return {"ambient": draw(now_and_then(ambient + 1, ambient)), "basis": basis}
+
+
+@st.composite
+def key_lemma_payloads(draw):
+    v = draw(stable_rank_tuples())
+    return {
+        "v": v,
+        "V": draw(lattice_docs(len(v))),
+        "hypothesis": draw(lattice_docs(v[0]["nvars"], full=True)),
+    }
+
+
+@st.composite
+def spectral_payloads(draw):
+    """Phases of denominators up to 721 (one past the cap), now and then a
+    ragged table or a wrong declared size."""
+    dim, ops = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    phase = st.builds(
+        lambda num, den: f"{num}/{den}",
+        st.integers(-30, 30),
+        st.sampled_from([1, 2, 3, 4, 6, 12, 720, 721]),
+    )
+    phases = [draw(st.lists(phase, min_size=ops, max_size=ops)) for _ in range(dim)]
+    phases[-1] += draw(now_and_then(["1/2"], []))
+    unitary = {"phases": phases}
+    for key, size in (("dim", dim), ("ops", ops)):
+        if draw(st.booleans()):
+            unitary[key] = draw(now_and_then(size + 1, size))
+    return {"unitary": unitary, "fs": draw(exponent_polys(ops))}
+
+
+@st.composite
+def hindman_payloads(draw):
+    """Windows and tuple lengths up to one past their caps; colors that no
+    two compare equal in Python across types; now and then a color list of
+    the wrong length."""
+    w = draw(st.integers(1, 13))
+    size = draw(now_and_then(w + 1, w))
+    colors = draw(st.lists(st.sampled_from([0, 1, 2, "a", None]), min_size=size, max_size=size))
+    return {"coloring": {"W": w, "colors": colors}, "k": draw(st.integers(1, 5))}
+
+
+def first_monochromatic(colors, w, k):
+    """Least increasing k-tuple in 1..w whose subset sums all lie in 1..w
+    and share one color, with those sums; None when there is none."""
+    for gens in itertools.combinations(range(1, w + 1), k):
+        sums = {
+            sum(sub) for r in range(1, k + 1) for sub in itertools.combinations(gens, r)
+        }
+        if max(sums) <= w and len({colors[s - 1] for s in sums}) == 1:
+            return list(gens), sorted(sums)
+    return None
 
 
 class TestFrontDoorFuzz:
@@ -448,6 +524,73 @@ class TestFrontDoorFuzz:
             # the search stops by radius deg(v), so only that box is counted
             points = (2 * min(window, tup.degree) + 1) ** tup.nvars
             assert points > cap and f"window sweep needs {points} points" in err
+
+    @staticmethod
+    def check_emitted(tmp, name, tampered):
+        """The certificate a passing run emitted verifies; a tampered copy
+        ends with exit code 0, 1 or 2 and no traceback."""
+        path = tmp / f"{name}.cert.json"
+        assert run_in_process("verify-certificate", str(path))[0] == 0
+        path.write_text(json.dumps({**json.loads(path.read_text()), **tampered}))
+        code, _out, err = run_in_process("verify-certificate", str(path))
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @FUZZ
+    @given(payload=key_lemma_payloads(), data=st.data())
+    def test_key_lemma(self, tmp_path_factory, payload, data):
+        jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["key-lemma"])
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = scenario_file(tmp / "kl.json", "key-lemma", payload)
+        code, out, err = run_in_process("run", str(path), "--emit-certificates", str(tmp))
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 1:
+            assert 'error: "HypothesisFailed"' in out
+        if code == 0:
+            field = data.draw(st.sampled_from(["v", "V", "witness"]))
+            if field == "v":
+                tampered = data.draw(stable_rank_tuples())
+            else:
+                tampered = data.draw(lattice_docs(data.draw(st.integers(1, 4)), field == "witness"))
+            self.check_emitted(tmp, "kl", {field: tampered})
+
+    @FUZZ
+    @given(payload=spectral_payloads(), data=st.data())
+    def test_spectral_limit(self, tmp_path_factory, payload, data):
+        jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["spectral-limit"])
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = scenario_file(tmp / "sl.json", "spectral-limit", payload)
+        code, _out, err = run_in_process("run", str(path), "--emit-certificates", str(tmp))
+        # the limit projection is proved, never refuted: only input errors fail
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 0:
+            field = data.draw(st.sampled_from(["unitary", "fs", "lattice"]))
+            if field == "unitary":
+                tampered = data.draw(spectral_payloads())["unitary"]
+            elif field == "fs":
+                tampered = data.draw(exponent_polys(data.draw(st.integers(1, 3))))
+            else:
+                tampered = data.draw(lattice_docs(data.draw(st.integers(1, 3)), full=True))
+            self.check_emitted(tmp, "sl", {field: tampered})
+
+    @FUZZ
+    @given(payload=hindman_payloads())
+    def test_hindman_search(self, tmp_path_factory, payload):
+        jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["hindman-search"])
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = scenario_file(tmp / "hs.json", "hindman-search", payload)
+        code, _out, err = run_in_process("run", str(path), "--json", str(tmp / "out.json"))
+        assert code in (0, 2) and "Traceback" not in err
+        w, colors, k = payload["coloring"]["W"], payload["coloring"]["colors"], payload["k"]
+        if code == 2:
+            assert w > 12 or k > 4 or len(colors) != w
+            return
+        (report,) = json.loads((tmp / "out.json").read_text())["reports"]
+        found = first_monochromatic(colors, w, k)
+        if found is None:
+            assert report["details"] == {"witness": None, "verified_by_exhaustion": True}
+        else:
+            witness, sums = found
+            assert report["details"] == {"witness": witness, "subset_sums": sums, "verified": True}
 
     @FUZZ
     @given(v=stable_rank_tuples(), extra=st.integers(0, 2), data=st.data())

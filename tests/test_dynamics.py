@@ -375,7 +375,7 @@ class TestOnePass:
             assert sorted(reduced) == sorted(residues)
         calls.clear()
         dy.r_epsilon(cyclic(4), dy.recurrence_query(["0"], [ZSQ], 0))
-        assert len(calls) == 2  # z^2 mod 4 takes 2 values on the 8-point grid
+        assert len(calls) == 2  # z^2 mod 4 takes 2 values on the 2-point grid
 
 
 def random_product_query(rng, n):

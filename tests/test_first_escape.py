@@ -24,7 +24,7 @@ from polyrec import keyengine as ke
 from polyrec import lattice as lat
 from polyrec import spectral as sp
 from polyrec.errors import HypothesisFailed, PolyrecError, SaturationFailed, VerificationFailed
-from polyrec.numutil import divisors, lcm_upto
+from polyrec.numutil import lcm_upto
 
 INSTANCES = 1000
 
@@ -102,7 +102,11 @@ def sweep_periodicity(fs, orders, period):
                     witness=z, message=f"periodicity failed at {z} in coordinate {j}"
                 )
     return tuple(
-        next(step for step in divisors(period) if not any(breaks(z, j, step) for z in box))
+        next(
+            step
+            for step in range(1, period + 1)
+            if period % step == 0 and not any(breaks(z, j, step) for z in box)
+        )
         for j in range(n)
     )
 
@@ -373,9 +377,12 @@ class TestCallSitesAgreeWithSweeps:
         assert failures > 10
 
     def test_khintchine_sublattice_claim_is_checked(self, monkeypatch):
-        # a sublattice on which z^2 is not divisible by 4 must be refused
-        f = ip.from_monomial_coeffs(1, {(2,): 1})
-        monkeypatch.setattr(ke, "vanishing_lattice", lambda fs, q: lat.scaled(1, 3))
+        # the origin is read only on a lattice of periods: with the period
+        # shrunk to 2, C(z, 2) on a 2-cycle steps by 2z + 1, which is odd,
+        # so the re-check refuses it at the origin
+        f = ip.binpoly(1, {(2,): 1})
+        monkeypatch.setattr(dy, "lcm_upto", lambda d: 1)
         with pytest.raises(VerificationFailed) as err:
-            dy.verify_khintchine(product_system([4]), dy.recurrence_query(["0"], [f], 0))
-        assert err.value.witness == (3,)
+            dy.verify_khintchine(product_system([2]), dy.recurrence_query(["0"], [f], 0))
+        assert err.value.witness == (0,)
+        assert str(err.value) == "periodicity failed at (0,) in coordinate 0"

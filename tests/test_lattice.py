@@ -172,38 +172,6 @@ class TestSmallestMultiple:
         assert lat.smallest_multiple(l, [Fraction(1, 2)]) == 6
 
 
-class TestIntersect:
-    def test_one_dim(self):
-        out = lat.intersect(lat.scaled(1, 2), lat.scaled(1, 3))
-        assert out.basis == ((6,),)
-
-    def test_with_full(self):
-        rng = random.Random(49)
-        for _ in range(20):
-            l = random_fullrank_lattice(rng, 2, pivot_max=3)
-            assert lat.intersect(l, lat.full_lattice(2)) == l
-
-    def test_diagonal_lcm(self):
-        a = lat.hnf_from_generators(2, [(2, 0), (0, 1)])
-        b = lat.hnf_from_generators(2, [(1, 0), (0, 3)])
-        assert lat.intersect(a, b).basis == ((2, 0), (0, 3))
-
-    def test_subset_and_sampled_membership(self):
-        rng = random.Random(51)
-        for _ in range(25):
-            a = random_fullrank_lattice(rng, 2, pivot_max=3)
-            b = random_fullrank_lattice(rng, 2, pivot_max=3)
-            c = lat.intersect(a, b)
-            for col in c.basis:
-                assert a.contains(col) and b.contains(col)
-            for pt in itertools.product(range(-6, 7), repeat=2):
-                if a.contains(pt) and b.contains(pt):
-                    assert c.contains(pt)
-
-    def test_zero_absorbs(self):
-        assert lat.intersect(lat.zero_lattice(2), lat.full_lattice(2)).rank == 0
-
-
 class TestScaledAndJson:
     def test_scaled_examples(self):
         assert lat.scaled(2, 1) == lat.full_lattice(2)

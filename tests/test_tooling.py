@@ -18,6 +18,24 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_thread_imports():
+    # scenarios run one after another, and bench/tracer.py keeps one span
+    # stack for the whole process, which only holds while polyrec runs
+    # single-threaded
+    banned = {"concurrent", "threading"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in banned]
+    assert not found, f"thread imports in the package: {found}"
+
+
 def test_tracer_names_exist():
     # bench/tracer.py wraps these by name with setattr after import, so a
     # rename under src/polyrec would silently drop a per-layer metric

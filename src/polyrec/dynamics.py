@@ -295,19 +295,17 @@ def _exponent_rows(fs: Sequence[BinPoly], period: Sequence[int]):
 
     For each prefix of the first n - 1 coordinates, each f_i is evaluated at
     the first k + 1 points of the last axis only, k its degree in the last
-    variable.  Its forward differences there start the axis: the k-th one is
-    constant, and each lower one is the running sum of the one above.
+    variable.  Its forward differences there (:func:`intpoly.interpolate`)
+    start the axis: the k-th one is constant, and each lower one is the
+    running sum of the one above.
     """
     *head, last = period
     depths = [intpoly.degree_in_vars(f, [len(period) - 1]) for f in fs]
     for prefix in product(*(range(p) for p in head)):
         columns = []
         for f, k in zip(fs, depths):
-            values = [intpoly.evaluate(f, prefix + (t,)) for t in range(k + 1)]
-            leading = [values[0]]
-            for _ in range(k):
-                values = [b - a for a, b in zip(values, values[1:])]
-                leading.append(values[0])
+            line = intpoly.interpolate(1, k, lambda t: intpoly.evaluate(f, prefix + t))
+            leading = [line.term_map().get((i,), 0) for i in range(k + 1)]
             column = [leading.pop()] * last
             while leading:
                 column = list(accumulate(column[: last - 1], initial=leading.pop()))

@@ -24,7 +24,7 @@ class NotIntegerValued(InputError):
 
 
 class RankDeficientBasis(InputError):
-    """Matrix columns are linearly dependent over the rationals."""
+    """A key-lemma hypothesis lattice is not of full rank."""
 
 
 class NonzeroConstantTerm(InputError):

@@ -5,9 +5,12 @@ points has a unique expansion over the products
 ``C(z_1, i_1) * ... * C(z_n, i_n)`` of binomial coefficients, with integer
 coordinates.  That expansion is the canonical representation here
 (:class:`BinPoly`); integrality of values is structural, and the group
-operations are coefficientwise.  Ordinary monomial coordinates with exact
-rational coefficients (:class:`MonoPoly`) appear only transiently, inside
-the change-of-basis routines and the homogeneous decomposition.
+operations are coefficientwise.  Conversion from monomial coordinates and
+restriction along an integer matrix go through values: :func:`interpolate`
+reads the coordinates off as forward differences at the origin (Polya
+1915).  Ordinary monomial coordinates with exact rational coefficients
+(:class:`MonoPoly`) appear only as an input form and in the homogeneous
+decomposition, which the key-lemma construction needs.
 
 The central operator is :func:`delta`: the inclusion-exclusion difference
 
@@ -34,16 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    ArityMismatch,
-    CapExceeded,
-    NotIntegerValued,
-    RankDeficientBasis,
-)
+from .errors import ArityMismatch, CapExceeded, NotIntegerValued
 from .numutil import binom_int, compositions
 
 MultiIndex = Tuple[int, ...]
@@ -69,7 +67,7 @@ class BinPoly:
     def term_map(self) -> Dict[MultiIndex, int]:
         return dict(self.terms)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Max total degree over stored indices; 0 for the zero polynomial."""
         return max((sum(idx) for idx, _ in self.terms), default=0)
@@ -122,20 +120,59 @@ def variable(nvars: int, j: int) -> BinPoly:
 
 
 def evaluate(f: BinPoly, z: Sequence[int]) -> int:
-    """Exact value of f at an integer point."""
+    """Exact value of f at an integer point.
+
+    Each coordinate's column C(z_j, 0..d) is built once, by
+    C(z, k + 1) = C(z, k) (z - k) / (k + 1), an exact division.
+    """
     if len(z) != f.nvars:
         raise ArityMismatch(f"point has length {len(z)}, expected {f.nvars}")
-    z = [int(v) for v in z]
+    columns = []
+    for zj in z:
+        zj = int(zj)
+        col = [1]
+        for k in range(f.degree):
+            col.append(col[k] * (zj - k) // (k + 1))
+        columns.append(col)
     total = 0
     for idx, coef in f.terms:
-        prod = coef
-        for zj, ij in zip(z, idx):
-            if ij:
-                prod *= binom_int(zj, ij)
-                if not prod:
-                    break
-        total += prod
+        for col, ij in zip(columns, idx):
+            coef *= col[ij]
+        total += coef
     return total
+
+
+def interpolate(
+    nvars: int, degree: int, value: Callable[[MultiIndex], int | Fraction]
+) -> BinPoly:
+    """The polynomial of total degree at most ``degree`` with the given values.
+
+    Its coordinate at index a is the forward difference of the values at the
+    origin, sum over b <= a of prod_j (-1)^(a_j - b_j) C(a_j, b_j) value(b),
+    which reads only points of the simplex {b >= 0, |b| <= degree}.  The table
+    of values there is differenced ``degree`` times along each axis in place.
+    Values may be exact rationals; raises :class:`NotIntegerValued` at the
+    least index whose coordinate is not an integer.
+    """
+    points = sorted(chain.from_iterable(compositions(t, nvars) for t in range(degree + 1)))
+    table = {b: value(b) for b in points}
+    # descending order visits b before b - e_j, so each pass reads old values
+    descending = points[::-1]
+    for j in range(nvars):
+        for level in range(1, degree + 1):
+            for b in descending:
+                if b[j] >= level:
+                    table[b] -= table[b[:j] + (b[j] - 1,) + b[j + 1 :]]
+    coords = {}
+    for idx in points:
+        coef = table[idx]
+        if coef.denominator != 1:
+            raise NotIntegerValued(
+                f"binomial coordinate at index {idx} is {coef}, not an integer; "
+                "the input polynomial is not integer-valued"
+            )
+        coords[idx] = int(coef)
+    return binpoly(nvars, coords)
 
 
 def add(f: BinPoly, g: BinPoly) -> BinPoly:
@@ -353,7 +390,7 @@ def delta_recursive(f: BinPoly, s: int, prev: Optional[BinPoly] = None) -> BinPo
 
 
 # ---------------------------------------------------------------------------
-# Monomial coordinates (exact rationals, transient)
+# Monomial coordinates (exact rationals)
 # ---------------------------------------------------------------------------
 
 
@@ -448,61 +485,15 @@ def to_monomial(f: BinPoly) -> MonoPoly:
     return monopoly(f.nvars, acc)
 
 
-@lru_cache(maxsize=None)
-def _stirling2(m: int, k: int) -> int:
-    if m == 0 and k == 0:
-        return 1
-    if m == 0 or k == 0 or k > m:
-        return 0
-    return k * _stirling2(m - 1, k) + _stirling2(m - 1, k - 1)
-
-
-def _binomial_coords(
-    nvars: int, coeffs: Mapping[MultiIndex, Fraction]
-) -> Dict[MultiIndex, Fraction]:
-    """Monomial -> binomial change of coordinates, kept rational.
-
-    Per variable, z^m = sum_k S(m, k) k! C(z, k), the triangular relation
-    obtained by matching values at z = 0, 1, ..., m.
-    """
-    acc: Dict[MultiIndex, Fraction] = {}
-    for idx, coef in coeffs.items():
-        partial: Dict[MultiIndex, Fraction] = {(0,) * nvars: Fraction(coef)}
-        for j, mj in enumerate(idx):
-            if mj == 0:
-                continue
-            expansion = {}
-            for k in range(1, mj + 1):
-                s2 = _stirling2(mj, k)
-                if s2:
-                    key = tuple(k if t == j else 0 for t in range(nvars))
-                    expansion[key] = Fraction(s2 * math.factorial(k))
-            partial = _mono_mul_maps(partial, expansion)
-        for key, val in partial.items():
-            acc[key] = acc.get(key, Fraction(0)) + val
-    return {k: v for k, v in acc.items() if v}
-
-
-def _binpoly_from_rational_coords(nvars: int, coords: Mapping[MultiIndex, Fraction]) -> BinPoly:
-    out = {}
-    for idx, coef in coords.items():
-        if coef.denominator != 1:
-            raise NotIntegerValued(
-                f"binomial coordinate at index {idx} is {coef}, not an integer; "
-                "the input polynomial is not integer-valued"
-            )
-        out[idx] = int(coef)
-    return binpoly(nvars, out)
-
-
 def from_monomial_coeffs(
     nvars: int, coeffs: Mapping[MultiIndex, Fraction | int | str]
 ) -> BinPoly:
     """Convert monomial coordinates (exact rationals) to the binomial basis.
 
-    Raises :class:`NotIntegerValued` if any resulting coordinate is not an
-    integer, i.e. the polynomial takes a non-integer value somewhere on the
-    integer lattice.
+    The exact values on the degree simplex are interpolated
+    (:func:`interpolate`).  Raises :class:`NotIntegerValued`, naming the
+    least index, if any resulting coordinate is not an integer, i.e. the
+    polynomial takes a non-integer value somewhere on the integer lattice.
     """
     if nvars < 1:
         raise ArityMismatch(f"nvars must be positive, got {nvars}")
@@ -518,8 +509,7 @@ def from_monomial_coeffs(
 
 def from_monopoly(mono: MonoPoly) -> BinPoly:
     """Like :func:`from_monomial_coeffs`, for an existing :class:`MonoPoly`."""
-    coords = _binomial_coords(mono.nvars, mono.term_map())
-    return _binpoly_from_rational_coords(mono.nvars, coords)
+    return interpolate(mono.nvars, mono.degree, mono.evaluate)
 
 
 def homogeneous_parts(f: BinPoly) -> Tuple[MonoPoly, ...]:
@@ -537,31 +527,13 @@ def homogeneous_parts(f: BinPoly) -> Tuple[MonoPoly, ...]:
     return tuple(monopoly(f.nvars, b) for b in buckets)
 
 
-def _rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def pullback(f: BinPoly, basis: Sequence[Sequence[int]]) -> BinPoly:
     """Restrict f along an integer matrix: g(w) = f(basis @ w).
 
-    ``basis`` has f.nvars rows and s columns; the columns must be linearly
-    independent over the rationals.  The result is integer-valued with
-    degree at most deg(f) and the same value at the origin.
+    ``basis`` has f.nvars rows and s columns, dependent or not.  g has
+    degree at most d = deg(f), so it is interpolated from its values on the
+    simplex {w >= 0, |w| <= d} of Z^s; it is integer-valued with the same
+    value at the origin.
     """
     rows = [list(map(int, row)) for row in basis]
     if len(rows) != f.nvars:
@@ -569,32 +541,11 @@ def pullback(f: BinPoly, basis: Sequence[Sequence[int]]) -> BinPoly:
     s = len(rows[0]) if rows else 0
     if s < 1 or any(len(r) != s for r in rows):
         raise ArityMismatch("basis columns must be non-empty and equal length")
-    if _rational_rank(rows) < s:
-        raise RankDeficientBasis("basis columns are linearly dependent over Q")
 
-    mono = to_monomial(f)
-    # z_j substituted by the linear form sum_k basis[j][k] * w_k
-    linear_forms = []
-    for j in range(f.nvars):
-        form = {}
-        for k in range(s):
-            if rows[j][k]:
-                key = tuple(1 if t == k else 0 for t in range(s))
-                form[key] = Fraction(rows[j][k])
-        linear_forms.append(form)
+    def value(w: MultiIndex) -> int:
+        return evaluate(f, [sum(b * x for b, x in zip(row, w)) for row in rows])
 
-    acc: Dict[MultiIndex, Fraction] = {}
-    for idx, coef in mono.terms:
-        partial: Dict[MultiIndex, Fraction] = {(0,) * s: coef}
-        for j, mj in enumerate(idx):
-            for _ in range(mj):
-                partial = _mono_mul_maps(partial, linear_forms[j])
-            if not partial:
-                break
-        for key, val in partial.items():
-            acc[key] = acc.get(key, Fraction(0)) + val
-    coords = _binomial_coords(s, {k: v for k, v in acc.items() if v})
-    return _binpoly_from_rational_coords(s, coords)
+    return interpolate(s, f.degree, value)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ values are positive integers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
@@ -114,10 +115,15 @@ def syndetic_gap(s: Iterable[int], lo: int, hi: int) -> Optional[int]:
     return max(gaps)
 
 
-def coloring_from_json(obj: Mapping) -> Dict[int, object]:
-    """{"W": int, "colors": [c_1, ..., c_W]} -> mapping 1..W -> color."""
+def coloring_from_json(obj: Mapping) -> Dict[int, str]:
+    """{"W": int, "colors": [c_1, ..., c_W]} -> mapping 1..W -> color.
+
+    Each color is keyed by its JSON text, so two colors match only when
+    their texts are equal: true, 1 and 1.0 are three colors, although
+    Python compares them equal.
+    """
     w = int(obj["W"])
     colors = list(obj["colors"])
     if len(colors) != w:
         raise ArityMismatch(f"expected {w} colors, got {len(colors)}")
-    return {i + 1: c for i, c in enumerate(colors)}
+    return {i + 1: json.dumps(c) for i, c in enumerate(colors)}

@@ -132,8 +132,10 @@ def first_escape_point(
 ) -> Optional[Tuple[int, ...]]:
     """Decide u(L) in V; else the point B*a for the least failing lattice coordinates a.
 
-    B is the Hermite basis of L; the tuple is restricted to L by pulling it
-    back along B.  A rank-0 lattice is just the origin.
+    B is the Hermite basis of L.  Each u_i is restricted to L by
+    :func:`intpoly.pullback`, which interpolates w -> u_i(B*w) from its
+    values on the simplex {w >= 0, |w| <= deg u_i}.  A rank-0 lattice is
+    just the origin.
     """
     if lat.rank == 0:
         origin = (0,) * lat.ambient

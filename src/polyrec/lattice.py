@@ -107,10 +107,6 @@ def scaled(ambient: int, factor: int) -> Lattice:
     return Lattice(ambient, cols)
 
 
-def rank(lat: Lattice) -> int:
-    return lat.rank
-
-
 def index(lat: Lattice) -> Optional[int]:
     """Group index in Z^ambient: the pivot product, or None when infinite."""
     if lat.rank < lat.ambient:

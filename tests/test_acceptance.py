@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import random_binpoly, random_fullrank_lattice, random_homogeneous
+from conftest import child_env, random_binpoly, random_fullrank_lattice, random_homogeneous
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import ipstruct as ips
@@ -376,6 +376,7 @@ def test_criterion_11_cli_determinism(tmp_path):
                 capture_output=True,
                 text=True,
                 timeout=120,
+                env=child_env(),
             )
             assert proc.returncode == 0, proc.stderr
             doc = json.loads(out.read_text())

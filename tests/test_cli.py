@@ -1,6 +1,8 @@
 """Integration tests for the scenario runner and certificate verifier."""
 
 import contextlib
+import copy
+import functools
 import io
 import itertools
 import json
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from polyrec import cli
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
@@ -32,6 +35,7 @@ def run_cli(*args, cwd=None):
         text=True,
         timeout=120,
         cwd=cwd,
+        env=child_env(),
     )
 
 
@@ -823,3 +827,254 @@ class TestSeededRandomScenario:
             rep = json.loads(out.read_text())["reports"][0]
             assert rep["details"]["random"]["seed"] == int(seed)
             assert rep["details"]["random"]["failures"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The schema checker against jsonschema
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def bundled_documents():
+    """The bundled scenarios, and the certificates a run of them emits."""
+    scenarios = [json.loads(entry.read_text()) for entry in cli._bundled_entries()]
+    reports = [cli.run_scenario(doc["id"], doc, 10**6, 0) for doc in scenarios]
+    certificates = [{"schema_version": 1, **r["certificate"]} for r in reports if r["certificate"]]
+    return scenarios, certificates
+
+
+def positions(doc, path=()):
+    """Every (path, value) pair in doc, the root first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from positions(value, path + (key,))
+
+
+DROP = object()
+
+
+def put(doc, path, value):
+    """A copy of doc with value at path, or without that entry for DROP."""
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+KINDS = sorted(cli.PAYLOAD_SCHEMAS) + sorted(cli.CERTIFICATE_FIELDS) + ["nope"]
+KEY_NAMES = ["extra", "basis", "dim", "ops", "poly", "random", "coeff_bound", "k", "W", "window"]
+ODD_VALUES = st.one_of(
+    st.sampled_from(
+        [True, False, None, 0, 1, -1, 2.0, -1.0, 0.5, 1e300, float("nan"), "", "1", "-12",
+         "12\n", "1/2", "1/0", "binomial", [], [1], [[0]], ["0"], {}, {"extra": 1}]
+    ),
+    st.sampled_from(KINDS),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after one to three edits: a value replaced by one of another type,
+    a key dropped or added, an int made a float, a string given a trailing
+    newline, a container or string emptied, or the kind field changed."""
+    for _ in range(draw(st.integers(1, 3))):
+        path, value = draw(st.sampled_from(list(positions(doc))))
+        op = draw(st.sampled_from(["replace", "drop", "add", "float", "newline", "empty", "kind"]))
+        if op == "drop" and path:
+            doc = put(doc, path, DROP)
+        elif op == "add" and isinstance(value, dict):
+            doc = put(doc, path, {**value, draw(st.sampled_from(KEY_NAMES)): draw(ODD_VALUES)})
+        elif op == "add" and isinstance(value, list):
+            doc = put(doc, path, value + [draw(st.sampled_from(value) if value else ODD_VALUES)])
+        elif op == "float" and type(value) is int:
+            doc = put(doc, path, float(value) + draw(st.sampled_from([0, 0.5])))
+        elif op == "newline" and isinstance(value, str):
+            doc = put(doc, path, value + "\n")
+        elif op == "empty" and isinstance(value, (str, list, dict)):
+            doc = put(doc, path, type(value)())
+        elif op == "kind" and isinstance(doc, dict):
+            field = "certificate_kind" if "certificate_kind" in doc else "kind"
+            doc = put(doc, (field,), draw(st.sampled_from(KINDS)))
+        else:
+            doc = put(doc, path, draw(ODD_VALUES))
+    return doc
+
+
+def agrees(kind, doc):
+    """The checker's verdict on doc, asserted equal to jsonschema's."""
+    accepted = cli._accepts(cli.SCHEMAS[kind], doc)
+    assert accepted == cli._validator(kind).is_valid(doc), (kind, doc)
+    return accepted
+
+
+def schema_keywords(schema):
+    """(keyword, argument) of schema and of every schema nested in it."""
+    if isinstance(schema, bool):
+        return
+    for key, arg in schema.items():
+        yield key, arg
+        if key == "properties":
+            nested = list(arg.values())
+        elif key == "allOf":
+            nested = arg
+        elif key in ("additionalProperties", "items", "not", "if", "then"):
+            nested = [arg]
+        else:
+            nested = []
+        for sub in nested:
+            yield from schema_keywords(sub)
+
+
+class TestSchemaChecker:
+    ORACLE = settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+    @ORACLE
+    @given(data=st.data())
+    def test_scenarios_agree_with_jsonschema(self, data):
+        scenarios, _ = bundled_documents()
+        doc = data.draw(mutated(data.draw(st.sampled_from(scenarios))))
+        if agrees(None, doc):
+            agrees(doc["kind"], doc["payload"])
+
+    @ORACLE
+    @given(data=st.data(), kind=st.sampled_from(sorted(cli.PAYLOAD_SCHEMAS)))
+    def test_payloads_agree_with_jsonschema(self, data, kind):
+        scenarios, _ = bundled_documents()
+        payloads = [doc["payload"] for doc in scenarios if doc["kind"] == kind]
+        agrees(kind, data.draw(mutated(data.draw(st.sampled_from(payloads)))))
+
+    @ORACLE
+    @given(data=st.data())
+    def test_certificates_agree_with_jsonschema(self, data):
+        _, certificates = bundled_documents()
+        agrees("certificate", data.draw(mutated(data.draw(st.sampled_from(certificates)))))
+
+    def test_seed_documents_cover_every_kind(self):
+        scenarios, certificates = bundled_documents()
+        assert {doc["kind"] for doc in scenarios} == set(cli.PAYLOAD_SCHEMAS)
+        assert {doc["certificate_kind"] for doc in certificates} == set(cli.CERTIFICATE_FIELDS)
+
+    EDGES = [
+        # Python's True == 1 and isinstance(True, int) must not leak through
+        (None, {"schema_version": True}, False),
+        (None, {"schema_version": 1.0}, True),
+        ("hindman-search", {"k": True}, False),
+        ("hindman-search", {"k": 2.0}, True),
+        ("hindman-search", {"k": 2.5}, False),
+        ("hindman-search", {"k": float("nan")}, False),
+        ("hindman-search", {"k": 10**40}, True),
+        ("hindman-search", {"k": 0.0}, False),
+        ("hindman-search", {"coloring": {"W": 1, "colors": [True]}}, True),
+        ("hindman-search", {"coloring": {"W": 1, "colors": [[1]]}}, False),
+        ("delta-check", {"c_table_max": 12.0}, True),
+        ("delta-check", {"c_table_max": 13}, False),
+        # pattern searches, so a trailing newline still matches ^...$
+        ("delta-check", {"poly": {"nvars": 1, "terms": [{"idx": [1], "coef": "12\n"}]}}, True),
+        ("delta-check", {"poly": {"nvars": 1, "terms": [{"idx": [1], "coef": "1 2"}]}}, False),
+        ("key-lemma", {"V": {"ambient": 1, "basis": [[False]]}}, False),
+        ("certificate", {"certificate_kind": "stable-rank"}, False),
+        ("certificate", {"certificate_kind": 1}, False),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(EDGES)))
+    def test_edge_cases(self, index):
+        kind, change, valid = self.EDGES[index]
+        scenarios, certificates = bundled_documents()
+        if kind is None:
+            doc = {**scenarios[0], **change}
+        elif kind == "certificate":
+            doc = {**certificates[0], **change}
+        else:
+            doc = {**next(d["payload"] for d in scenarios if d["kind"] == kind), **change}
+        assert agrees(kind, doc) is valid
+
+    def test_every_keyword_is_interpreted(self):
+        used = [pair for schema in cli.SCHEMAS.values() for pair in schema_keywords(schema)]
+        assert {key for key, _ in used} == set(cli.KEYWORDS)
+        types = set()
+        for key, arg in used:
+            if key == "type":
+                types.update([arg] if isinstance(arg, str) else arg)
+        assert types == set(cli._TYPES)
+        with pytest.raises(ValueError, match="'anyOf' is not interpreted"):
+            cli._accepts({"type": "object", "anyOf": []}, {})
+
+    def test_valid_documents_never_import_jsonschema(self, tmp_path):
+        child = "\n".join(
+            [
+                "import sys",
+                "from pathlib import Path",
+                "from polyrec import cli",
+                "out = Path(sys.argv[1])",
+                "codes = [cli.main(['run', '--bundled', '--emit-certificates', str(out)])]",
+                "codes += [cli.main(['verify-certificate', str(p)]) for p in out.glob('*.json')]",
+                "print(codes, 'jsonschema' in sys.modules)",
+                "(out / 'bad.json').write_text('[]')",
+                "codes = [cli.main(['verify-certificate', str(out / 'bad.json')])]",
+                "print(codes, 'jsonschema' in sys.modules)",
+            ]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "certs")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] False", "[2] True"]
+
+
+class TestIntegralFloats:
+    """A schema-valid 2.0 where an integer is expected reads as 2."""
+
+    @staticmethod
+    def run_doc(tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _out, err = run_in_process("run", str(path), "--json", str(tmp_path / "r.json"))
+        report = canonical(json.loads((tmp_path / "r.json").read_text())) if code != 2 else err
+        return code, report
+
+    def test_scenarios(self, tmp_path):
+        scenarios, _ = bundled_documents()
+        leaves = 0
+        for doc in scenarios:
+            expected = self.run_doc(tmp_path, doc)
+            for path, value in positions(doc):
+                if type(value) is int:
+                    code, report = self.run_doc(tmp_path, put(doc, path, float(value)))
+                    assert code == expected[0], path
+                    # a color is any JSON scalar, and 1.0 is another color than 1
+                    if "colors" not in path:
+                        assert report == expected[1], (doc["id"], path)
+                    leaves += 1
+        assert leaves
+
+    def test_certificates(self, tmp_path):
+        _, certificates = bundled_documents()
+        path = tmp_path / "cert.json"
+        leaves = 0
+        for doc in certificates:
+            for where, value in positions(doc):
+                if type(value) is int:
+                    path.write_text(json.dumps(put(doc, where, float(value))))
+                    code, out, _err = run_in_process("verify-certificate", str(path))
+                    assert (code, out) == (0, f"certificate verified: {doc['certificate_kind']}\n")
+                    leaves += 1
+        assert leaves

@@ -386,3 +386,93 @@ class TestCallSitesAgreeWithSweeps:
             dy.verify_khintchine(product_system([2]), dy.recurrence_query(["0"], [f], 0))
         assert err.value.witness == (0,)
         assert str(err.value) == "periodicity failed at (0,) in coordinate 0"
+
+
+# ---------------------------------------------------------------------------
+# Restriction shortcuts against the pullback routes they replaced
+# ---------------------------------------------------------------------------
+
+
+def pullback_escape_point(us, V, witness):
+    """first_escape_point with every u_i pulled back along the Hermite basis,
+    the identity basis of Z^n included, and the origin read on rank 0."""
+    if witness.rank == 0:
+        origin = (0,) * witness.ambient
+        return None if V.contains([u.evaluate(origin) for u in us]) else origin
+    rows = [[col[i] for col in witness.basis] for i in range(witness.ambient)]
+    a = ke.first_escape([ip.pullback(u, rows) for u in us], V)
+    return None if a is None else lattice_point(witness.basis, a, witness.ambient)
+
+
+def combine_then_pullback(u, fs, cert):
+    """The limit-certificate decision with the D phase combinations formed
+    first and each of them pulled back."""
+    q = sp.phase_lcm(u)
+    combos = []
+    for row in u.phases:
+        acc = {}
+        for f, p in zip(fs, row):
+            for idx, coef in f.terms:
+                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
+        combos.append(ip.binpoly(fs[0].nvars, acc))
+    return pullback_escape_point(combos, lat.scaled(u.dim, q), cert)
+
+
+class TestRestrictionRoutes:
+    def test_whole_lattice_decides_on_the_polynomials(self, monkeypatch):
+        rng = random.Random(191)
+        cases = []
+        for _ in range(INSTANCES // 2):
+            n = rng.randint(1, 3)
+            us = random_tuple(rng, n, rng.randint(1, 3))
+            V = random_subgroup(rng, len(us))
+            cases.append((us, V, pullback_escape_point(us, V, lat.full_lattice(n))))
+        assert INSTANCES // 10 < sum(e is not None for *_, e in cases) < INSTANCES * 2 // 5
+
+        def no_pullback(*args):
+            raise AssertionError("pullback called on Z^n")
+
+        monkeypatch.setattr(ip, "pullback", no_pullback)
+        for us, V, expected in cases:
+            assert ke.first_escape_point(us, V, lat.full_lattice(us[0].nvars)) == expected
+
+    def test_identity_hypothesis_pulls_back_only_the_post_check(self, monkeypatch):
+        # v = (C(z, 2), z) into 2Z x Z: the hypothesis and the all-of-Z
+        # check read v itself; only the post-check on 2Z pulls back
+        v = ip.polytuple([ip.binpoly(1, {(2,): 1}), ip.binpoly(1, {(1,): 1})])
+        V = lat.hnf_from_generators(2, [[2, 0], [0, 1]])
+        calls = []
+        pullback = ip.pullback
+        monkeypatch.setattr(ip, "pullback", lambda f, rows: calls.append(rows) or pullback(f, rows))
+        assert ke.key_lemma_lattice(ke.key_instance(v, V), lat.full_lattice(1)) == lat.scaled(1, 4)
+        assert calls == [[[4]], [[4]]]
+
+    def test_limit_certificate_restricts_each_polynomial_once(self, monkeypatch):
+        calls = []
+        pullback = ip.pullback
+        monkeypatch.setattr(ip, "pullback", lambda f, rows: calls.append(f) or pullback(f, rows))
+        rng = random.Random(193)
+        failures = 0
+        for _ in range(INSTANCES // 2):
+            n = rng.randint(1, 2)
+            ops = rng.randint(1, 3)
+            dim = rng.randint(1, 3)
+            dens = rng.choice([(1,), (1, 2), (2, 3), (1, 2, 3)])
+            u = sp.phase_unitary(
+                [[Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=ops)] for _ in range(dim)]
+            )
+            fs = random_tuple(rng, n, ops)
+            if rng.random() < 0.8:
+                fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
+            cert = random_lattice(rng, n, sp.phase_lcm(u) * rng.choice([1, 2]))
+            expected = combine_then_pullback(u, fs, cert)
+            calls.clear()
+            got = outcome(sp.verify_limit_certificate, u, fs, cert)
+            assert calls == ([] if cert == lat.full_lattice(n) else fs)
+            if expected is None:
+                assert got == ("returned", None)
+            else:
+                message = f"certificate lattice leaves a nonzero phase at {expected}"
+                assert got == ("VerificationFailed", expected, message)
+                failures += 1
+        assert INSTANCES // 10 < failures < INSTANCES * 2 // 5

@@ -61,3 +61,27 @@ def test_tracer_names_exist():
         if not hasattr(cli if mod == "cli" else getattr(cli, mod), name)
     ]
     assert not missing, f"bench/tracer.py wraps names that do not exist: {missing}"
+
+
+def _module_level(node):
+    """The nodes under node that run at import, not inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_jsonschema_is_imported_only_inside_functions():
+    # the schema checker in cli.py accepts valid documents on its own;
+    # jsonschema is imported only to word the error of a rejected one
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "jsonschema"]
+    assert not found, f"module-level jsonschema imports: {found}"

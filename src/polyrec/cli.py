@@ -634,9 +634,11 @@ def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
     for source, path in files:
         try:
             doc = json.loads(path.read_text())
+            error = _schema_error(None, doc) or _schema_error(doc["kind"], doc["payload"])
         except json.JSONDecodeError as exc:
             raise InputError(f"{source}: invalid JSON ({exc})") from None
-        error = _schema_error(None, doc) or _schema_error(doc["kind"], doc["payload"])
+        except RecursionError as exc:  # reading or checking a deeply nested document
+            raise InputError(f"{source}: {exc}") from None
         if error is not None:
             raise InputError(f"{source}: {error}")
         if doc["id"] in seen:
@@ -736,10 +738,10 @@ def cmd_verify_certificate(args) -> int:
     path = Path(args.certificate)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        error = _schema_error("certificate", doc)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
-    error = _schema_error("certificate", doc)
     if error is not None:
         print(f"error: {path}: {error}", file=sys.stderr)
         return 2

@@ -9,11 +9,12 @@ f_i vanishing at the origin, the return measure
 depends only on the residues f_i(z) mod order_i, the orders of the maps.
 Those residues are periodic in each coordinate j of z, with a least period
 N_j that divides q * lcm(1..d) (q the lcm of the orders, d the max degree)
-and is decided from binomial coordinates.  The sets where the return
-measure clears the threshold mu(A)^2 - eps are therefore computed *exactly*
-as unions of residue classes, in one pass over the minimal period grid that
-sums the exponents up from forward differences along the last axis and
-looks each return measure up by its exponent residues (e_i mod order_i).
+and is decided from binomial coordinates (:func:`keyengine.least_periods`).
+The sets where the return measure clears the threshold mu(A)^2 - eps are
+therefore computed *exactly* as unions of residue classes, in one pass over
+the minimal period grid that sums the exponents up from forward
+differences along the last axis and looks each return measure up by its
+exponent residues (e_i mod order_i).
 All measures are rationals; there is no floating point anywhere in this
 module.
 """
@@ -36,12 +37,10 @@ from .errors import (
     NotMeasurePreserving,
     SweepCapExceeded,
     UnknownPoint,
-    VerificationFailed,
     WeightsNotNormalized,
 )
 from .intpoly import BinPoly
 from .keyengine import SWEEP_CAP
-from .numutil import lcm_upto, prime_factors
 
 
 @dataclass(frozen=True)
@@ -163,14 +162,6 @@ def system_from_json(obj: Mapping) -> FiniteSystem:
     return build_system(obj["points"], obj["weights"], obj["maps"])
 
 
-def system_to_json(sys: FiniteSystem) -> dict:
-    return {
-        "points": list(sys.points),
-        "weights": {p: str(w) for p, w in zip(sys.points, sys.weights)},
-        "maps": [[sys.points[perm[i]] for i in range(sys.size)] for perm in sys.maps],
-    }
-
-
 @dataclass(frozen=True)
 class RecurrenceQuery:
     """A target set, exponent polynomials with f_i(0) = 0, and a slack eps."""
@@ -223,15 +214,8 @@ def map_orders(sys: FiniteSystem) -> Tuple[int, ...]:
 def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     """Minimal per-coordinate periods (N_1, ..., N_n) of z -> (f_i(z) mod order_i)_i.
 
-    P = q * lcm(1..d), q the lcm of the map orders and d the max degree, is a
-    period of every coordinate by binomial divisibility.  It is re-checked
-    before anything else: for each coordinate j, the differences
-    f_i(z + P e_j) - f_i(z) (:func:`intpoly.shift`) must land in the
-    diagonal lattice of the orders, which :func:`keyengine.first_escape`
-    decides from their binomial coordinates.  A failure names the least pair
-    (z, j) that breaks it.  The periods of coordinate j form a subgroup
-    N_j * Z that contains P, so N_j is found by dividing P by one prime at a
-    time while the quotient still passes the same check.
+    These are the least periods of the tuple (f_i) modulo the diagonal
+    lattice of the map orders (:func:`keyengine.least_periods`).
     """
     fs = tuple(fs)
     if not fs:
@@ -239,36 +223,12 @@ def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     orders = map_orders(sys)
     if len(fs) != len(orders):
         raise ArityMismatch(f"{len(fs)} polynomials for {len(orders)} maps")
-    n = fs[0].nvars
     for f in fs:
         if f.constant_term() != 0:
             raise NonzeroConstantTerm(
                 f"exponent polynomial has value {f.constant_term()} at the origin"
             )
-    period = math.lcm(*orders) * lcm_upto(max(f.degree for f in fs))
-    target = lattice.hnf_from_generators(
-        len(fs), [[o if i == k else 0 for i in range(len(fs))] for k, o in enumerate(orders)]
-    )
-
-    def escape(j: int, step: int) -> Optional[Tuple[int, ...]]:
-        steps = [intpoly.subtract(intpoly.shift(f, j, step), f) for f in fs]
-        return keyengine.first_escape(steps, target)
-
-    failures = [(z, j) for j in range(n) if (z := escape(j, period)) is not None]
-    if failures:
-        z, j = min(failures)
-        raise VerificationFailed(
-            witness=z,
-            message=f"periodicity failed at {z} in coordinate {j}",
-        )
-    minimal = []
-    for j in range(n):
-        step = period
-        for p in sorted(set(prime_factors(period))):
-            while step % p == 0 and escape(j, step // p) is None:
-                step //= p
-        minimal.append(step)
-    return tuple(minimal)
+    return keyengine.least_periods(fs, lattice.diagonal(orders))
 
 
 @dataclass(frozen=True)

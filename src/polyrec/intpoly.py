@@ -9,8 +9,7 @@ operations are coefficientwise.  Conversion from monomial coordinates and
 restriction along an integer matrix go through values: :func:`interpolate`
 reads the coordinates off as forward differences at the origin (Polya
 1915).  Ordinary monomial coordinates with exact rational coefficients
-(:class:`MonoPoly`) appear only as an input form and in the homogeneous
-decomposition, which the key-lemma construction needs.
+appear only as an input form (:func:`from_monomial_coeffs`).
 
 The central operator is :func:`delta`: the inclusion-exclusion difference
 
@@ -42,7 +41,7 @@ from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, CapExceeded, NotIntegerValued
-from .numutil import binom_int, compositions
+from .numutil import compositions
 
 MultiIndex = Tuple[int, ...]
 
@@ -272,20 +271,24 @@ def substitute_block_sums(
     return binpoly(max(new_nvars, 1), acc)
 
 
-def shift(f: BinPoly, j: int, step: int) -> BinPoly:
-    """The translate z -> f(z + step * e_j), on the binomial basis.
+def shift_difference(f: BinPoly, j: int, step: int) -> BinPoly:
+    """The difference z -> f(z + step * e_j) - f(z), on the binomial basis.
 
-    One Vandermonde step, C(x + N, k) = sum_i C(N, k - i) C(x, i), moves the
-    shift into the coefficients.
+    By Vandermonde, C(x + N, k) = sum_i C(N, i) C(x, k - i), so the
+    coordinate at index b is sum over i >= 1 of C(step, i) times the
+    coordinate of f at b + i * e_j.
     """
     if not 0 <= j < f.nvars:
         raise ArityMismatch(f"variable {j} outside 0..{f.nvars - 1}")
+    column = [1]  # C(step, 0..), as in evaluate
+    for i in range(max((idx[j] for idx, _ in f.terms), default=0)):
+        column.append(column[i] * (step - i) // (i + 1))
     acc: Dict[MultiIndex, int] = {}
     for idx, coef in f.terms:
-        for i in range(idx[j] + 1):
-            key = idx[:j] + (i,) + idx[j + 1 :]
-            acc[key] = acc.get(key, 0) + coef * binom_int(step, idx[j] - i)
-    return binpoly(f.nvars, acc)
+        for i in range(1, idx[j] + 1):
+            key = idx[:j] + (idx[j] - i,) + idx[j + 1 :]
+            acc[key] = acc.get(key, 0) + coef * column[i]
+    return BinPoly(f.nvars, tuple(sorted((idx, c) for idx, c in acc.items() if c)))
 
 
 @lru_cache(maxsize=None)
@@ -390,99 +393,8 @@ def delta_recursive(f: BinPoly, s: int, prev: Optional[BinPoly] = None) -> BinPo
 
 
 # ---------------------------------------------------------------------------
-# Monomial coordinates (exact rationals)
+# Coordinates through values: monomial input and restriction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonoPoly:
-    """Polynomial in ordinary monomial coordinates with Fraction coefficients."""
-
-    nvars: int
-    terms: Tuple[Tuple[MultiIndex, Fraction], ...]
-
-    def term_map(self) -> Dict[MultiIndex, Fraction]:
-        return dict(self.terms)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(idx) for idx, _ in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, z: Sequence[int]) -> Fraction:
-        if len(z) != self.nvars:
-            raise ArityMismatch(f"point has length {len(z)}, expected {self.nvars}")
-        total = Fraction(0)
-        for idx, coef in self.terms:
-            prod = coef
-            for zj, ij in zip(z, idx):
-                if ij:
-                    prod *= Fraction(zj) ** ij
-            total += prod
-        return total
-
-
-def monopoly(nvars: int, coeffs: Mapping[MultiIndex, Fraction | int]) -> MonoPoly:
-    if nvars < 1:
-        raise ArityMismatch(f"nvars must be positive, got {nvars}")
-    cleaned: Dict[MultiIndex, Fraction] = {}
-    for idx, coef in coeffs.items():
-        idx = tuple(int(e) for e in idx)
-        if len(idx) != nvars:
-            raise ArityMismatch(f"index {idx} has length {len(idx)}, expected {nvars}")
-        if any(e < 0 for e in idx):
-            raise ArityMismatch(f"index {idx} has a negative entry")
-        coef = Fraction(coef)
-        if coef:
-            cleaned[idx] = cleaned.get(idx, Fraction(0)) + coef
-    items = tuple(sorted((idx, c) for idx, c in cleaned.items() if c))
-    return MonoPoly(nvars, items)
-
-
-def _mono_mul_maps(
-    a: Mapping[MultiIndex, Fraction], b: Mapping[MultiIndex, Fraction]
-) -> Dict[MultiIndex, Fraction]:
-    out: Dict[MultiIndex, Fraction] = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            key = tuple(x + y for x, y in zip(ia, ib))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _binomial_basis_monomial(i: int) -> Tuple[Fraction, ...]:
-    """Coefficients (by power) of C(z, i) = z(z-1)...(z-i+1) / i!."""
-    coeffs = [1]  # falling factorial, lowest power first
-    for t in range(i):
-        nxt = [0] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            nxt[p + 1] += c
-            nxt[p] += -t * c
-        coeffs = nxt
-    fact = math.factorial(i)
-    return tuple(Fraction(c, fact) for c in coeffs)
-
-
-def to_monomial(f: BinPoly) -> MonoPoly:
-    """Expand the binomial-basis representation into monomial coordinates."""
-    acc: Dict[MultiIndex, Fraction] = {}
-    for idx, coef in f.terms:
-        partial: Dict[MultiIndex, Fraction] = {(0,) * f.nvars: Fraction(coef)}
-        for j, ij in enumerate(idx):
-            if ij == 0:
-                continue
-            expansion = {
-                tuple(p if t == j else 0 for t in range(f.nvars)): c
-                for p, c in enumerate(_binomial_basis_monomial(ij))
-                if c
-            }
-            partial = _mono_mul_maps(partial, expansion)
-        for key, val in partial.items():
-            acc[key] = acc.get(key, Fraction(0)) + val
-    return monopoly(f.nvars, acc)
 
 
 def from_monomial_coeffs(
@@ -499,32 +411,25 @@ def from_monomial_coeffs(
         raise ArityMismatch(f"nvars must be positive, got {nvars}")
     if nvars > MAX_NVARS:
         raise CapExceeded(f"nvars {nvars} exceeds the configured bound {MAX_NVARS}")
-    mono = monopoly(nvars, {tuple(idx): Fraction(c) for idx, c in coeffs.items()})
-    if mono.degree > MAX_DEGREE:
-        raise CapExceeded(
-            f"degree {mono.degree} exceeds the configured bound {MAX_DEGREE}"
+    mono: Dict[MultiIndex, Fraction] = {}
+    for idx, coef in coeffs.items():
+        idx = tuple(int(e) for e in idx)
+        if len(idx) != nvars:
+            raise ArityMismatch(f"index {idx} has length {len(idx)}, expected {nvars}")
+        if any(e < 0 for e in idx):
+            raise ArityMismatch(f"index {idx} has a negative entry")
+        mono[idx] = mono.get(idx, Fraction(0)) + Fraction(coef)
+    degree = max((sum(idx) for idx, coef in mono.items() if coef), default=0)
+    if degree > MAX_DEGREE:
+        raise CapExceeded(f"degree {degree} exceeds the configured bound {MAX_DEGREE}")
+
+    def value(z: MultiIndex) -> Fraction:
+        return sum(
+            (coef * math.prod(x**e for x, e in zip(z, idx)) for idx, coef in mono.items()),
+            Fraction(0),
         )
-    return from_monopoly(mono)
 
-
-def from_monopoly(mono: MonoPoly) -> BinPoly:
-    """Like :func:`from_monomial_coeffs`, for an existing :class:`MonoPoly`."""
-    return interpolate(mono.nvars, mono.degree, mono.evaluate)
-
-
-def homogeneous_parts(f: BinPoly) -> Tuple[MonoPoly, ...]:
-    """Split f into monomial-homogeneous parts h_0, ..., h_d with sum f.
-
-    The parts are returned in monomial coordinates with exact rational
-    coefficients: individual parts of an integer-valued polynomial need not
-    be integer-valued themselves, only suitable integer multiples are.
-    """
-    mono = to_monomial(f)
-    d = mono.degree
-    buckets: list[Dict[MultiIndex, Fraction]] = [dict() for _ in range(d + 1)]
-    for idx, coef in mono.terms:
-        buckets[sum(idx)][idx] = coef
-    return tuple(monopoly(f.nvars, b) for b in buckets)
+    return interpolate(nvars, degree, value)
 
 
 def pullback(f: BinPoly, basis: Sequence[Sequence[int]]) -> BinPoly:

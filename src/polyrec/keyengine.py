@@ -10,7 +10,12 @@ sampling (Polya 1915): restricted to L and written on the binomial basis,
 u(k) = sum_a c_a C(k, a), every coordinate vector c_a is a forward
 difference of u at the origin, hence an integer combination of values of
 u.  So u(Z^r) lies in V exactly when every c_a does (:func:`first_escape`).
-Every constructor below re-verifies its output this way before returning.
+
+Every witness lattice is built by one routine, :func:`least_periods`: the
+least per-coordinate periods of u modulo V, found from the same
+coordinates.  The key-lemma witness, the period grid of
+:mod:`polyrec.dynamics` and the spectral-limit certificate all come from
+it.  Every constructor re-verifies its output before returning.
 """
 
 from __future__ import annotations
@@ -24,15 +29,14 @@ from . import intpoly, lattice
 from .errors import (
     ArityMismatch,
     HypothesisFailed,
-    NonzeroConstantTerm,
     RankDeficientBasis,
     SaturationFailed,
     SweepCapExceeded,
     VerificationFailed,
 )
-from .intpoly import BinPoly, MonoPoly, MultiIndex, PolyTuple
+from .intpoly import BinPoly, MultiIndex, PolyTuple
 from .lattice import Lattice
-from .numutil import lcm_upto
+from .numutil import lcm_upto, prime_factors
 
 # Point budget of the package's exhaustive sweeps (the r-epsilon period grid)
 # and of the stable-rank search window; larger instances are refused loudly
@@ -70,33 +74,6 @@ class RankCertificate:
     samples: Tuple[Tuple[int, ...], ...]
     V: Lattice
     saturation_window: int
-
-
-def vanishing_lattice(fs: Sequence[BinPoly], q: int) -> Lattice:
-    """A finite-index lattice on which every f_i is divisible by q.
-
-    Requires f_i(0) = 0.  Returns N * Z^n with N = q * lcm(1..d), d the max
-    degree: every binomial coefficient C(N k, j) with 1 <= j <= d is then
-    divisible by q, so each basis term of each f_i is.  Sound but not
-    claimed minimal.
-    """
-    fs = list(fs)
-    if not fs:
-        raise ArityMismatch("need at least one polynomial")
-    if q < 1:
-        raise ArityMismatch(f"modulus must be positive, got {q}")
-    n = fs[0].nvars
-    for f in fs:
-        if f.nvars != n:
-            raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
-        if f.constant_term() != 0:
-            raise NonzeroConstantTerm(
-                f"polynomial has value {f.constant_term()} at the origin, expected 0"
-            )
-    d = max(f.degree for f in fs)
-    if d == 0:  # with f_i(0) = 0 forced, degree 0 means every f_i is zero
-        return lattice.full_lattice(n)
-    return lattice.scaled(n, q * lcm_upto(d))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +158,60 @@ def verify_value_membership(
 
 
 # ---------------------------------------------------------------------------
-# The transfer construction
+# Least periods, and the transfer construction
 # ---------------------------------------------------------------------------
+
+
+def least_periods(us: Sequence[BinPoly], V: Lattice) -> Tuple[int, ...]:
+    """Least per-coordinate periods (N_1, ..., N_n) of z -> u(z) modulo V.
+
+    N_j is the least N >= 1 with u(z + N e_j) - u(z) in V for every z; the
+    binomial coordinates of that shift difference
+    (:func:`intpoly.shift_difference`) decide it (:func:`first_escape`).
+    Needs u(z) - u(0) in the rational span of V for every z, else raises
+    :class:`SaturationFailed` at the least index whose coordinate escapes.
+
+    P = lcm(1..d) * (lcm over a != 0 of the least m_a with m_a * c_a in V)
+    is a period: the shift by P e_j moves c_b by the sum over i >= 1 of
+    C(P, i) c_{b + i e_j}, and P / i divides C(P, i).  P is re-checked
+    first, and a failure names the least pair (z, j) that breaks it.  The
+    periods of coordinate j form the subgroup N_j * Z, which contains P, so
+    N_j is found by dividing P by one prime at a time while the quotient
+    still passes.
+    """
+    coords = _binomial_coordinates(us)
+    clearing = 1
+    for a in sorted(coords):
+        # m_a divides clearing exactly when clearing * c_a is in V already
+        if any(a) and not V.contains([clearing * c for c in coords[a]]):
+            multiple = lattice.smallest_multiple(V, coords[a])
+            if multiple is None:
+                raise SaturationFailed(
+                    witness=a,
+                    message=f"coordinate at {a} escapes the rational span of the target",
+                )
+            clearing = math.lcm(clearing, multiple)
+    period = lcm_upto(max(u.degree for u in us)) * clearing
+
+    def escape(j: int, step: int) -> Optional[MultiIndex]:
+        return first_escape([intpoly.shift_difference(u, j, step) for u in us], V)
+
+    n = us[0].nvars
+    failures = [(z, j) for j in range(n) if (z := escape(j, period)) is not None]
+    if failures:
+        z, j = min(failures)
+        raise VerificationFailed(
+            witness=z,
+            message=f"periodicity failed at {z} in coordinate {j}",
+        )
+    least = []
+    for j in range(n):
+        step = period
+        for p in sorted(set(prime_factors(period))):
+            while step % p == 0 and escape(j, step // p) is None:
+                step //= p
+        least.append(step)
+    return tuple(least)
 
 
 def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
@@ -192,20 +221,12 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
     value v(b), b on that lattice, lies in V; this is checked first (it is
     the claim that v lands in the saturation of V on that lattice, decided
     by :func:`first_escape_point`) and reported via :class:`HypothesisFailed`
-    with a counterexample if false.
-
-    The construction peels off homogeneous parts from the top degree down.
-    At degree t the t-fold difference of the degree-t part h is multilinear
-    in its t blocks; at the basis blocks e_{j_1}, ..., e_{j_t} it equals
-    m! * h_m, where m counts how often each coordinate occurs among the j's
-    and h_m is the coefficient of z^m.  So a single integer N_t clears all
-    of its values into V (the lcm of the smallest multiples of the vectors
-    m! * h_m); the homogeneous identity (the t-fold difference on the
-    diagonal equals t! times the part) then places the part itself in V on
-    (N_t * t!) * Z^n.  These lattices meet in M * Z^n, M the lcm of the
-    N_t * t!, which is re-verified with :func:`verify_value_membership`
-    before being returned; a verification failure signals an implementation
-    bug, never a silent wrong answer.
+    with a counterexample if false.  A polynomial that lands in a subspace
+    on a full-rank lattice lands in it everywhere, so :func:`least_periods`
+    applies, and L is the diagonal lattice of v's least periods modulo V.
+    L is re-verified with :func:`verify_value_membership` before being
+    returned; a verification failure signals an implementation bug, never
+    a silent wrong answer.
     """
     v, V = inst.v, inst.V
     n = v.nvars
@@ -225,39 +246,8 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
             message=f"no nonzero multiple of v({point}) lies in the target subgroup",
         )
 
-    offset = v.evaluate([0] * n)
-
-    # Everything may already land in V on all of Z^n (e.g. V of full index 1).
-    if verify_value_membership(v, offset, V, lattice.full_lattice(n)) is None:
-        return lattice.full_lattice(n)
-
-    parts_per_component: List[Tuple[MonoPoly, ...]] = []
-    for comp, off in zip(v.components, offset):
-        shifted = intpoly.subtract(comp, intpoly.constant(n, off))
-        parts_per_component.append(intpoly.homogeneous_parts(shifted))
-
-    scale = 1
-    for t in range(v.degree, 0, -1):
-        parts_t = [ps[t].term_map() if t < len(ps) else {} for ps in parts_per_component]
-        monomials = sorted(set().union(*parts_t))
-        if not monomials:
-            continue
-        clearing = 1
-        for m in monomials:
-            weight = math.prod(math.factorial(e) for e in m)
-            value = [weight * h.get(m, 0) for h in parts_t]
-            multiple = lattice.smallest_multiple(V, value)
-            if multiple is None:
-                raise VerificationFailed(
-                    witness=m,
-                    message="difference coefficient escaped the rational span of the target "
-                    "after the hypothesis check passed (implementation bug)",
-                )
-            clearing = math.lcm(clearing, multiple)
-        scale = math.lcm(scale, clearing * math.factorial(t))
-
-    result = lattice.scaled(n, scale)
-    counterexample = verify_value_membership(v, offset, V, result)
+    result = lattice.diagonal(least_periods(v.components, V))
+    counterexample = verify_value_membership(v, v.evaluate([0] * n), V, result)
     if counterexample is not None:
         raise VerificationFailed(
             witness=counterexample,

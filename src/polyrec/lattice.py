@@ -99,12 +99,16 @@ def full_lattice(ambient: int) -> Lattice:
 
 def scaled(ambient: int, factor: int) -> Lattice:
     """The lattice factor * Z^ambient."""
-    if factor < 1:
-        raise ArityMismatch(f"scale factor must be positive, got {factor}")
-    cols = tuple(
-        tuple(factor if i == j else 0 for i in range(ambient)) for j in range(ambient)
-    )
-    return Lattice(ambient, cols)
+    return diagonal([factor] * ambient)
+
+
+def diagonal(steps: Sequence[int]) -> Lattice:
+    """The lattice steps[0] * Z x ... x steps[-1] * Z."""
+    if any(step < 1 for step in steps):
+        raise ArityMismatch(f"diagonal steps must be positive, got {tuple(steps)}")
+    n = len(steps)
+    cols = tuple(tuple(s if i == j else 0 for i in range(n)) for j, s in enumerate(steps))
+    return Lattice(n, cols)
 
 
 def index(lat: Lattice) -> Optional[int]:

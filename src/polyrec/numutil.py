@@ -6,22 +6,6 @@ import math
 from typing import Iterator, Tuple
 
 
-def binom_int(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) for arbitrary integer n and k >= 0.
-
-    Computed as the falling factorial n(n-1)...(n-k+1) over k!, which is an
-    exact integer for every integer n (including negatives).
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return 1
-    num = 1
-    for t in range(k):
-        num *= n - t
-    return num // math.factorial(k)
-
-
 def lcm_upto(d: int) -> int:
     """lcm(1, 2, ..., d); equals 1 for d <= 1."""
     out = 1

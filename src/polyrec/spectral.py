@@ -5,9 +5,10 @@ diagonal with roots-of-unity eigenvalues is stored as a D x m matrix of
 rational phases: eigenvector e is scaled by exp(2*pi*i*theta[e][i]) under
 U_i.  For such families the long-run behaviour of products
 U_1^{f_1(z)} ... U_m^{f_m(z)} along any sufficiently invariant set of z is
-computable exactly: the product is the identity on an explicit finite-index
-sublattice, which is returned as a certificate verified from the binomial
-coordinates of the phase combinations (:func:`keyengine.first_escape`).
+computable exactly: the product is the identity on the diagonal lattice of
+the least periods of the phase combinations (:func:`keyengine.least_periods`),
+which is returned as a certificate verified from their binomial
+coordinates (:func:`keyengine.first_escape`).
 Projection predicates and the quadratic averaging expansion are checked in
 exact Gaussian-rational arithmetic.
 """
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import intpoly, keyengine, lattice
+from . import keyengine, lattice
 from .errors import (
     ArityMismatch,
     CapExceeded,
@@ -221,14 +222,32 @@ class ProjectionDesc:
         )
 
 
+def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
+    """The D phase polynomials g_e = sum_i (q * theta[e][i]) * f_i, q = :func:`phase_lcm`.
+
+    Eigenvector e's phase at z vanishes exactly when q divides g_e(z).
+    """
+    q = phase_lcm(u)
+    combos = []
+    for row in u.phases:
+        acc = {}
+        for f, p in zip(fs, row):
+            weight = int(q * p)
+            for idx, coef in f.terms:
+                acc[idx] = acc.get(idx, 0) + weight * coef
+        combos.append(BinPoly(fs[0].nvars, tuple(sorted((i, c) for i, c in acc.items() if c))))
+    return combos
+
+
 def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
     """Long-run projection of the powered family, with a lattice certificate.
 
-    For exponent polynomials vanishing at the origin and rational phases of
-    common order q, every eigen-phase vanishes on N * Z^n with
-    N = q * lcm(1..d): the powered product is the identity there.  The
-    certificate lattice is checked with :func:`verify_limit_certificate`
-    before being returned, so the identity claim is checked, not assumed.
+    For exponent polynomials vanishing at the origin, the powered product
+    is the identity on the diagonal lattice of the least periods of the
+    phase polynomials modulo q * Z^D (:func:`keyengine.least_periods`), q
+    the common order of the phases.  The certificate lattice is checked
+    with :func:`verify_limit_certificate` before being returned, so the
+    identity claim is checked, not assumed.
     """
     fs = tuple(fs)
     if len(fs) != u.ops:
@@ -238,8 +257,8 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
             raise NonzeroConstantTerm(
                 f"exponent polynomial has value {f.constant_term()} at the origin"
             )
-    q = phase_lcm(u)
-    cert = keyengine.vanishing_lattice(fs, q)
+    target = lattice.scaled(u.dim, phase_lcm(u))
+    cert = lattice.diagonal(keyengine.least_periods(_phase_polys(u, fs), target))
     verify_limit_certificate(u, fs, cert)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
@@ -249,11 +268,9 @@ def verify_limit_certificate(
 ) -> None:
     """Decide that all eigen-phases vanish on the whole certificate lattice.
 
-    With q = :func:`phase_lcm`, eigenvector e's phase at z vanishes exactly
-    when g_e(z) = sum_i (q * theta[e][i]) * f_i(z) is divisible by q, so the
-    claim is that the tuple (g_e) lands in q * Z^D on the lattice;
-    :func:`keyengine.first_escape` decides it on the lattice's Hermite
-    coordinates (:func:`keyengine.restrict`).  Raises
+    The claim is that the phase polynomials (:func:`_phase_polys`) land in
+    q * Z^D on the lattice; :func:`keyengine.first_escape` decides it on
+    the lattice's Hermite coordinates (:func:`keyengine.restrict`).  Raises
     :class:`VerificationFailed` with the bad point whose lattice
     coordinates are lexicographically least among the non-negative ones.
     """
@@ -268,18 +285,10 @@ def verify_limit_certificate(
     for f in fs:
         if f.nvars != n:
             raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
-    q = phase_lcm(u)
     # restriction is linear, so restrict the m polynomials f_i once and
-    # combine their binomial coordinates into the D phase polynomials after
-    restricted = keyengine.restrict(fs, cert)
-    combos = []
-    for row in u.phases:
-        acc = {}
-        for f, p in zip(restricted, row):
-            for idx, coef in f.terms:
-                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
-        combos.append(intpoly.binpoly(restricted[0].nvars, acc))
-    a = keyengine.first_escape(combos, lattice.scaled(u.dim, q))
+    # combine them into the D phase polynomials after
+    combos = _phase_polys(u, keyengine.restrict(fs, cert))
+    a = keyengine.first_escape(combos, lattice.scaled(u.dim, phase_lcm(u)))
     if a is not None:
         point = keyengine.lattice_point(cert, a)
         raise VerificationFailed(

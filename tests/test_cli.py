@@ -74,6 +74,14 @@ R_EPSILON = {
 }
 
 
+def loads_at_depth(depth):
+    try:
+        json.loads("[" * depth + "]" * depth)
+    except RecursionError:
+        return False
+    return True
+
+
 def strip_wall_time(doc):
     for report in doc["reports"]:
         report.pop("wall_time_ms", None)
@@ -159,6 +167,33 @@ class TestExitCodes:
         path.write_text("{nope")
         proc = run_cli("run", str(path))
         assert proc.returncode == 2
+
+    def test_deep_nesting_is_input_error(self, tmp_path):
+        # json.loads gives up on 100 000 nested arrays with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        for command in ("run", "verify-certificate"):
+            proc = run_cli(command, str(path))
+            assert proc.returncode == 2, command
+            assert proc.stderr.startswith(f"error: {path}: ") and "Traceback" not in proc.stderr
+
+    def test_deep_valid_json_is_input_error(self, tmp_path):
+        # arrays up to the deepest json.loads accepts at this stack depth:
+        # the commands read them a few frames deeper, and the schema check
+        # and the wording of its error recurse further still, so some of
+        # these depths fail while reading and some while checking
+        deepest = next(d for d in range(sys.getrecursionlimit(), 0, -1) if loads_at_depth(d))
+        scenario = tmp_path / "scenario.json"
+        certificate = tmp_path / "certificate.json"
+        for depth in range(deepest, deepest - 40, -1):
+            nested = "[" * depth + "]" * depth
+            scenario.write_text(
+                f'{{"schema_version": 1, "id": "deep", "kind": "r-epsilon", "payload": {nested}}}'
+            )
+            certificate.write_text(nested)
+            for command, path in (("run", scenario), ("verify-certificate", certificate)):
+                code, _out, err = run_in_process(command, str(path))
+                assert code == 2 and err.startswith(f"error: {path}: "), (depth, command)
 
     def test_failing_verdict_is_exit_one(self, tmp_path):
         # sparse residue set: multiples of 4 miss FS(1,1) on a small window

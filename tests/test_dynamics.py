@@ -444,6 +444,22 @@ class TestMinimalGrid:
                 for p in set(prime_factors(step)):
                     assert not is_period(sys_, query.fs, j, step // p, side), (case, j, p)
 
+    def test_matches_division_from_the_full_period(self):
+        # the periods found from P = q * lcm(1..d) by dividing out primes
+        # while the brute-force shift test passes
+        rng = random.Random(157)
+        for case in range(40):
+            sys_, query = random_product_query(rng, case % 2 + 1)
+            side = full_period(sys_, query.fs)
+            divided = []
+            for j in range(query.fs[0].nvars):
+                step = side
+                for p in sorted(set(prime_factors(side))):
+                    while step % p == 0 and is_period(sys_, query.fs, j, step // p, side):
+                        step //= p
+                divided.append(step)
+            assert dy.system_period(sys_, query.fs) == tuple(divided), case
+
     def test_forward_differences_match_evaluate(self):
         rng = random.Random(139)
         for _ in range(60):
@@ -492,8 +508,3 @@ class TestReporting:
             "residue", "exponents", "return", "measure", "threshold", "verdict",
         ]
         assert len(lines) == 3  # header + 2 residues
-
-    def test_system_json_round_trip(self):
-        sys_ = product_23()
-        again = dy.system_from_json(dy.system_to_json(sys_))
-        assert again == sys_

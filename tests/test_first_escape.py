@@ -114,7 +114,7 @@ def sweep_periodicity(fs, orders, period):
 def sweep_khintchine(sys_, query):
     period = dy.system_period(sys_, query.fs)
     q = math.lcm(*dy.map_orders(sys_))
-    sub = ke.vanishing_lattice(query.fs, q)
+    sub = lat.scaled(query.fs[0].nvars, q * lcm_upto(max(f.degree for f in query.fs)))
     mu_a = sys_.measure(sorted(query.A))
     best, witness = None, (0,) * query.fs[0].nvars
     for z in product(*(range(p) for p in period)):
@@ -306,15 +306,16 @@ class TestCallSitesAgreeWithSweeps:
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
 
     def test_periodicity_recheck(self, monkeypatch):
-        # A period shorter than q * lcm(1..d) may make the re-check fail; it
-        # stays at least d so the sweep's box still holds the least failure,
-        # and the least shift that keeps every f_i mod order_i.  The target
-        # is the diagonal lattice of the orders, which passes more periods
-        # than q * Z^m did, so the multiplier stays below lcm(1..d) when
-        # such a one keeps the period at least d.
+        # least_periods starts from P = lcm(1..d) * M, M the lcm of the least
+        # multiples of the coordinate vectors that land in the diagonal
+        # lattice of the orders (here read off the values on [0, 4]^n, which
+        # generate the same group).  With lcm(1..d) replaced by a shorter
+        # multiplier the re-check of P may fail; P stays at least d so the
+        # sweep's box still holds the least failure, and the least shift
+        # that keeps every f_i mod order_i.
         rng = random.Random(173)
         multiplier = [1]
-        monkeypatch.setattr(dy, "lcm_upto", lambda d: multiplier[0])
+        monkeypatch.setattr(ke, "lcm_upto", lambda d: multiplier[0])
         failures = 0
         for _ in range(INSTANCES):
             n = rng.randint(1, 2)
@@ -322,11 +323,15 @@ class TestCallSitesAgreeWithSweeps:
             sys_ = product_system(sizes)
             fs = [random_binpoly(rng, n, 4 - n, bound=4) for _ in sizes]
             fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
-            q = math.lcm(*sizes)
+            orders = lat.diagonal(sizes)
+            clearing = math.lcm(
+                *(lat.smallest_multiple(orders, [f.evaluate(z) for f in fs])
+                  for z in product(range(5), repeat=n))
+            )
             d = max(f.degree for f in fs)
-            short = [m for m in range(1, lcm_upto(d)) if q * m >= d]
+            short = [m for m in range(1, lcm_upto(d)) if clearing * m >= d]
             multiplier[0] = rng.choice(short or [lcm_upto(d)])
-            expected = outcome(sweep_periodicity, fs, sizes, q * multiplier[0])
+            expected = outcome(sweep_periodicity, fs, sizes, clearing * multiplier[0])
             assert outcome(dy.system_period, sys_, fs) == expected
             failures += expected[0] != "returned"
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
@@ -381,7 +386,7 @@ class TestCallSitesAgreeWithSweeps:
         # shrunk to 2, C(z, 2) on a 2-cycle steps by 2z + 1, which is odd,
         # so the re-check refuses it at the origin
         f = ip.binpoly(1, {(2,): 1})
-        monkeypatch.setattr(dy, "lcm_upto", lambda d: 1)
+        monkeypatch.setattr(ke, "lcm_upto", lambda d: 1)
         with pytest.raises(VerificationFailed) as err:
             dy.verify_khintchine(product_system([2]), dy.recurrence_query(["0"], [f], 0))
         assert err.value.witness == (0,)
@@ -437,8 +442,8 @@ class TestRestrictionRoutes:
             assert ke.first_escape_point(us, V, lat.full_lattice(us[0].nvars)) == expected
 
     def test_identity_hypothesis_pulls_back_only_the_post_check(self, monkeypatch):
-        # v = (C(z, 2), z) into 2Z x Z: the hypothesis and the all-of-Z
-        # check read v itself; only the post-check on 2Z pulls back
+        # v = (C(z, 2), z) into 2Z x Z: the hypothesis check and the least
+        # periods read v itself; only the post-check on 4Z pulls back
         v = ip.polytuple([ip.binpoly(1, {(2,): 1}), ip.binpoly(1, {(1,): 1})])
         V = lat.hnf_from_generators(2, [[2, 0], [0, 1]])
         calls = []

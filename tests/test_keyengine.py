@@ -12,37 +12,47 @@ from conftest import random_binpoly, random_fullrank_lattice
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
 from polyrec import lattice as lat
+from polyrec import spectral as sp
 from polyrec.errors import (
     HypothesisFailed,
     NonzeroConstantTerm,
     SaturationFailed,
     SweepCapExceeded,
 )
-from polyrec.numutil import lcm_upto
+from polyrec.numutil import lcm_upto, prime_factors
+
+
+def vanishing_lattice(fs, q):
+    """The least diagonal lattice on which every f_i is divisible by q, the
+    way the spectral-limit certificate takes it."""
+    return lat.diagonal(ke.least_periods(fs, lat.scaled(len(fs), q)))
 
 
 class TestVanishingLattice:
     def test_linear(self):
         f = ip.binpoly(1, {(1,): 1})
-        assert ke.vanishing_lattice([f], 3).basis == ((3,),)
+        assert vanishing_lattice([f], 3).basis == ((3,),)
 
     def test_square_mod_two(self):
+        # (z + 2)^2 - z^2 = 4z + 4; q * lcm(1..d) would give 4
         f = ip.from_monomial_coeffs(1, {(2,): 1})
-        l = ke.vanishing_lattice([f], 2)
-        assert l.basis == ((4,),)
+        l = vanishing_lattice([f], 2)
+        assert l.basis == ((2,),)
         for k in range(-8, 9):
-            assert f.evaluate([4 * k]) % 2 == 0
+            assert f.evaluate([2 * k]) % 2 == 0
 
     def test_square_mod_four(self):
+        # the same step of 4z + 4 keeps z^2 mod 4; q * lcm(1..d) would give 8
         f = ip.from_monomial_coeffs(1, {(2,): 1})
-        l = ke.vanishing_lattice([f], 4)
-        assert l.basis == ((8,),)
+        l = vanishing_lattice([f], 4)
+        assert l.basis == ((2,),)
         for k in range(-8, 9):
-            assert f.evaluate([8 * k]) % 4 == 0
+            assert f.evaluate([2 * k]) % 4 == 0
 
     def test_constant_term_rejected(self):
+        # the spectral-limit certificate refuses exponents with f(0) != 0
         with pytest.raises(NonzeroConstantTerm):
-            ke.vanishing_lattice([ip.constant(1, 1)], 2)
+            sp.limit_projection(sp.phase_unitary([["1/2"]]), [ip.constant(1, 1)])
 
     def test_soundness_random_exhaustive(self):
         rng = random.Random(61)
@@ -53,13 +63,71 @@ class TestVanishingLattice:
             for _ in range(rng.randint(1, 2)):
                 f = random_binpoly(rng, n, 4, bound=5)
                 fs.append(ip.subtract(f, ip.constant(n, f.constant_term())))
-            l = ke.vanishing_lattice(fs, q)
-            period = l.basis[0][0]
+            l = vanishing_lattice(fs, q)
+            steps = [col[j] for j, col in enumerate(l.basis)]
+            assert all(q * lcm_upto(max(f.degree for f in fs)) % s == 0 for s in steps)
             # every point of one fundamental domain of the returned lattice
-            for ks in itertools.product(range(2), repeat=n):
-                z = [period * k for k in ks]
+            for ks in itertools.product(range(-2, 3), repeat=n):
+                z = [s * k for s, k in zip(steps, ks)]
                 for f in fs:
                     assert f.evaluate(z) % q == 0
+
+
+def shifted_lands(us, V, j, step, side):
+    """Brute force over [0, side]^n: u(z + step e_j) - u(z) lies in V."""
+    for z in itertools.product(range(side + 1), repeat=us[0].nvars):
+        moved = list(z)
+        moved[j] += step
+        if not V.contains([u.evaluate(moved) - u.evaluate(z) for u in us]):
+            return False
+    return True
+
+
+class TestLeastPeriods:
+    @staticmethod
+    def random_case(rng):
+        """A tuple and a target: full rank, or rank deficient with the tuple
+        built from the target's saturation, so it lands in its span."""
+        n = rng.randint(1, 2)
+        K = rng.randint(1, 3)
+        degree = rng.randint(1, 3 if n == 1 else 2)
+        if rng.random() < 0.5:
+            V = random_fullrank_lattice(rng, K, pivot_max=3)
+            return [random_binpoly(rng, n, degree, bound=6) for _ in range(K)], V
+        gens = [[rng.randint(-2, 2) for _ in range(K)] for _ in range(rng.randint(1, K))]
+        sat = lat.saturate(lat.hnf_from_generators(K, gens))
+        scales = [rng.randint(1, 3) for _ in sat.basis]
+        V = lat.hnf_from_generators(K, [[m * e for e in col] for m, col in zip(scales, sat.basis)])
+        ws = [random_binpoly(rng, n, degree, bound=4) for _ in sat.basis]
+        us = [ip.zero(n)] * K
+        for w, col in zip(ws, sat.basis):
+            us = [ip.add(u, ip.binpoly(n, {i: c * e for i, c in w.terms})) for u, e in zip(us, col)]
+        return us, V
+
+    def test_against_brute_force(self):
+        rng = random.Random(191)
+        deficient = 0
+        for _ in range(150):
+            us, V = self.random_case(rng)
+            periods = ke.least_periods(us, V)
+            deficient += V.rank < len(us)
+            # a shift difference has degree below d, so [0, d]^n decides it
+            side = max(u.degree for u in us)
+            for j, step in enumerate(periods):
+                least = next(
+                    N for N in range(1, step + 1) if shifted_lands(us, V, j, N, side)
+                )
+                assert least == step, (us, V, j)
+                for p in set(prime_factors(step)):
+                    assert not shifted_lands(us, V, j, step // p, side)
+        assert deficient > 30
+
+    def test_off_span_is_refused(self):
+        # C(z, 2) takes odd values, which never land on the line of (1, 1)
+        us = [ip.binpoly(1, {(1,): 1}), ip.binpoly(1, {(2,): 1})]
+        with pytest.raises(SaturationFailed) as err:
+            ke.least_periods(us, lat.hnf_from_generators(2, [(1, 1)]))
+        assert err.value.witness == (1,)
 
 
 class TestMembershipVerifier:

@@ -178,6 +178,14 @@ class TestScaledAndJson:
         assert lat.scaled(1, 6).basis == ((6,),)
         assert lat.index(lat.scaled(2, 4)) == 16
 
+    def test_diagonal_is_canonical(self):
+        steps = (4, 1, 6)
+        gens = [[s if i == j else 0 for i in range(3)] for j, s in enumerate(steps)]
+        assert lat.diagonal(steps) == lat.hnf_from_generators(3, gens)
+        assert lat.index(lat.diagonal(steps)) == 24
+        with pytest.raises(ArityMismatch):
+            lat.diagonal([2, 0])
+
     def test_saturate(self):
         l = lat.hnf_from_generators(2, [(2, 4)])
         assert lat.saturate(l).basis == ((1, 2),)

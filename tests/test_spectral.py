@@ -59,7 +59,7 @@ class TestLimitProjection:
         u = sp.phase_unitary([["0"], ["1/2"]])
         desc = sp.limit_projection(u, [ZSQ])
         assert desc.fixed == frozenset({0, 1})
-        assert desc.certificate.basis == ((4,),)
+        assert desc.certificate.basis == ((2,),)
 
     def test_zero_polynomial(self):
         u = sp.phase_unitary([["1/3"], ["1/2"]])

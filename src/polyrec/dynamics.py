@@ -99,12 +99,12 @@ def _perm_power(perm: Sequence[int], e: int) -> List[int]:
 def build_system(
     points: Sequence[str],
     weights: Mapping[str, Fraction | int | str],
-    maps: Sequence[Mapping[str, str] | Sequence[str]],
+    maps: Sequence[Sequence[str]],
 ) -> FiniteSystem:
     """Validate and build a system; every invariant is checked eagerly.
 
-    Maps may be given as dicts (point -> image) or as image lists aligned
-    with ``points``.  Raises with a concrete witness on any violation.
+    Each map is a list of images aligned with ``points``.  Raises with a
+    concrete witness on any violation.
     """
     pts = tuple(str(p) for p in points)
     if len(set(pts)) != len(pts):
@@ -126,12 +126,8 @@ def build_system(
         raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
 
     perms: List[Tuple[int, ...]] = []
-    for mi, raw in enumerate(maps):
-        if isinstance(raw, Mapping):
-            images = [raw.get(p) for p in pts]
-        else:
-            images = list(raw)
-        if len(images) != len(pts) or any(img is None for img in images):
+    for mi, images in enumerate(maps):
+        if len(images) != len(pts):
             raise NotBijective(f"map {mi} does not assign an image to every point")
         try:
             perm = tuple(pos[str(img)] for img in images)
@@ -363,8 +359,10 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     {t in [1, horizon] : (t mod N_1, ..., t mod N_n) in members} (the
     diagonal embedding; for one variable this is just the set itself), with
     horizon = max(window * k, 2 * lcm(N_1, ..., N_n)): the lift has period
-    lcm(N), so the window holds at least two of its periods.
+    lcm(N), so the window holds at least two of its periods.  The caps of
+    :func:`ipstruct.is_ip_star_window` are checked before the lift is built.
     """
+    ipstruct.check_window(k, window)
     horizon = max(window * k, 2 * math.lcm(*verdict.period))
     values = {
         t

@@ -103,10 +103,6 @@ def binpoly(nvars: int, coeffs: Mapping[MultiIndex, int]) -> BinPoly:
     return BinPoly(nvars, items)
 
 
-def zero(nvars: int) -> BinPoly:
-    return binpoly(nvars, {})
-
-
 def constant(nvars: int, value: int) -> BinPoly:
     return binpoly(nvars, {(0,) * nvars: value})
 

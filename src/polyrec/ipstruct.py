@@ -75,6 +75,14 @@ def _coloring_window(coloring: Mapping[int, object]) -> int:
     return w
 
 
+def check_window(k: int, window: int) -> None:
+    """Refuse a window or tuple length beyond the exhaustive-search caps."""
+    if window < 1 or window > MAX_WINDOW:
+        raise CapExceeded(f"window {window} outside 1..{MAX_WINDOW}")
+    if k < 1 or k > MAX_TUPLE_LEN:
+        raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
+
+
 @dataclass(frozen=True)
 class IpStarVerdict:
     holds: bool
@@ -90,10 +98,7 @@ def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
     least counterexample tuple.  The verdict is a statement about the
     stated window only.
     """
-    if window < 1 or window > MAX_WINDOW:
-        raise CapExceeded(f"window {window} outside 1..{MAX_WINDOW}")
-    if k < 1 or k > MAX_TUPLE_LEN:
-        raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
+    check_window(k, window)
     members = frozenset(int(x) for x in s)
     for tup in product(range(1, window + 1), repeat=k):
         if not (fs_expand(FiniteIP(tup)) & members):

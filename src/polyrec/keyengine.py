@@ -90,16 +90,22 @@ def _binomial_coordinates(us: Sequence[BinPoly]) -> Dict[MultiIndex, List[int]]:
     return coords
 
 
-def first_escape(us: Sequence[BinPoly], V: Lattice) -> Optional[MultiIndex]:
+def first_escape(
+    us: Sequence[BinPoly], V: Lattice, span: bool = False
+) -> Optional[MultiIndex]:
     """Least binomial index a whose coordinate vector (c_a of each u_i) is not in V.
 
     None means u(z) lies in V for every z in Z^n.  Because
     u(k) = sum over b <= k of c_b C(k, b), the returned index is also the
-    lexicographically least point k >= 0 with u(k) outside V.
+    lexicographically least point k >= 0 with u(k) outside V.  With
+    ``span``, the target is the rational span of V instead: c_a escapes
+    when no multiple N * c_a, N >= 1, lies in V
+    (:func:`lattice.smallest_multiple`).
     """
     coords = _binomial_coordinates(us)
     for idx in sorted(coords):
-        if not V.contains(coords[idx]):
+        c = coords[idx]
+        if (lattice.smallest_multiple(V, c) is None) if span else not V.contains(c):
             return idx
     return None
 
@@ -125,11 +131,12 @@ def lattice_point(lat: Lattice, a: Sequence[int]) -> Tuple[int, ...]:
 
 
 def first_escape_point(
-    us: Sequence[BinPoly], V: Lattice, lat: Lattice
+    us: Sequence[BinPoly], V: Lattice, lat: Lattice, span: bool = False
 ) -> Optional[Tuple[int, ...]]:
-    """Decide u(L) in V; else the point B*a for the least failing lattice
-    coordinates a, B the Hermite basis of L (:func:`restrict`)."""
-    a = first_escape(restrict(us, lat), V)
+    """Decide u(L) in V (in its rational span with ``span``); else the point
+    B*a for the least failing lattice coordinates a, B the Hermite basis of
+    L (:func:`restrict`)."""
+    a = first_escape(restrict(us, lat), V, span)
     return None if a is None else lattice_point(lat, a)
 
 
@@ -219,11 +226,12 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
 
     The hypothesis lattice asserts that some nonzero multiple of every
     value v(b), b on that lattice, lies in V; this is checked first (it is
-    the claim that v lands in the saturation of V on that lattice, decided
-    by :func:`first_escape_point`) and reported via :class:`HypothesisFailed`
-    with a counterexample if false.  A polynomial that lands in a subspace
-    on a full-rank lattice lands in it everywhere, so :func:`least_periods`
-    applies, and L is the diagonal lattice of v's least periods modulo V.
+    the claim that v lands in the rational span of V on that lattice,
+    decided by :func:`first_escape_point` with ``span``) and reported via
+    :class:`HypothesisFailed` with a counterexample if false.  A polynomial
+    that lands in a subspace on a full-rank lattice lands in it everywhere,
+    so :func:`least_periods` applies, and L is the diagonal lattice of v's
+    least periods modulo V.
     L is re-verified with :func:`verify_value_membership` before being
     returned; a verification failure signals an implementation bug, never
     a silent wrong answer.
@@ -239,7 +247,7 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
             f"hypothesis lattice has rank {hypothesis.rank}, need full rank {n}"
         )
 
-    point = first_escape_point(v.components, lattice.saturate(V), hypothesis)
+    point = first_escape_point(v.components, V, hypothesis, span=True)
     if point is not None:
         raise HypothesisFailed(
             witness=point,
@@ -278,8 +286,9 @@ def _check_window(n: int, radius: int, cap: int) -> None:
 
 
 def _check_saturation(v: PolyTuple, V: Lattice) -> None:
-    """Decide that v(z) lies in the rational span of V for every z in Z^n."""
-    pt = first_escape(v.components, lattice.saturate(V))
+    """Decide that v(z) lies in the rational span of V for every z in Z^n,
+    from the binomial coordinates of v (:func:`first_escape` with ``span``)."""
+    pt = first_escape(v.components, V, span=True)
     if pt is not None:
         raise SaturationFailed(
             witness=pt,

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, VerificationFailed
+from .errors import ArityMismatch
 from .numutil import ext_gcd
 
 Vector = Tuple[int, ...]
@@ -31,6 +32,7 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def pivot_rows(self) -> Tuple[int, ...]:
         return tuple(next(i for i, e in enumerate(col) if e) for col in self.basis)
 
@@ -116,24 +118,9 @@ def index(lat: Lattice) -> Optional[int]:
     if lat.rank < lat.ambient:
         return None
     out = 1
-    for r, col in zip(lat.pivot_rows(), lat.basis):
+    for r, col in zip(lat.pivot_rows, lat.basis):
         out *= col[r]
     return out
-
-
-def _solve_rational(lat: Lattice, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Coefficients x with basis @ x = v over Q, or None if v is off-span."""
-    residual = [Fraction(e) for e in v]
-    coeffs: List[Fraction] = []
-    for r, col in zip(lat.pivot_rows(), lat.basis):
-        c = residual[r] / col[r]
-        coeffs.append(c)
-        if c:
-            for i in range(r, lat.ambient):
-                residual[i] -= c * col[i]
-    if any(residual):
-        return None
-    return coeffs
 
 
 def contains(lat: Lattice, v: Sequence[int]) -> bool:
@@ -141,7 +128,7 @@ def contains(lat: Lattice, v: Sequence[int]) -> bool:
     if len(v) != lat.ambient:
         raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
     residual = [int(e) for e in v]
-    for r, col in zip(lat.pivot_rows(), lat.basis):
+    for r, col in zip(lat.pivot_rows, lat.basis):
         if residual[r] % col[r]:
             return False
         q = residual[r] // col[r]
@@ -154,86 +141,23 @@ def contains(lat: Lattice, v: Sequence[int]) -> bool:
 def smallest_multiple(lat: Lattice, v: Sequence[int | Fraction]) -> Optional[int]:
     """Minimal N >= 1 with N * v in the lattice; None if v is off the span.
 
-    Accepts exact rational entries as well as integers.  Computed by the
-    rational solve followed by the lcm of coefficient denominators, which is
+    Accepts exact rational entries as well as integers.  Solves basis @ x = v
+    over Q down the pivot rows; the lcm of the coefficient denominators is
     already minimal: the basis is independent, so N * v lies in the lattice
-    exactly when N * c is an integer for every coefficient c, that is, when
-    every denominator divides N.
+    exactly when N * x is integral, that is, when every denominator divides N.
+    This is the package's one test of "v lies in the rational span".
     """
     if len(v) != lat.ambient:
         raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
-    vec = [Fraction(e) for e in v]
-    if not any(vec):
-        return 1
-    coeffs = _solve_rational(lat, vec)
-    if coeffs is None:
-        return None
-    return math.lcm(*(c.denominator for c in coeffs))
-
-
-def _kernel_basis(columns: Sequence[Sequence[int]], nrows: int) -> List[List[int]]:
-    """Basis of the integer kernel {x : sum x_j * columns[j] = 0}.
-
-    Column-reduces the matrix while mirroring the operations on an identity
-    matrix; the mirror columns sitting over zeroed-out matrix columns form a
-    basis of the full integer kernel (the transform stays unimodular).
-    """
-    k = len(columns)
-    work = [[int(e) for e in col] for col in columns]
-    mirror = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    assigned = [False] * k
-    for row in range(nrows):
-        carrier = None
-        for j in range(k):
-            if assigned[j] or not work[j][row]:
-                continue
-            if carrier is None:
-                carrier = j
-            else:
-                g, x, y = ext_gcd(work[carrier][row], work[j][row])
-                pa, pb = work[carrier][row] // g, work[j][row] // g
-                for vecs in (work, mirror):
-                    a, b = vecs[carrier], vecs[j]
-                    for i in range(len(a)):
-                        ai, bi = a[i], b[i]
-                        a[i] = x * ai + y * bi
-                        b[i] = -pb * ai + pa * bi
-        if carrier is not None:
-            assigned[carrier] = True
-    out = []
-    for j in range(k):
-        if not assigned[j]:
-            if any(work[j]):
-                raise VerificationFailed(
-                    witness=tuple(work[j]),
-                    message="column survived elimination without a pivot (implementation bug)",
-                )
-            out.append(mirror[j])
-    return out
-
-
-def orthogonal_complement(lat: Lattice) -> Lattice:
-    """Integer vectors orthogonal (standard bilinear form) to the lattice."""
-    if lat.rank == 0:
-        return full_lattice(lat.ambient)
-    # columns of the transposed basis matrix: one per ambient coordinate
-    columns = [
-        [col[i] for col in lat.basis] for i in range(lat.ambient)
-    ]
-    gens = _kernel_basis(columns, lat.rank)
-    return hnf_from_generators(lat.ambient, gens)
-
-
-def saturate(lat: Lattice) -> Lattice:
-    """Q-span(lattice) intersected with Z^ambient (the saturation)."""
-    return orthogonal_complement(orthogonal_complement(lat))
-
-
-def coordinates(lat: Lattice, v: Sequence[int]) -> Optional[List[Fraction]]:
-    """Rational coefficients of v in the basis, or None if off-span."""
-    if len(v) != lat.ambient:
-        raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
-    return _solve_rational(lat, [Fraction(e) for e in v])
+    residual = [Fraction(e) for e in v]
+    multiple = 1
+    for r, col in zip(lat.pivot_rows, lat.basis):
+        c = residual[r] / col[r]
+        if c:
+            multiple = math.lcm(multiple, c.denominator)
+            for i in range(r, lat.ambient):
+                residual[i] -= c * col[i]
+    return None if any(residual) else multiple
 
 
 def to_json(lat: Lattice) -> dict:

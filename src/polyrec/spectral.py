@@ -181,17 +181,23 @@ def phase_lcm(u: PhaseUnitary) -> int:
     return q
 
 
-def power_phases(
-    u: PhaseUnitary, fs: Sequence[BinPoly], z: Sequence[int]
-) -> Tuple[Fraction, ...]:
-    """Eigenvector phases of the product of U_i^{f_i(z)}, each in [0, 1)."""
-    fs = tuple(fs)
+def _check_exponents(u: PhaseUnitary, fs: Sequence[BinPoly]) -> int:
+    """One exponent polynomial per operator, all in the same variables;
+    returns their number of variables."""
     if len(fs) != u.ops:
         raise ArityMismatch(f"{len(fs)} polynomials for {u.ops} operators")
     n = fs[0].nvars
     for f in fs:
         if f.nvars != n:
             raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
+    return n
+
+
+def power_phases(
+    u: PhaseUnitary, fs: Sequence[BinPoly], z: Sequence[int]
+) -> Tuple[Fraction, ...]:
+    """Eigenvector phases of the product of U_i^{f_i(z)}, each in [0, 1)."""
+    _check_exponents(u, fs)
     exps = [f.evaluate(z) for f in fs]
     out = []
     for row in u.phases:
@@ -249,9 +255,7 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
     with :func:`verify_limit_certificate` before being returned, so the
     identity claim is checked, not assumed.
     """
-    fs = tuple(fs)
-    if len(fs) != u.ops:
-        raise ArityMismatch(f"{len(fs)} polynomials for {u.ops} operators")
+    _check_exponents(u, fs)
     for f in fs:
         if f.constant_term() != 0:
             raise NonzeroConstantTerm(
@@ -274,17 +278,11 @@ def verify_limit_certificate(
     :class:`VerificationFailed` with the bad point whose lattice
     coordinates are lexicographically least among the non-negative ones.
     """
-    fs = tuple(fs)
-    n = fs[0].nvars
+    n = _check_exponents(u, fs)
     if cert.ambient != n:
         raise ArityMismatch(
             f"certificate lattice lives in Z^{cert.ambient}, polynomials take {n} variables"
         )
-    if len(fs) != u.ops:
-        raise ArityMismatch(f"{len(fs)} polynomials for {u.ops} operators")
-    for f in fs:
-        if f.nvars != n:
-            raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
     # restriction is linear, so restrict the m polynomials f_i once and
     # combine them into the D phase polynomials after
     combos = _phase_polys(u, keyengine.restrict(fs, cert))
@@ -318,31 +316,6 @@ def orbit_fixed_projection(
         ):
             fixed.add(e)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(fixed))
-
-
-def projection_product_check(ps: Sequence[ProjectionDesc]) -> ProjectionDesc:
-    """Product of commuting diagonal projections: intersect the fixed sets.
-
-    Checks (exactly) that the realized product matrix is again an
-    orthogonal projection, and raises :class:`VerificationFailed` if not.
-    """
-    ps = list(ps)
-    if not ps:
-        raise ArityMismatch("need at least one projection")
-    dim = ps[0].dim
-    for p in ps:
-        if p.dim != dim:
-            raise DimMismatch(f"projection dimensions differ: {dim} vs {p.dim}")
-    fixed = frozenset(range(dim))
-    for p in ps:
-        fixed &= p.fixed
-    out = ProjectionDesc(dim=dim, fixed=fixed)
-    if not is_orthogonal_projection(out.to_matrix()).ok:
-        raise VerificationFailed(
-            witness=sorted(fixed),
-            message="diagonal product stopped being a projection (implementation bug)",
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_decomp
+
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
@@ -70,6 +73,24 @@ def random_fullrank_lattice(rng: random.Random, dim: int, pivot_max: int = 2) ->
             col[i] = rng.randint(-2, 2)
         gens.append(col)
     return lat.hnf_from_generators(dim, gens)
+
+
+def smith_form(V: lat.Lattice):
+    """Smith form S = U * B * W of the basis matrix B of V, as (S, U)."""
+    B = Matrix([[col[i] for col in V.basis] for i in range(V.ambient)])
+    S, U, _ = smith_normal_decomp(B, domain=ZZ)
+    return S, U
+
+
+def sympy_saturation(V: lat.Lattice) -> lat.Lattice:
+    """Q*V intersected with Z^K, from sympy's Smith form B = U^-1 * S * W^-1:
+    the first rank(V) columns of U^-1 span it.  Independent of the rational
+    solve in polyrec.lattice."""
+    if V.rank == 0:
+        return V
+    _, U = smith_form(V)
+    inverse = U.inv()
+    return lat.hnf_from_generators(V.ambient, [list(inverse[:, j]) for j in range(V.rank)])
 
 
 def product_system(sizes):

@@ -28,12 +28,12 @@ from polyrec.numutil import lcm_upto
 GOLDEN = Path(__file__).parent / "golden" / "bundled_reports.json"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "polyrec.cli", *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         cwd=cwd,
         env=child_env(),
     )
@@ -194,6 +194,27 @@ class TestExitCodes:
             for command, path in (("run", scenario), ("verify-certificate", certificate)):
                 code, _out, err = run_in_process(command, str(path))
                 assert code == 2 and err.startswith(f"error: {path}: "), (depth, command)
+
+    def test_ip_star_caps_are_checked_before_the_lift(self, tmp_path):
+        # the lift spans 1..max(W * k, 2 lcm N), so a huge W or k used to
+        # build it for ever before the window search refused the caps
+        for key, message in (("W", "window"), ("k", "tuple length")):
+            payload = {**R_EPSILON, "k": 2, "W": 8, key: 10**9}
+            path = scenario_file(tmp_path / f"big-{key}.json", "ip-star", payload)
+            proc = run_cli("run", str(path), timeout=30)
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr, key
+            assert f"{message} 1000000000 outside 1.." in proc.stderr
+
+    def test_spectral_limit_mixed_variable_counts_is_input_error(self, tmp_path):
+        fs = [
+            {"nvars": 2, "terms": [{"idx": [1, 1], "coef": "1"}]},
+            {"nvars": 1, "terms": [{"idx": [2], "coef": "1"}]},
+        ]
+        payload = {"unitary": {"phases": [["0", "1/2"], ["1/2", "1/3"]]}, "fs": fs}
+        path = scenario_file(tmp_path / "mixed.json", "spectral-limit", payload)
+        proc = run_cli("run", str(path), timeout=30)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "mixed variable counts 2 and 1" in proc.stderr
 
     def test_failing_verdict_is_exit_one(self, tmp_path):
         # sparse residue set: multiples of 4 miss FS(1,1) on a small window
@@ -401,20 +422,22 @@ def now_and_then(value, otherwise):
 
 
 @st.composite
-def exponent_polys(draw, count):
+def exponent_polys(draw, count, mixed=False):
     """``count`` polynomials in 1 to 3 variables of degree at most 4 that
-    vanish at the origin; now and then one of them does not."""
+    vanish at the origin; now and then one of them does not.  With
+    ``mixed``, each takes one of two numbers of variables."""
     nvars = draw(st.integers(1, 3))
     degree = draw(st.integers(0, 4))
-    index = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars)
-    index = index.filter(lambda i: 0 < sum(i) <= degree)
     coefs = st.integers(-9, 9).filter(bool).map(str)
     fs = []
     for _ in range(count):
+        n = draw(st.sampled_from([nvars, nvars % 3 + 1])) if mixed else nvars
+        index = st.lists(st.integers(0, degree), min_size=n, max_size=n)
+        index = index.filter(lambda i: 0 < sum(i) <= degree)
         indices = draw(st.lists(index, min_size=1, max_size=4)) if degree else []
         if draw(now_and_then(True, False)):
-            indices.append([0] * nvars)
-        fs.append({"nvars": nvars, "terms": [{"idx": i, "coef": draw(coefs)} for i in indices]})
+            indices.append([0] * n)
+        fs.append({"nvars": n, "terms": [{"idx": i, "coef": draw(coefs)} for i in indices]})
     return fs
 
 
@@ -466,7 +489,8 @@ def key_lemma_payloads(draw):
 @st.composite
 def spectral_payloads(draw):
     """Phases of denominators up to 721 (one past the cap), now and then a
-    ragged table or a wrong declared size."""
+    ragged table, a wrong declared size or exponent polynomials in different
+    numbers of variables."""
     dim, ops = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     phase = st.builds(
         lambda num, den: f"{num}/{den}",
@@ -479,7 +503,7 @@ def spectral_payloads(draw):
     for key, size in (("dim", dim), ("ops", ops)):
         if draw(st.booleans()):
             unitary[key] = draw(now_and_then(size + 1, size))
-    return {"unitary": unitary, "fs": draw(exponent_polys(ops))}
+    return {"unitary": unitary, "fs": draw(exponent_polys(ops, mixed=True))}
 
 
 @st.composite
@@ -625,7 +649,7 @@ class TestFrontDoorFuzz:
             if field == "unitary":
                 tampered = data.draw(spectral_payloads())["unitary"]
             elif field == "fs":
-                tampered = data.draw(exponent_polys(data.draw(st.integers(1, 3))))
+                tampered = data.draw(exponent_polys(data.draw(st.integers(1, 3)), mixed=True))
             else:
                 tampered = data.draw(lattice_docs(data.draw(st.integers(1, 3)), full=True))
             self.check_emitted(tmp, "sl", {field: tampered})

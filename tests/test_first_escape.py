@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from conftest import product_system, random_binpoly, random_fullrank_lattice
+from conftest import product_system, random_binpoly, random_fullrank_lattice, smith_form
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
@@ -43,12 +43,12 @@ def lattice_point(basis, coords, ambient):
 
 
 def membership_period(V, degree):
-    """Period of "u(k) in V" per lattice coordinate: index of V in its saturation times lcm(1..d)."""
+    """Period of "u(k) in V" per lattice coordinate: index of V in its
+    saturation (the product of its Smith invariants) times lcm(1..d)."""
     if V.rank == 0:
         return 1
-    sat = lat.saturate(V)
-    coord_gens = [[int(c) for c in lat.coordinates(sat, col)] for col in V.basis]
-    return lat.index(lat.hnf_from_generators(sat.rank, coord_gens)) * lcm_upto(degree)
+    S, _ = smith_form(V)
+    return math.prod(abs(int(S[i, i])) for i in range(V.rank)) * lcm_upto(degree)
 
 
 def sweep_membership(v, offset, V, witness):
@@ -207,7 +207,7 @@ class TestFirstEscape:
         assert ke.first_escape([u], lat.full_lattice(1)) is None
 
     def test_zero_tuple_lands_everywhere(self):
-        assert ke.first_escape([ip.zero(2), ip.zero(2)], lat.zero_lattice(2)) is None
+        assert ke.first_escape([ip.binpoly(2, {}), ip.binpoly(2, {})], lat.zero_lattice(2)) is None
 
     def test_rank_zero_lattice_is_the_origin(self):
         v = [ip.binpoly(2, {(0, 0): 3, (1, 1): 1})]
@@ -346,7 +346,7 @@ class TestCallSitesAgreeWithSweeps:
             fs = random_tuple(rng, n, len(sizes))
             fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
             if rng.random() < 0.1:
-                fs[0] = ip.zero(n)
+                fs[0] = ip.binpoly(n, {})
             A = rng.sample(sys_.points, rng.randint(1, sys_.size))
             query = dy.recurrence_query(A, fs, 0)
             assert dy.verify_khintchine(sys_, query) == sweep_khintchine(sys_, query)

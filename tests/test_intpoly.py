@@ -102,7 +102,7 @@ class TestEvaluate:
         assert f.evaluate([5]) == 15
 
     def test_zero_polynomial(self):
-        assert ip.zero(2).evaluate([7, -3]) == 0
+        assert ip.binpoly(2, {}).evaluate([7, -3]) == 0
 
     def test_below_order(self):
         assert ip.binpoly(1, {(2,): 1}).evaluate([1]) == 0
@@ -135,7 +135,7 @@ class TestGroupOps:
 
     def test_arity(self):
         with pytest.raises(ArityMismatch):
-            ip.add(ip.zero(1), ip.zero(2))
+            ip.add(ip.binpoly(1, {}), ip.binpoly(2, {}))
 
 
 class TestDelta:
@@ -256,7 +256,7 @@ class TestClosedFormDelta:
 
     def test_matches_inclusion_exclusion(self):
         rng = random.Random(2007)
-        polys = [ip.zero(n) for n in range(1, 5)]
+        polys = [ip.binpoly(n, {}) for n in range(1, 5)]
         polys += [ip.constant(n, c) for n in range(1, 5) for c in (-7, 1, 4)]
         polys += [ip.binpoly(len(next(iter(t))), t) for t in self.WIDE]
         # the oracle expands 2^s - 1 substitutions for s up to d + 2, so a
@@ -525,7 +525,7 @@ class TestRoundTrips:
 class TestPolyTuple:
     def test_shared_nvars_enforced(self):
         with pytest.raises(ArityMismatch):
-            ip.polytuple([ip.zero(1), ip.zero(2)])
+            ip.polytuple([ip.binpoly(1, {}), ip.binpoly(2, {})])
         with pytest.raises(ArityMismatch):
             ip.polytuple([])
 

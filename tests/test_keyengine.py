@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import random_binpoly, random_fullrank_lattice
+from conftest import random_binpoly, random_fullrank_lattice, sympy_saturation
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
 from polyrec import lattice as lat
@@ -95,11 +95,11 @@ class TestLeastPeriods:
             V = random_fullrank_lattice(rng, K, pivot_max=3)
             return [random_binpoly(rng, n, degree, bound=6) for _ in range(K)], V
         gens = [[rng.randint(-2, 2) for _ in range(K)] for _ in range(rng.randint(1, K))]
-        sat = lat.saturate(lat.hnf_from_generators(K, gens))
+        sat = sympy_saturation(lat.hnf_from_generators(K, gens))
         scales = [rng.randint(1, 3) for _ in sat.basis]
         V = lat.hnf_from_generators(K, [[m * e for e in col] for m, col in zip(scales, sat.basis)])
         ws = [random_binpoly(rng, n, degree, bound=4) for _ in sat.basis]
-        us = [ip.zero(n)] * K
+        us = [ip.binpoly(n, {})] * K
         for w, col in zip(ws, sat.basis):
             us = [ip.add(u, ip.binpoly(n, {i: c * e for i, c in w.terms})) for u, e in zip(us, col)]
         return us, V
@@ -195,7 +195,7 @@ class TestKeyLemma:
         assert ke.key_lemma_lattice(inst, lat.full_lattice(1)) == lat.full_lattice(1)
 
     def test_zero_map_returns_everything(self):
-        v = ip.polytuple([ip.zero(2)])
+        v = ip.polytuple([ip.binpoly(2, {})])
         inst = ke.key_instance(v, lat.scaled(1, 7))
         assert ke.key_lemma_lattice(inst, lat.full_lattice(2)) == lat.full_lattice(2)
 
@@ -277,7 +277,7 @@ class TestStableRank:
         assert lat.index(cert.V) is not None
 
     def test_zero_map(self):
-        v = ip.polytuple([ip.zero(1), ip.zero(1)])
+        v = ip.polytuple([ip.binpoly(1, {}), ip.binpoly(1, {})])
         cert = ke.stable_rank_subgroup(v, 3)
         assert cert.r == 0 and cert.V.rank == 0 and cert.samples == ()
 

@@ -1,12 +1,15 @@
 """Unit tests for the canonical integer-lattice algebra."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_fullrank_lattice
+from conftest import random_fullrank_lattice, sympy_saturation
+from polyrec import intpoly as ip
+from polyrec import keyengine as ke
 from polyrec import lattice as lat
 from polyrec.errors import ArityMismatch
 
@@ -62,7 +65,11 @@ class TestHnf:
             n = rng.randint(1, 4)
             gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(3)]
             l = lat.hnf_from_generators(n, gens)
-            rows = l.pivot_rows()
+            rows = l.pivot_rows
+            # the cached rows leave equality, hashing and JSON as they were
+            fresh = lat.hnf_from_generators(n, gens)
+            assert l == fresh and hash(l) == hash(fresh)
+            assert lat.to_json(l) == lat.to_json(fresh) and lat.from_json(lat.to_json(l)) == l
             assert list(rows) == sorted(rows)
             for j, (r, col) in enumerate(zip(rows, l.basis)):
                 assert col[r] > 0
@@ -172,6 +179,60 @@ class TestSmallestMultiple:
         assert lat.smallest_multiple(l, [Fraction(1, 2)]) == 6
 
 
+def random_lattice(rng):
+    """A lattice in Z^1 to Z^4 of any rank, the zero lattice included."""
+    k = rng.randint(1, 4)
+    gens = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rng.randint(0, k))]
+    return lat.hnf_from_generators(k, gens)
+
+
+def random_vector(rng, V):
+    """Half the time a primitive integer vector in the rational span of V,
+    which V itself often misses; otherwise any small integer vector."""
+    if V.rank and rng.random() < 0.5:
+        coefs = [rng.randint(-3, 3) for _ in V.basis]
+        v = [sum(c * col[i] for c, col in zip(coefs, V.basis)) for i in range(V.ambient)]
+        g = math.gcd(*v) or 1
+        return [e // g for e in v]
+    return [rng.randint(-5, 5) for _ in range(V.ambient)]
+
+
+class TestRationalSpan:
+    """The rational solve against a saturation from sympy's Smith form."""
+
+    def test_smallest_multiple_matches_saturation(self):
+        rng = random.Random(57)
+        outcomes = set()
+        for _ in range(300):
+            V = random_lattice(rng)
+            sat = sympy_saturation(V)
+            for _ in range(5):
+                x = random_vector(rng, V)
+                found = lat.smallest_multiple(V, x) is not None
+                assert found == sat.contains(x), (V, x)
+                outcomes.add((found, V.rank < V.ambient, V.contains(x)))
+        # in V, in the span but not in V, and off the span of a deficient V
+        assert {(True, False, True), (True, True, False), (False, True, False)} <= outcomes
+
+    def test_span_escape_matches_saturation_escape(self):
+        rng = random.Random(58)
+        escapes = 0
+        for _ in range(300):
+            V = random_lattice(rng)
+            n = rng.randint(1, 2)
+            coords = {
+                tuple(rng.randint(0, 2) for _ in range(n)): random_vector(rng, V)
+                for _ in range(rng.randint(1, 4))
+            }
+            us = [
+                ip.binpoly(n, {idx: c[i] for idx, c in coords.items()}) for i in range(V.ambient)
+            ]
+            expected = ke.first_escape(us, sympy_saturation(V))
+            assert ke.first_escape(us, V, span=True) == expected, (us, V)
+            escapes += expected is not None
+        assert 30 < escapes < 270
+
+
 class TestScaledAndJson:
     def test_scaled_examples(self):
         assert lat.scaled(2, 1) == lat.full_lattice(2)
@@ -185,12 +246,6 @@ class TestScaledAndJson:
         assert lat.index(lat.diagonal(steps)) == 24
         with pytest.raises(ArityMismatch):
             lat.diagonal([2, 0])
-
-    def test_saturate(self):
-        l = lat.hnf_from_generators(2, [(2, 4)])
-        assert lat.saturate(l).basis == ((1, 2),)
-        full = lat.hnf_from_generators(2, [(2, 0), (0, 3)])
-        assert lat.saturate(full) == lat.full_lattice(2)
 
     def test_json_round_trip(self):
         rng = random.Random(55)

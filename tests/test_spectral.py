@@ -11,7 +11,6 @@ from polyrec import spectral as sp
 from polyrec.errors import (
     ArityMismatch,
     CapExceeded,
-    DimMismatch,
     NonzeroConstantTerm,
     VerificationFailed,
 )
@@ -63,13 +62,23 @@ class TestLimitProjection:
 
     def test_zero_polynomial(self):
         u = sp.phase_unitary([["1/3"], ["1/2"]])
-        desc = sp.limit_projection(u, [ip.zero(2)])
+        desc = sp.limit_projection(u, [ip.binpoly(2, {})])
         assert desc.certificate.basis == ((1, 0), (0, 1))
 
     def test_constant_term_rejected(self):
         u = sp.phase_unitary([["1/2"]])
         with pytest.raises(NonzeroConstantTerm):
             sp.limit_projection(u, [ip.binpoly(1, {(1,): 1, (0,): 1})])
+
+    def test_mixed_variable_counts_rejected(self):
+        from polyrec import lattice as lat
+
+        u = sp.phase_unitary([["0", "1/2"], ["1/2", "1/3"]])
+        fs = [Z1Z2, ip.binpoly(1, {(2,): 1})]
+        with pytest.raises(ArityMismatch, match="mixed variable counts 2 and 1"):
+            sp.limit_projection(u, fs)
+        with pytest.raises(ArityMismatch, match="mixed variable counts 2 and 1"):
+            sp.verify_limit_certificate(u, fs, lat.full_lattice(2))
 
     def test_certificate_reverification_catches_tampering(self):
         u = sp.phase_unitary([["0"], ["1/2"]])
@@ -139,17 +148,6 @@ class TestProjectionPredicates:
             assert sp.is_orthogonal_projection(m).ok
         for a, b in itertools.combinations(mats, 2):
             assert sp.mat_mul(a, b) == sp.mat_mul(b, a)
-
-    def test_product_check(self):
-        a = sp.ProjectionDesc(dim=4, fixed=frozenset({0, 1}))
-        b = sp.ProjectionDesc(dim=4, fixed=frozenset({1, 2}))
-        assert sp.projection_product_check([a, b]).fixed == frozenset({1})
-        ident = sp.ProjectionDesc(dim=4, fixed=frozenset(range(4)))
-        assert sp.projection_product_check([a, ident]).fixed == a.fixed
-        c = sp.ProjectionDesc(dim=4, fixed=frozenset({3}))
-        assert sp.projection_product_check([a, c]).fixed == frozenset()
-        with pytest.raises(DimMismatch):
-            sp.projection_product_check([a, sp.ProjectionDesc(dim=2, fixed=frozenset())])
 
 
 class TestAveragingExpansion:

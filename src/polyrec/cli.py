@@ -229,28 +229,25 @@ CERTIFICATE_FIELDS: Dict[str, dict] = {
     "spectral-limit": {"unitary": UNITARY_SCHEMA, "fs": POLYS, "lattice": LATTICE_SCHEMA},
 }
 
+# The envelope of a certificate document; the fields of its kind are checked
+# after it, as a scenario's payload is checked after its envelope.
 CERTIFICATE_SCHEMA = {
     "type": "object",
     "required": ["certificate_kind"],
     "properties": {"certificate_kind": {"enum": sorted(CERTIFICATE_FIELDS)}},
-    "allOf": [
-        {
-            "if": {
-                "required": ["certificate_kind"],
-                "properties": {"certificate_kind": {"const": kind}},
-            },
-            "then": {"required": sorted(fields), "properties": fields},
-        }
-        for kind, fields in sorted(CERTIFICATE_FIELDS.items())
-    ],
 }
 
-# Every schema by the kind _schema_error takes: None for the scenario
-# envelope, "certificate" for a certificate document, else a payload kind.
-SCHEMAS: Dict[Optional[str], dict] = {
+# Every schema by the key _check takes: None for the scenario envelope, a
+# payload kind, "certificate" for the certificate envelope, and
+# ("certificate", kind) for the fields of a certificate kind.
+SCHEMAS: Dict[object, dict] = {
     None: SCENARIO_SCHEMA,
-    "certificate": CERTIFICATE_SCHEMA,
     **PAYLOAD_SCHEMAS,
+    "certificate": CERTIFICATE_SCHEMA,
+    **{
+        ("certificate", kind): {"required": sorted(fields), "properties": fields}
+        for kind, fields in CERTIFICATE_FIELDS.items()
+    },
 }
 
 
@@ -295,8 +292,10 @@ def _additional(extra, x, schema) -> bool:
     return not isinstance(x, dict) or all(_accepts(extra, v) for k, v in x.items() if k not in named)
 
 
-# keyword -> test(argument, instance, enclosing schema); each keyword but
-# "type", "const", "enum" and the applicators ignores instances of other types
+# keyword -> test(argument, instance, enclosing schema), for the 14 keywords
+# the schemas above use; only "additionalProperties" reads the enclosing
+# schema.  Each keyword but "type", "const", "enum" and "not" ignores
+# instances of other types.
 KEYWORDS = {
     "type": lambda t, x, s: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
     "required": lambda names, x, s: not isinstance(x, dict) or all(n in x for n in names),
@@ -313,9 +312,6 @@ KEYWORDS = {
     "const": lambda c, x, s: _equal(x, c),
     "enum": lambda options, x, s: any(_equal(x, o) for o in options),
     "not": lambda sub, x, s: not _accepts(sub, x),
-    "allOf": lambda subs, x, s: all(_accepts(sub, x) for sub in subs),
-    "if": lambda cond, x, s: not _accepts(cond, x) or _accepts(s.get("then", True), x),
-    "then": lambda sub, x, s: True,  # applied by "if"
     "schema_version": lambda v, x, s: True,  # an annotation of this package
 }
 
@@ -576,8 +572,8 @@ def _jsonable(value):
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(kind: Optional[str]):
-    """Compiled jsonschema validator of ``SCHEMAS[kind]``.
+def _validator(key):
+    """Compiled jsonschema validator of ``SCHEMAS[key]``.
 
     Only a document that :func:`_accepts` rejects reaches this, so a run
     of valid documents never imports jsonschema.  The schemas are
@@ -587,26 +583,50 @@ def _validator(kind: Optional[str]):
     """
     import jsonschema
 
-    schema = SCHEMAS[kind]
+    schema = SCHEMAS[key]
     return jsonschema.validators.validator_for(schema)(schema)
 
 
-def _schema_error(kind: Optional[str], doc) -> Optional[str]:
-    """"at PATH: MESSAGE" for the error of doc under ``SCHEMAS[kind]``, or None.
+def _check(source: str, key, doc) -> None:
+    """Raise :class:`InputError` naming source unless doc is valid under
+    ``SCHEMAS[key]``.
 
-    The error is jsonschema's, picked with ``best_match`` exactly as
-    ``jsonschema.validate`` picks it.  Should jsonschema find none where
-    :func:`_accepts` rejected, the document is accepted.
+    The error is jsonschema's, worded "at PATH: MESSAGE" and picked with
+    ``best_match`` exactly as ``jsonschema.validate`` picks it.  Should
+    jsonschema find none where :func:`_accepts` rejected, the document is
+    accepted.  A document nested too deeply to check is an input error.
     """
-    if _accepts(SCHEMAS[kind], doc):
-        return None
-    from jsonschema.exceptions import best_match
+    try:
+        if _accepts(SCHEMAS[key], doc):
+            return
+        from jsonschema.exceptions import best_match
 
-    error = best_match(_validator(kind).iter_errors(doc))
-    if error is None:
-        return None
-    where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-    return f"at {where}: {error.message}"
+        error = best_match(_validator(key).iter_errors(doc))
+    except RecursionError as exc:
+        raise InputError(f"{source}: {exc}") from None
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise InputError(f"{source}: at {where}: {error.message}")
+
+
+def _read_json(source: str, path):
+    """The JSON document at path; a file that cannot be read or parsed, or
+    is nested too deeply to parse, is an :class:`InputError` naming source."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+        raise InputError(f"{source}: invalid JSON ({exc})") from None
+    except (OSError, RecursionError) as exc:
+        raise InputError(f"{source}: {exc}") from None
+
+
+def _write(path: Path, doc) -> None:
+    """Write doc as indented, key-sorted JSON; a path that cannot be written
+    is an :class:`InputError`."""
+    try:
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _bundled_entries():
@@ -632,15 +652,9 @@ def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
     scenarios = []
     seen = set()
     for source, path in files:
-        try:
-            doc = json.loads(path.read_text())
-            error = _schema_error(None, doc) or _schema_error(doc["kind"], doc["payload"])
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{source}: invalid JSON ({exc})") from None
-        except RecursionError as exc:  # reading or checking a deeply nested document
-            raise InputError(f"{source}: {exc}") from None
-        if error is not None:
-            raise InputError(f"{source}: {error}")
+        doc = _read_json(source, path)
+        _check(source, None, doc)
+        _check(source, doc["kind"], doc["payload"])
         if doc["id"] in seen:
             raise InputError(f"{source}: duplicate scenario id {doc['id']!r}")
         seen.add(doc["id"])
@@ -689,29 +703,22 @@ def _format_text(report: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenarios = load_scenarios([Path(p) for p in args.paths], args.bundled)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenarios = load_scenarios([Path(p) for p in args.paths], args.bundled)
     if not scenarios:
-        print("error: no scenarios given (pass files, a directory, or --bundled)", file=sys.stderr)
-        return 2
-    try:
-        reports = [run_scenario(source, doc, args.cap, args.seed) for source, doc in scenarios]
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError("no scenarios given (pass files, a directory, or --bundled)")
+    reports = [run_scenario(source, doc, args.cap, args.seed) for source, doc in scenarios]
     for report in reports:
         print(_format_text(report))
     if args.emit_certificates:
         outdir = Path(args.emit_certificates)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"{outdir}: {exc}") from None
         for report in reports:
             if report["certificate"] is not None:
                 cert_doc = {"schema_version": 1, **report["certificate"]}
-                path = outdir / f"{report['id']}.cert.json"
-                path.write_text(json.dumps(cert_doc, indent=2, sort_keys=True) + "\n")
+                _write(outdir / f"{report['id']}.cert.json", cert_doc)
     if args.json:
         doc = {
             "schema_version": 1,
@@ -720,7 +727,7 @@ def cmd_run(args) -> int:
                 for report in reports
             ],
         }
-        Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(Path(args.json), doc)
     return 0 if all(r["verdict"] == "holds" for r in reports) else 1
 
 
@@ -736,16 +743,10 @@ def _require_finite_index(lat: lattice.Lattice, field: str) -> None:
 
 def cmd_verify_certificate(args) -> int:
     path = Path(args.certificate)
-    try:
-        doc = json.loads(path.read_text())
-        error = _schema_error("certificate", doc)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
-    if error is not None:
-        print(f"error: {path}: {error}", file=sys.stderr)
-        return 2
+    doc = _read_json(str(path), path)
+    _check(str(path), "certificate", doc)
     kind = doc["certificate_kind"]
+    _check(str(path), ("certificate", kind), doc)
     try:
         if kind == "key-lemma":
             _require_finite_index(lattice.from_json(doc["witness"]), "witness")
@@ -758,30 +759,24 @@ def cmd_verify_certificate(args) -> int:
             cert = lattice.from_json(doc["lattice"])
             _require_finite_index(cert, "lattice")
             spectral.verify_limit_certificate(u, fs, cert)
-    except CheckFailed as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except (InputError, KeyError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"{path}: {exc}") from None
     print(f"certificate verified: {kind}")
     return 0
 
 
 def cmd_list_scenarios(args) -> int:
     for entry in _bundled_entries():
-        doc = json.loads(entry.read_text())
+        doc = _read_json(f"bundled:{entry.name}", entry)
         print(f"{doc['id']}  [{doc['kind']}]  bundled:{entry.name}")
     return 0
 
 
 def cmd_schema(args) -> int:
     if args.kind not in PAYLOAD_SCHEMAS:
-        print(
-            f"error: unknown kind {args.kind!r}; choose from {', '.join(sorted(PAYLOAD_SCHEMAS))}",
-            file=sys.stderr,
+        raise InputError(
+            f"unknown kind {args.kind!r}; choose from {', '.join(sorted(PAYLOAD_SCHEMAS))}"
         )
-        return 2
     print(json.dumps(PAYLOAD_SCHEMAS[args.kind], indent=2, sort_keys=True))
     return 0
 
@@ -834,6 +829,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CheckFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except PolyrecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

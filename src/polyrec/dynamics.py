@@ -31,7 +31,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from . import intpoly, ipstruct, keyengine, lattice
 from .errors import (
     ArityMismatch,
-    NonzeroConstantTerm,
     NotBijective,
     NotCommuting,
     NotMeasurePreserving,
@@ -170,17 +169,7 @@ class RecurrenceQuery:
 def recurrence_query(
     A: Sequence[str], fs: Sequence[BinPoly], epsilon: Fraction | int | str = 0
 ) -> RecurrenceQuery:
-    fs = tuple(fs)
-    if not fs:
-        raise ArityMismatch("need at least one exponent polynomial")
-    n = fs[0].nvars
-    for f in fs:
-        if f.nvars != n:
-            raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
-        if f.constant_term() != 0:
-            raise NonzeroConstantTerm(
-                f"exponent polynomial has value {f.constant_term()} at the origin"
-            )
+    fs = intpoly.exponent_tuple(fs).components
     eps = Fraction(epsilon)
     if eps < 0:
         raise ArityMismatch(f"epsilon must be non-negative, got {eps}")
@@ -213,17 +202,10 @@ def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     These are the least periods of the tuple (f_i) modulo the diagonal
     lattice of the map orders (:func:`keyengine.least_periods`).
     """
-    fs = tuple(fs)
-    if not fs:
-        raise ArityMismatch("need at least one polynomial")
+    fs = intpoly.exponent_tuple(fs).components
     orders = map_orders(sys)
     if len(fs) != len(orders):
         raise ArityMismatch(f"{len(fs)} polynomials for {len(orders)} maps")
-    for f in fs:
-        if f.constant_term() != 0:
-            raise NonzeroConstantTerm(
-                f"exponent polynomial has value {f.constant_term()} at the origin"
-            )
     return keyengine.least_periods(fs, lattice.diagonal(orders))
 
 
@@ -249,19 +231,21 @@ class ResidueVerdict:
 def _exponent_rows(fs: Sequence[BinPoly], period: Sequence[int]):
     """(z, (f_1(z), ..., f_m(z))) for every z of the grid, in lexicographic order.
 
-    For each prefix of the first n - 1 coordinates, each f_i is evaluated at
-    the first k + 1 points of the last axis only, k its degree in the last
-    variable.  Its forward differences there (:func:`intpoly.interpolate`)
-    start the axis: the k-th one is constant, and each lower one is the
-    running sum of the one above.
+    For each prefix p of the first n - 1 coordinates, t -> f_i(p, t) has
+    binomial coordinate c_j = sum over the terms of f_i with last index j
+    of coef * prod_l C(p_l, idx_l), read off f_i's own coordinates without
+    evaluating it.  These are its forward differences at t = 0: the k-th
+    one (k its degree in the last variable) is constant, and each lower one
+    is the running sum of the one above.
     """
     *head, last = period
     depths = [intpoly.degree_in_vars(f, [len(period) - 1]) for f in fs]
     for prefix in product(*(range(p) for p in head)):
         columns = []
         for f, k in zip(fs, depths):
-            line = intpoly.interpolate(1, k, lambda t: intpoly.evaluate(f, prefix + t))
-            leading = [line.term_map().get((i,), 0) for i in range(k + 1)]
+            leading = [0] * (k + 1)
+            for idx, coef in f.terms:
+                leading[idx[-1]] += coef * math.prod(map(math.comb, prefix, idx))
             column = [leading.pop()] * last
             while leading:
                 column = list(accumulate(column[: last - 1], initial=leading.pop()))
@@ -281,10 +265,6 @@ def r_epsilon(
     (:func:`_exponent_rows`).  As T_i^{order_i} = id, each return measure is
     computed once per tuple (e_i mod order_i), then looked up.
     """
-    if len(query.fs) != sys.num_maps:
-        raise ArityMismatch(
-            f"{len(query.fs)} polynomials for {sys.num_maps} maps"
-        )
     period = system_period(sys, query.fs)
     if math.prod(period) > cap:
         raise SweepCapExceeded(f"period grid needs {math.prod(period)} points, cap is {cap}")
@@ -329,10 +309,6 @@ def verify_khintchine(sys: FiniteSystem, query: RecurrenceQuery) -> KhintchineRe
     is read once, at the origin; a failing verdict signals an implementation
     bug, not a property of the system.
     """
-    if len(query.fs) != sys.num_maps:
-        raise ArityMismatch(
-            f"{len(query.fs)} polynomials for {sys.num_maps} maps"
-        )
     period = system_period(sys, query.fs)
     mu_a = sys.measure(sorted(query.A))
     value = return_measure(sys, sorted(query.A), [0] * len(query.fs))

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, CapExceeded, NotIntegerValued
+from .errors import ArityMismatch, CapExceeded, NonzeroConstantTerm, NotIntegerValued
 from .numutil import compositions
 
 MultiIndex = Tuple[int, ...]
@@ -477,14 +477,26 @@ class PolyTuple:
 
 
 def polytuple(components: Iterable[BinPoly]) -> PolyTuple:
+    """The components as a tuple: at least one, all in the same variables."""
     comps = tuple(components)
     if not comps:
         raise ArityMismatch("a polynomial tuple needs at least one component")
     nv = comps[0].nvars
     for c in comps:
         if c.nvars != nv:
-            raise ArityMismatch(f"components mix variable counts {nv} and {c.nvars}")
+            raise ArityMismatch(f"mixed variable counts {nv} and {c.nvars}")
     return PolyTuple(comps)
+
+
+def exponent_tuple(components: Iterable[BinPoly]) -> PolyTuple:
+    """A :func:`polytuple` of exponent polynomials, each 0 at the origin."""
+    v = polytuple(components)
+    for c in v.components:
+        if c.constant_term() != 0:
+            raise NonzeroConstantTerm(
+                f"exponent polynomial has value {c.constant_term()} at the origin"
+            )
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from .errors import ArityMismatch, CapExceeded
@@ -54,10 +54,7 @@ def find_monochromatic_fs(coloring: Mapping[int, object], k: int) -> Optional[Fi
     monochromatic; None when the window has no witness.
     """
     w = _coloring_window(coloring)
-    if w > MAX_WINDOW:
-        raise CapExceeded(f"window {w} exceeds the cap {MAX_WINDOW}")
-    if k < 1 or k > MAX_TUPLE_LEN:
-        raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
+    check_window(k, w)
     for gens in combinations(range(1, w + 1), k):
         sums = fs_expand(FiniteIP(gens))
         if max(sums) > w:
@@ -96,11 +93,13 @@ def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
 
     Repeated generators are allowed.  Fails with the lexicographically
     least counterexample tuple.  The verdict is a statement about the
-    stated window only.
+    stated window only.  Sorting a tuple keeps its subset sums and does not
+    raise it lexicographically, so the least counterexample is
+    non-decreasing and only non-decreasing tuples are visited.
     """
     check_window(k, window)
     members = frozenset(int(x) for x in s)
-    for tup in product(range(1, window + 1), repeat=k):
+    for tup in combinations_with_replacement(range(1, window + 1), k):
         if not (fs_expand(FiniteIP(tup)) & members):
             return IpStarVerdict(False, tup, k, window)
     return IpStarVerdict(True, None, k, window)

@@ -165,4 +165,4 @@ def to_json(lat: Lattice) -> dict:
 
 
 def from_json(obj) -> Lattice:
-    return hnf_from_generators(int(obj["ambient"]), obj.get("basis", []))
+    return hnf_from_generators(int(obj["ambient"]), obj["basis"])

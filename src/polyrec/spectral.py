@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import keyengine, lattice
+from . import intpoly, keyengine, lattice
 from .errors import (
     ArityMismatch,
     CapExceeded,
     DimMismatch,
-    NonzeroConstantTerm,
     VerificationFailed,
 )
 from .intpoly import BinPoly
@@ -57,9 +56,6 @@ class GaussRat:
 
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
 
 def gq(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> GaussRat:
@@ -186,11 +182,7 @@ def _check_exponents(u: PhaseUnitary, fs: Sequence[BinPoly]) -> int:
     returns their number of variables."""
     if len(fs) != u.ops:
         raise ArityMismatch(f"{len(fs)} polynomials for {u.ops} operators")
-    n = fs[0].nvars
-    for f in fs:
-        if f.nvars != n:
-            raise ArityMismatch(f"mixed variable counts {n} and {f.nvars}")
-    return n
+    return intpoly.polytuple(fs).nvars
 
 
 def power_phases(
@@ -256,11 +248,7 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
     identity claim is checked, not assumed.
     """
     _check_exponents(u, fs)
-    for f in fs:
-        if f.constant_term() != 0:
-            raise NonzeroConstantTerm(
-                f"exponent polynomial has value {f.constant_term()} at the origin"
-            )
+    intpoly.exponent_tuple(fs)
     target = lattice.scaled(u.dim, phase_lcm(u))
     cert = lattice.diagonal(keyengine.least_periods(_phase_polys(u, fs), target))
     verify_limit_certificate(u, fs, cert)

@@ -195,6 +195,27 @@ class TestExitCodes:
                 code, _out, err = run_in_process(command, str(path))
                 assert code == 2 and err.startswith(f"error: {path}: "), (depth, command)
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["run", "{tmp}/latin1.json"], "{tmp}/latin1.json"),
+            (["verify-certificate", "{tmp}/latin1.json"], "{tmp}/latin1.json"),
+            (["run", "{tmp}/dir"], "{tmp}/dir/sub.json"),
+            (["verify-certificate", "{tmp}/dir/sub.json"], "{tmp}/dir/sub.json"),
+            (["run", "--bundled", "--emit-certificates", "{tmp}/file"], "{tmp}/file"),
+            (["run", "--bundled", "--json", "{tmp}/missing/out.json"], "{tmp}/missing/out.json"),
+        ],
+    )
+    def test_unreadable_input_and_unwritable_output_are_input_errors(self, tmp_path, args, named):
+        # a file that is not UTF-8, a directory named like a scenario, an
+        # output directory that is a file, and a report in a missing directory
+        (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "dir" / "sub.json").mkdir(parents=True)
+        (tmp_path / "file").write_text("x")
+        proc = run_cli(*(a.format(tmp=tmp_path) for a in args), timeout=30)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"error: {named.format(tmp=tmp_path)}: "), proc.stderr
+
     def test_ip_star_caps_are_checked_before_the_lift(self, tmp_path):
         # the lift spans 1..max(W * k, 2 lcm N), so a huge W or k used to
         # build it for ever before the window search refused the caps
@@ -736,8 +757,10 @@ class TestSchemaMessages:
         raise AssertionError("document is valid")
 
     def test_schemas_match_their_meta_schema(self):
-        schemas = [cli.SCENARIO_SCHEMA, cli.CERTIFICATE_SCHEMA, *cli.PAYLOAD_SCHEMAS.values()]
-        for schema in schemas:
+        # the scenario envelope, the payloads, the certificate envelope and
+        # the schema of each certificate kind
+        assert len(cli.SCHEMAS) == 2 + len(cli.PAYLOAD_SCHEMAS) + len(cli.CERTIFICATE_FIELDS)
+        for schema in cli.SCHEMAS.values():
             jsonschema.validators.validator_for(schema).check_schema(schema)
 
     @pytest.mark.parametrize("index", range(len(INVALID)))
@@ -785,7 +808,9 @@ class TestCertificates:
         kinds = {json.loads(p.read_text())["certificate_kind"] for p in paths}
         assert kinds == set(cli.CERTIFICATE_FIELDS)
         for path in paths:
-            jsonschema.validate(json.loads(path.read_text()), cli.CERTIFICATE_SCHEMA)
+            doc = json.loads(path.read_text())
+            jsonschema.validate(doc, cli.CERTIFICATE_SCHEMA)
+            jsonschema.validate(doc, cli.SCHEMAS["certificate", doc["certificate_kind"]])
 
     @staticmethod
     def verify_in_process(tmp_path, capsys, doc):
@@ -969,9 +994,13 @@ def mutated(draw, doc):
 
 
 def agrees(kind, doc):
-    """The checker's verdict on doc, asserted equal to jsonschema's."""
+    """The checker's verdict on doc, asserted equal to jsonschema's.  A
+    certificate is decided as its envelope and then the schema of its kind,
+    each step compared."""
     accepted = cli._accepts(cli.SCHEMAS[kind], doc)
     assert accepted == cli._validator(kind).is_valid(doc), (kind, doc)
+    if kind == "certificate" and accepted:
+        return agrees(("certificate", doc["certificate_kind"]), doc)
     return accepted
 
 
@@ -983,9 +1012,7 @@ def schema_keywords(schema):
         yield key, arg
         if key == "properties":
             nested = list(arg.values())
-        elif key == "allOf":
-            nested = arg
-        elif key in ("additionalProperties", "items", "not", "if", "then"):
+        elif key in ("additionalProperties", "items", "not"):
             nested = [arg]
         else:
             nested = []
@@ -1022,6 +1049,50 @@ class TestSchemaChecker:
     def test_certificates_agree_with_jsonschema(self, data):
         _, certificates = bundled_documents()
         agrees("certificate", data.draw(mutated(data.draw(st.sampled_from(certificates)))))
+
+    # the certificate schema as one document with a conditional per kind,
+    # the form the envelope-then-kind check replaced: the oracle of its wording
+    CONDITIONAL_CERTIFICATE_SCHEMA = {
+        "type": "object",
+        "required": ["certificate_kind"],
+        "properties": {"certificate_kind": {"enum": sorted(cli.CERTIFICATE_FIELDS)}},
+        "allOf": [
+            {
+                "if": {
+                    "required": ["certificate_kind"],
+                    "properties": {"certificate_kind": {"const": kind}},
+                },
+                "then": {"required": sorted(fields), "properties": fields},
+            }
+            for kind, fields in sorted(cli.CERTIFICATE_FIELDS.items())
+        ],
+    }
+
+    def test_certificate_errors_read_as_under_one_conditional_schema(self):
+        _, certificates = bundled_documents()
+        schema = self.CONDITIONAL_CERTIFICATE_SCHEMA
+        oracle = jsonschema.validators.validator_for(schema)(schema)
+        checked = []
+
+        @self.ORACLE
+        @given(data=st.data())
+        def same_message(data):
+            doc = data.draw(mutated(data.draw(st.sampled_from(certificates))))
+            error = jsonschema.exceptions.best_match(oracle.iter_errors(doc))
+            if error is not None:
+                where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+                error = f"doc: at {where}: {error.message}"
+            try:
+                cli._check("doc", "certificate", doc)
+                cli._check("doc", ("certificate", doc["certificate_kind"]), doc)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            assert got == error, doc
+            checked.append(got)
+
+        same_message()
+        assert len(checked) >= 300 and sum(m is not None for m in checked) >= 200
 
     def test_seed_documents_cover_every_kind(self):
         scenarios, certificates = bundled_documents()

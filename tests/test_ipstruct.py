@@ -92,11 +92,16 @@ class TestIpStarWindow:
         assert ips.is_ip_star_window(set(range(1, 17)), 2, 8).holds
 
     def test_against_brute_force(self):
+        # the search visits non-decreasing tuples only; the oracle visits
+        # every tuple in product order, so both must stop at the same one
         rng = random.Random(97)
-        for _ in range(30):
-            w = rng.randint(2, 8)
-            k = rng.randint(1, 3)
-            s = {n for n in range(1, w * k + 1) if rng.random() < 0.4}
+        for case in range(80):
+            k = rng.randint(1, 4)
+            w = rng.randint(2, {1: 12, 2: 12, 3: 9, 4: 6}[k])
+            if case % 2:
+                s = {n for n in range(1, w * k + 1) if rng.random() < rng.choice([0.3, 0.6, 0.9])}
+            else:
+                s = set(range(rng.randint(2, 5), w * k + 1, rng.randint(2, 5)))
             verdict = ips.is_ip_star_window(s, k, w)
             brute = None
             for tup in itertools.product(range(1, w + 1), repeat=k):

@@ -12,6 +12,7 @@ Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -620,13 +621,20 @@ def _read_json(source: str, path):
         raise InputError(f"{source}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An :class:`OSError` inside the block is an :class:`InputError` naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _write(path: Path, doc) -> None:
     """Write doc as indented, key-sorted JSON; a path that cannot be written
     is an :class:`InputError`."""
-    try:
+    with _writing(path):
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from None
 
 
 def _bundled_entries():
@@ -706,15 +714,19 @@ def cmd_run(args) -> int:
     scenarios = load_scenarios([Path(p) for p in args.paths], args.bundled)
     if not scenarios:
         raise InputError("no scenarios given (pass files, a directory, or --bundled)")
+    # outputs are made ready before any scenario runs, so a path that cannot
+    # be written is refused without the work; appending keeps an old report
+    if args.emit_certificates:
+        outdir = Path(args.emit_certificates)
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
+    if args.json:
+        with _writing(args.json):
+            Path(args.json).open("a").close()
     reports = [run_scenario(source, doc, args.cap, args.seed) for source, doc in scenarios]
     for report in reports:
         print(_format_text(report))
     if args.emit_certificates:
-        outdir = Path(args.emit_certificates)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise InputError(f"{outdir}: {exc}") from None
         for report in reports:
             if report["certificate"] is not None:
                 cert_doc = {"schema_version": 1, **report["certificate"]}

@@ -84,8 +84,6 @@ def check_window(k: int, window: int) -> None:
 class IpStarVerdict:
     holds: bool
     witness: Optional[Tuple[int, ...]]
-    k: int
-    window: int
 
 
 def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
@@ -101,8 +99,8 @@ def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
     members = frozenset(int(x) for x in s)
     for tup in combinations_with_replacement(range(1, window + 1), k):
         if not (fs_expand(FiniteIP(tup)) & members):
-            return IpStarVerdict(False, tup, k, window)
-    return IpStarVerdict(True, None, k, window)
+            return IpStarVerdict(False, tup)
+    return IpStarVerdict(True, None)
 
 
 def syndetic_gap(s: Iterable[int], lo: int, hi: int) -> Optional[int]:

@@ -13,9 +13,12 @@ u.  So u(Z^r) lies in V exactly when every c_a does (:func:`first_escape`).
 
 Every witness lattice is built by one routine, :func:`least_periods`: the
 least per-coordinate periods of u modulo V, found from the same
-coordinates.  The key-lemma witness, the period grid of
-:mod:`polyrec.dynamics` and the spectral-limit certificate all come from
-it.  Every constructor re-verifies its output before returning.
+coordinates.  Coordinate j starts from lcm(1..d) times the order modulo V
+of the first difference in z_j, and only the primes up to the degree d
+are divided out of that start, so no integer is factored.  The key-lemma
+witness, the period grid of :mod:`polyrec.dynamics` and the spectral-limit
+certificate all come from it.  Every constructor re-verifies its output
+before returning.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .intpoly import BinPoly, MultiIndex, PolyTuple
 from .lattice import Lattice
-from .numutil import lcm_upto, prime_factors
+from .numutil import lcm_upto
 
 # Point budget of the package's exhaustive sweeps (the r-epsilon period grid)
 # and of the stable-rank search window; larger instances are refused loudly
@@ -178,43 +181,51 @@ def least_periods(us: Sequence[BinPoly], V: Lattice) -> Tuple[int, ...]:
     Needs u(z) - u(0) in the rational span of V for every z, else raises
     :class:`SaturationFailed` at the least index whose coordinate escapes.
 
-    P = lcm(1..d) * (lcm over a != 0 of the least m_a with m_a * c_a in V)
-    is a period: the shift by P e_j moves c_b by the sum over i >= 1 of
-    C(P, i) c_{b + i e_j}, and P / i divides C(P, i).  P is re-checked
-    first, and a failure names the least pair (z, j) that breaks it.  The
-    periods of coordinate j form the subgroup N_j * Z, which contains P, so
-    N_j is found by dividing P by one prime at a time while the quotient
-    still passes.
+    Let m_a be the least m >= 1 with m * c_a in V, M_j the lcm of the m_a
+    with a_j >= 1 (the order modulo V of the first difference
+    u(z + e_j) - u(z)) and d the largest degree.  Coordinate j starts from
+    P_j = lcm(1..d) * M_j, a period: the shift by P_j e_j moves c_b by the
+    sum over 1 <= i <= d of C(P_j, i) c_{b + i e_j}, P_j / i divides
+    C(P_j, i) and is a multiple of M_j, and b + i e_j has j-th entry >= 1.
+    P_j is re-checked first, and a failure names the least pair (z, j) that
+    breaks it.  For a prime p > d, P_j already has the p-part of N_j: for
+    i <= d, C(N, i) = (N / i) C(N - 1, i - 1) has at least the factors p of N,
+    so killing the p-part of every m_a with a_j >= 1 is enough; and it is
+    needed, by descending induction on a_j, since the shift difference at
+    a - e_j is N c_a plus the C(N, i) c_{a + (i - 1) e_j}, i >= 2, whose
+    p-components already vanish.  The periods of coordinate j form N_j * Z,
+    so N_j is found by dividing P_j by the primes p <= d only, while the
+    quotient still passes.  No integer is factored.
     """
     coords = _binomial_coordinates(us)
-    clearing = 1
+    orders: Dict[MultiIndex, int] = {}
     for a in sorted(coords):
-        # m_a divides clearing exactly when clearing * c_a is in V already
-        if any(a) and not V.contains([clearing * c for c in coords[a]]):
+        if any(a):
             multiple = lattice.smallest_multiple(V, coords[a])
             if multiple is None:
                 raise SaturationFailed(
                     witness=a,
                     message=f"coordinate at {a} escapes the rational span of the target",
                 )
-            clearing = math.lcm(clearing, multiple)
-    period = lcm_upto(max(u.degree for u in us)) * clearing
+            orders[a] = multiple
+    d = max(u.degree for u in us)
+    n = us[0].nvars
+    starts = [lcm_upto(d) * math.lcm(*(m for a, m in orders.items() if a[j])) for j in range(n)]
 
     def escape(j: int, step: int) -> Optional[MultiIndex]:
         return first_escape([intpoly.shift_difference(u, j, step) for u in us], V)
 
-    n = us[0].nvars
-    failures = [(z, j) for j in range(n) if (z := escape(j, period)) is not None]
+    failures = [(z, j) for j, start in enumerate(starts) if (z := escape(j, start)) is not None]
     if failures:
         z, j = min(failures)
         raise VerificationFailed(
             witness=z,
             message=f"periodicity failed at {z} in coordinate {j}",
         )
+    primes = [p for p in range(2, d + 1) if all(p % q for q in range(2, p))]
     least = []
-    for j in range(n):
-        step = period
-        for p in sorted(set(prime_factors(period))):
+    for j, step in enumerate(starts):
+        for p in primes:
             while step % p == 0 and escape(j, step // p) is None:
                 step //= p
         least.append(step)

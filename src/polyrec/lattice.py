@@ -68,6 +68,8 @@ def hnf_from_generators(ambient: int, gens: Sequence[Sequence[int]]) -> Lattice:
 
     pivots: List[Tuple[int, List[int]]] = []
     for row in range(ambient):
+        if not work:
+            break
         carrier = None
         for col in work:
             if col[row]:

@@ -14,20 +14,6 @@ def lcm_upto(d: int) -> int:
     return out
 
 
-def prime_factors(n: int) -> Tuple[int, ...]:
-    """Prime factors of n >= 1 with multiplicity, in increasing order."""
-    out = []
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
     old_r, r = a, b

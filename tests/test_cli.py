@@ -215,6 +215,45 @@ class TestExitCodes:
         proc = run_cli(*(a.format(tmp=tmp_path) for a in args), timeout=30)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith(f"error: {named.format(tmp=tmp_path)}: "), proc.stderr
+        if "--emit-certificates" in args or "--json" in args:
+            # an output is refused before any scenario runs
+            assert proc.stdout == ""
+
+    def test_target_with_large_prime_index(self, tmp_path):
+        # V = (1000000007 * 1000000009) Z: the least period of z modulo V is
+        # its index, found without factoring it
+        index = 1000000007 * 1000000009
+        payload = {
+            "v": [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}],
+            "V": {"ambient": 1, "basis": [[index]]},
+            "hypothesis": {"ambient": 1, "basis": [[1]]},
+        }
+        path = scenario_file(tmp_path / "kl.json", "key-lemma", payload)
+        proc = run_cli("run", str(path), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert f"witness_index: {index}" in proc.stdout
+
+    def test_lattice_with_huge_ambient_and_no_columns(self, tmp_path):
+        # the Hermite form stops at the last generator, not at row 10^12
+        empty = {"ambient": 10**12, "basis": []}
+        z = [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}]
+        payload = {"v": z, "V": empty, "hypothesis": {"ambient": 1, "basis": [[1]]}}
+        path = scenario_file(tmp_path / "kl.json", "key-lemma", payload)
+        proc = run_cli("run", str(path), timeout=10)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert "target subgroup lives in Z^1000000000000" in proc.stderr
+        cert = {
+            "schema_version": 1,
+            "certificate_kind": "spectral-limit",
+            "unitary": {"phases": [["1/2"]]},
+            "fs": z,
+            "lattice": empty,
+        }
+        path = tmp_path / "sl.cert.json"
+        path.write_text(json.dumps(cert))
+        proc = run_cli("verify-certificate", str(path), timeout=10)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        assert "so its index is infinite" in proc.stderr
 
     def test_ip_star_caps_are_checked_before_the_lift(self, tmp_path):
         # the lift spans 1..max(W * k, 2 lcm N), so a huge W or k used to
@@ -489,12 +528,16 @@ def recurrence_payloads(draw, kind):
 @st.composite
 def lattice_docs(draw, ambient, full=False):
     """A schema-valid lattice document in Z^ambient, of any rank, or for
-    ``full`` mostly with at least ``ambient`` columns; now and then it claims
-    the next dimension instead, which is an input error."""
+    ``full`` mostly with at least ``ambient`` columns.  Now and then every
+    column is scaled by 1000000007 * 1000000009, and now and then it claims
+    the next dimension, or Z^(10^12) with no columns, which are input errors."""
     column = st.lists(st.integers(-6, 6), min_size=ambient, max_size=ambient)
     least = draw(now_and_then(0, ambient)) if full else 0
     basis = draw(st.lists(column, min_size=least, max_size=ambient + 1))
-    return {"ambient": draw(now_and_then(ambient + 1, ambient)), "basis": basis}
+    scale = draw(now_and_then(1000000007 * 1000000009, 1))
+    basis = [[scale * e for e in col] for col in basis]
+    claim = draw(now_and_then(10**12, draw(now_and_then(ambient + 1, ambient))))
+    return {"ambient": claim, "basis": [] if claim == 10**12 else basis}
 
 
 @st.composite
@@ -502,7 +545,7 @@ def key_lemma_payloads(draw):
     v = draw(stable_rank_tuples())
     return {
         "v": v,
-        "V": draw(lattice_docs(len(v))),
+        "V": draw(lattice_docs(len(v), full=draw(st.booleans()))),
         "hypothesis": draw(lattice_docs(v[0]["nvars"], full=True)),
     }
 
@@ -666,7 +709,7 @@ class TestFrontDoorFuzz:
         # the limit projection is proved, never refuted: only input errors fail
         assert code in (0, 2) and "Traceback" not in err
         if code == 0:
-            field = data.draw(st.sampled_from(["unitary", "fs", "lattice"]))
+            field = data.draw(st.sampled_from(["lattice", "unitary", "fs"]))
             if field == "unitary":
                 tampered = data.draw(spectral_payloads())["unitary"]
             elif field == "fs":

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy import primefactors
 
 from conftest import product_system, random_binpoly
 from polyrec import dynamics as dy
@@ -19,7 +20,7 @@ from polyrec.errors import (
     UnknownPoint,
     WeightsNotNormalized,
 )
-from polyrec.numutil import lcm_upto, prime_factors
+from polyrec.numutil import lcm_upto
 
 
 def cyclic(n):
@@ -441,7 +442,7 @@ class TestMinimalGrid:
             side = full_period(sys_, query.fs)
             for j, step in enumerate(period):
                 assert is_period(sys_, query.fs, j, step, side), (case, j)
-                for p in set(prime_factors(step)):
+                for p in primefactors(step):
                     assert not is_period(sys_, query.fs, j, step // p, side), (case, j, p)
 
     def test_matches_division_from_the_full_period(self):
@@ -454,7 +455,7 @@ class TestMinimalGrid:
             divided = []
             for j in range(query.fs[0].nvars):
                 step = side
-                for p in sorted(set(prime_factors(side))):
+                for p in primefactors(side):
                     while step % p == 0 and is_period(sys_, query.fs, j, step // p, side):
                         step //= p
                 divided.append(step)

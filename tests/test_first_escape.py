@@ -85,29 +85,45 @@ def sweep_limit_certificate(u, fs, cert):
             )
 
 
-def sweep_periodicity(fs, orders, period):
-    """Re-check the period on [0, period)^n, then take the least divisor per coordinate."""
+def shift(z, j, step):
+    """z moved by step along coordinate j."""
+    return tuple(c + step * (i == j) for i, c in enumerate(z))
+
+
+def sweep_periodicity(fs, orders, starts, degree):
+    """Re-check each start P_j on its own box [0, P_j)^n, then take per
+    coordinate the least P_j / s, s a product of primes <= degree, that is
+    still a period."""
     n = fs[0].nvars
-    box = list(product(range(period), repeat=n))
 
     def breaks(z, j, step):
-        shifted = list(z)
-        shifted[j] += step
+        shifted = shift(z, j, step)
         return any((f.evaluate(shifted) - f.evaluate(z)) % o for f, o in zip(fs, orders))
 
-    for z in box:
-        for j in range(n):
-            if breaks(z, j, period):
-                raise VerificationFailed(
-                    witness=z, message=f"periodicity failed at {z} in coordinate {j}"
-                )
+    def smooth(s):
+        for t in range(2, degree + 1):
+            while s % t == 0:
+                s //= t
+        return s == 1
+
+    boxes = [list(product(range(start), repeat=n)) for start in starts]
+    failures = []
+    for j, (start, box) in enumerate(zip(starts, boxes)):
+        z = next((z for z in box if breaks(z, j, start)), None)
+        if z is not None:
+            failures.append((z, j))
+    if failures:
+        z, j = min(failures)
+        raise VerificationFailed(witness=z, message=f"periodicity failed at {z} in coordinate {j}")
     return tuple(
         next(
             step
-            for step in range(1, period + 1)
-            if period % step == 0 and not any(breaks(z, j, step) for z in box)
+            for step in range(1, start + 1)
+            if start % step == 0
+            and smooth(start // step)
+            and not any(breaks(z, j, step) for z in box)
         )
-        for j in range(n)
+        for j, (start, box) in enumerate(zip(starts, boxes))
     )
 
 
@@ -306,13 +322,14 @@ class TestCallSitesAgreeWithSweeps:
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
 
     def test_periodicity_recheck(self, monkeypatch):
-        # least_periods starts from P = lcm(1..d) * M, M the lcm of the least
-        # multiples of the coordinate vectors that land in the diagonal
-        # lattice of the orders (here read off the values on [0, 4]^n, which
-        # generate the same group).  With lcm(1..d) replaced by a shorter
-        # multiplier the re-check of P may fail; P stays at least d so the
-        # sweep's box still holds the least failure, and the least shift
-        # that keeps every f_i mod order_i.
+        # least_periods starts coordinate j from P_j = lcm(1..d) * M_j, M_j
+        # the order of the first difference f(z + e_j) - f(z) modulo the
+        # diagonal lattice of the orders (here read off its values on
+        # [0, 4]^n, which generate the same group).  With lcm(1..d) replaced
+        # by a shorter multiplier the re-check of P_j may fail; every P_j
+        # stays at least d so each coordinate's box still holds its least
+        # failure, and the least P_j / s, s a product of primes <= d, that
+        # keeps every f_i mod order_i.
         rng = random.Random(173)
         multiplier = [1]
         monkeypatch.setattr(ke, "lcm_upto", lambda d: multiplier[0])
@@ -324,14 +341,15 @@ class TestCallSitesAgreeWithSweeps:
             fs = [random_binpoly(rng, n, 4 - n, bound=4) for _ in sizes]
             fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
             orders = lat.diagonal(sizes)
-            clearing = math.lcm(
-                *(lat.smallest_multiple(orders, [f.evaluate(z) for f in fs])
-                  for z in product(range(5), repeat=n))
-            )
+            box = list(product(range(5), repeat=n))
+            diffs = [[[f.evaluate(shift(z, j, 1)) - f.evaluate(z) for f in fs] for z in box]
+                     for j in range(n)]
+            first = [math.lcm(*(lat.smallest_multiple(orders, v) for v in vs)) for vs in diffs]
             d = max(f.degree for f in fs)
-            short = [m for m in range(1, lcm_upto(d)) if clearing * m >= d]
+            short = [m for m in range(1, lcm_upto(d)) if min(first) * m >= d]
             multiplier[0] = rng.choice(short or [lcm_upto(d)])
-            expected = outcome(sweep_periodicity, fs, sizes, clearing * multiplier[0])
+            starts = [m * multiplier[0] for m in first]
+            expected = outcome(sweep_periodicity, fs, sizes, starts, d)
             assert outcome(dy.system_period, sys_, fs) == expected
             failures += expected[0] != "returned"
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5

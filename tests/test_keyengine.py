@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import math
 import random
 import time
 from importlib import resources
 
 import pytest
+from sympy import factorint, nextprime, primefactors
 
 from conftest import random_binpoly, random_fullrank_lattice, sympy_saturation
 from polyrec import intpoly as ip
@@ -19,7 +21,7 @@ from polyrec.errors import (
     SaturationFailed,
     SweepCapExceeded,
 )
-from polyrec.numutil import lcm_upto, prime_factors
+from polyrec.numutil import lcm_upto
 
 
 def vanishing_lattice(fs, q):
@@ -83,6 +85,34 @@ def shifted_lands(us, V, j, step, side):
     return True
 
 
+def coordinate_orders(us, V):
+    """m_a, the least m >= 1 with m * c_a in V, per nonzero binomial index a."""
+    indices = {idx for u in us for idx, _ in u.terms if any(idx)}
+    return {
+        a: lat.smallest_multiple(V, [u.term_map().get(a, 0) for u in us]) for a in sorted(indices)
+    }
+
+
+def prime_division_periods(us, V):
+    """Least periods of u on the span of V by division from one start
+    P = lcm(1..d) * lcm(m_a) for every coordinate: P is divided by each of
+    its prime factors (sympy's factorint) while the quotient still passes."""
+    start = lcm_upto(max(u.degree for u in us)) * math.lcm(*coordinate_orders(us, V).values())
+
+    def lands(j, step):
+        return ke.first_escape([ip.shift_difference(u, j, step) for u in us], V) is None
+
+    least = []
+    for j in range(us[0].nvars):
+        assert lands(j, start)
+        step = start
+        for p in sorted(factorint(start)):
+            while step % p == 0 and lands(j, step // p):
+                step //= p
+        least.append(step)
+    return tuple(least)
+
+
 class TestLeastPeriods:
     @staticmethod
     def random_case(rng):
@@ -118,9 +148,37 @@ class TestLeastPeriods:
                     N for N in range(1, step + 1) if shifted_lands(us, V, j, N, side)
                 )
                 assert least == step, (us, V, j)
-                for p in set(prime_factors(step)):
+                for p in primefactors(step):
                     assert not shifted_lands(us, V, j, step // p, side)
         assert deficient > 30
+
+    def test_matches_division_by_every_prime_factor(self):
+        # targets carry primes above 10^6, and added C(z_j, 2) and C(z_j, 3)
+        # terms leave primes <= d to divide out of the per-coordinate start
+        rng = random.Random(197)
+        big = divided = 0
+        for _ in range(240):
+            n = rng.randint(1, 2)
+            K = rng.randint(1, 3)
+            large = [1, nextprime(10**6 + rng.randrange(10**6))]
+            V = lat.diagonal([rng.choice([1, 2, 3, 4, 6, 12]) * rng.choice(large) for _ in range(K)])
+            us = []
+            for _ in range(K):
+                u = random_binpoly(rng, n, rng.randint(1, 4 - n), bound=6)
+                if rng.random() < 0.5:
+                    j, k = rng.randrange(n), rng.choice([2, 3])
+                    u = ip.add(u, ip.binpoly(n, {tuple(k * (i == j) for i in range(n)): 1}))
+                us.append(u)
+            periods = ke.least_periods(us, V)
+            assert periods == prime_division_periods(us, V), (us, V)
+            big += any(p > 10**6 for p in primefactors(math.prod(periods)))
+            orders = coordinate_orders(us, V)
+            d = max(u.degree for u in us)
+            divided += any(
+                lcm_upto(d) * math.lcm(*(m for a, m in orders.items() if a[j])) != N
+                for j, N in enumerate(periods)
+            )
+        assert big > 100 and divided > 100, (big, divided)
 
     def test_off_span_is_refused(self):
         # C(z, 2) takes odd values, which never land on the line of (1, 1)

@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for polynomial recurrence verification.
 
-Subpackages:
+Modules:
 
 - :mod:`polyrec.intpoly`   integer-valued polynomials on the binomial basis
 - :mod:`polyrec.lattice`   canonical integer-lattice algebra (Hermite form)

@@ -11,21 +11,50 @@ Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
+import importlib.util
 import json
 import math
 import random
 import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from . import dynamics, intpoly, ipstruct, keyengine, lattice, spectral
-from .errors import CheckFailed, InputError, PolyrecError, SweepCapExceeded, VerificationFailed
+from .errors import (
+    SWEEP_CAP,
+    CheckFailed,
+    InputError,
+    PolyrecError,
+    SweepCapExceeded,
+    VerificationFailed,
+)
+
+
+def _lazy(name: str):
+    """The submodule ``polyrec.<name>``, executed when an attribute of it is
+    first read, so a command runs only the modules its kinds need."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    loader.exec_module(module)
+    return module
+
+
+dynamics = _lazy("dynamics")
+intpoly = _lazy("intpoly")
+ipstruct = _lazy("ipstruct")
+keyengine = _lazy("keyengine")
+lattice = _lazy("lattice")
+spectral = _lazy("spectral")
 
 RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/0*[1-9][0-9]*)?$"}
 INTEGER_STRING = {"type": "string", "pattern": r"^-?[0-9]+$"}
@@ -565,6 +594,8 @@ RUNNERS = {
 
 
 def _jsonable(value):
+    from fractions import Fraction
+
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (Fraction,)):
@@ -720,26 +751,34 @@ def cmd_run(args) -> int:
         outdir = Path(args.emit_certificates)
         with _writing(outdir):
             outdir.mkdir(parents=True, exist_ok=True)
+    created = False
     if args.json:
         with _writing(args.json):
+            created = not Path(args.json).exists()
             Path(args.json).open("a").close()
-    reports = [run_scenario(source, doc, args.cap, args.seed) for source, doc in scenarios]
-    for report in reports:
-        print(_format_text(report))
-    if args.emit_certificates:
+    try:
+        reports = [run_scenario(source, doc, args.cap, args.seed) for source, doc in scenarios]
         for report in reports:
-            if report["certificate"] is not None:
-                cert_doc = {"schema_version": 1, **report["certificate"]}
-                _write(outdir / f"{report['id']}.cert.json", cert_doc)
-    if args.json:
-        doc = {
-            "schema_version": 1,
-            "reports": [
-                {k: v for k, v in report.items() if k != "certificate"}
-                for report in reports
-            ],
-        }
-        _write(Path(args.json), doc)
+            print(_format_text(report))
+        if args.emit_certificates:
+            for report in reports:
+                if report["certificate"] is not None:
+                    cert_doc = {"schema_version": 1, **report["certificate"]}
+                    _write(outdir / f"{report['id']}.cert.json", cert_doc)
+        if args.json:
+            doc = {
+                "schema_version": 1,
+                "reports": [
+                    {k: v for k, v in report.items() if k != "certificate"}
+                    for report in reports
+                ],
+            }
+            _write(Path(args.json), doc)
+    except BaseException:
+        # a report file this run created is not left behind empty
+        if created:
+            Path(args.json).unlink(missing_ok=True)
+        raise
     return 0 if all(r["verdict"] == "holds" for r in reports) else 1
 
 
@@ -794,6 +833,8 @@ def cmd_schema(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polyrec",
         description="Exact verification scenarios: polynomial differences, lattice "
@@ -814,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--cap",
         type=int,
-        default=keyengine.SWEEP_CAP,
+        default=SWEEP_CAP,
         help="point budget of the r-epsilon and ip-star sweeps and of the stable-rank "
         "window, and row budget of a delta-check polynomial's difference expansions",
     )

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
 from .errors import (
@@ -34,16 +33,15 @@ from .errors import (
     NotBijective,
     NotCommuting,
     NotMeasurePreserving,
+    SWEEP_CAP,
     SweepCapExceeded,
     UnknownPoint,
     WeightsNotNormalized,
 )
 from .intpoly import BinPoly
-from .keyengine import SWEEP_CAP
 
 
-@dataclass(frozen=True)
-class FiniteSystem:
+class FiniteSystem(NamedTuple):
     """Finite weighted probability space with commuting m.p. bijections.
 
     ``maps[i]`` sends point index x to its image index; weights are exact
@@ -157,8 +155,7 @@ def system_from_json(obj: Mapping) -> FiniteSystem:
     return build_system(obj["points"], obj["weights"], obj["maps"])
 
 
-@dataclass(frozen=True)
-class RecurrenceQuery:
+class RecurrenceQuery(NamedTuple):
     """A target set, exponent polynomials with f_i(0) = 0, and a slack eps."""
 
     A: FrozenSet[str]
@@ -209,8 +206,7 @@ def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     return keyengine.least_periods(fs, lattice.diagonal(orders))
 
 
-@dataclass(frozen=True)
-class ResidueVerdict:
+class ResidueVerdict(NamedTuple):
     """Exact description of a threshold set as residue classes.
 
     z belongs to the set iff (z_1 mod N_1, ..., z_n mod N_n) is in
@@ -289,8 +285,7 @@ def r_epsilon(
     )
 
 
-@dataclass(frozen=True)
-class KhintchineReport:
+class KhintchineReport(NamedTuple):
     sup_value: Fraction
     bound: Fraction
     holds: bool
@@ -321,8 +316,7 @@ def verify_khintchine(sys: FiniteSystem, query: RecurrenceQuery) -> KhintchineRe
     )
 
 
-@dataclass(frozen=True)
-class WindowStructure:
+class WindowStructure(NamedTuple):
     ip_star: ipstruct.IpStarVerdict
     gap: Optional[int]
     horizon: int

@@ -3,7 +3,8 @@
 ``InputError`` covers malformed or out-of-bounds inputs; the CLI maps these
 to exit code 2.  ``CheckFailed`` covers verifications that ran to completion
 and failed, carrying a concrete witness; the CLI reports these as failing
-verdicts (exit code 1).
+verdicts (exit code 1).  ``SWEEP_CAP`` is the default budget past which
+``SweepCapExceeded`` is raised.
 """
 
 
@@ -37,6 +38,12 @@ class CapExceeded(InputError):
 
 class SweepCapExceeded(CapExceeded):
     """An exhaustive grid sweep would exceed the configured point budget."""
+
+
+# Point budget of the package's exhaustive sweeps (the r-epsilon period grid)
+# and of the stable-rank search window; larger instances are refused loudly
+# rather than silently truncated.
+SWEEP_CAP = 10**6
 
 
 class WeightsNotNormalized(InputError):

@@ -34,11 +34,10 @@ recursion, as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, CapExceeded, NonzeroConstantTerm, NotIntegerValued
 from .numutil import compositions
@@ -51,8 +50,7 @@ MAX_DEGREE = 8
 MAX_NVARS = 4
 
 
-@dataclass(frozen=True)
-class BinPoly:
+class BinPoly(NamedTuple):
     """Polynomial stored by integer coordinates on the binomial basis.
 
     ``terms`` maps the multi-index (i_1, ..., i_n) to the coefficient of
@@ -66,7 +64,7 @@ class BinPoly:
     def term_map(self) -> Dict[MultiIndex, int]:
         return dict(self.terms)
 
-    @cached_property
+    @property
     def degree(self) -> int:
         """Max total degree over stored indices; 0 for the zero polynomial."""
         return max((sum(idx) for idx, _ in self.terms), default=0)
@@ -454,8 +452,7 @@ def pullback(f: BinPoly, basis: Sequence[Sequence[int]]) -> BinPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyTuple:
+class PolyTuple(NamedTuple):
     """Non-empty tuple of :class:`BinPoly` over a shared variable set."""
 
     components: Tuple[BinPoly, ...]

@@ -9,9 +9,8 @@ values are positive integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ArityMismatch, CapExceeded
 
@@ -20,21 +19,18 @@ MAX_WINDOW = 12  # exhaustive window searches
 MAX_TUPLE_LEN = 4  # generator-tuple length in exhaustive sweeps
 
 
-@dataclass(frozen=True)
-class FiniteIP:
+class FiniteIP(NamedTuple):
     """Finite family of positive generators; repetition allowed."""
 
     generators: Tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.generators:
-            raise ArityMismatch("need at least one generator")
-        if any(g < 1 for g in self.generators):
-            raise ArityMismatch(f"generators must be positive: {self.generators}")
-
 
 def fs_expand(ip: FiniteIP) -> FrozenSet[int]:
     """All nonempty-subset sums of the generators (duplicates collapse)."""
+    if not ip.generators:
+        raise ArityMismatch("need at least one generator")
+    if any(g < 1 for g in ip.generators):
+        raise ArityMismatch(f"generators must be positive: {ip.generators}")
     k = len(ip.generators)
     if k > MAX_GENERATORS:
         raise CapExceeded(f"{k} generators exceed the expansion cap {MAX_GENERATORS}")
@@ -80,8 +76,7 @@ def check_window(k: int, window: int) -> None:
         raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
 
 
-@dataclass(frozen=True)
-class IpStarVerdict:
+class IpStarVerdict(NamedTuple):
     holds: bool
     witness: Optional[Tuple[int, ...]]
 

@@ -24,15 +24,15 @@ before returning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import intpoly, lattice
 from .errors import (
     ArityMismatch,
     HypothesisFailed,
     RankDeficientBasis,
+    SWEEP_CAP,
     SaturationFailed,
     SweepCapExceeded,
     VerificationFailed,
@@ -41,14 +41,8 @@ from .intpoly import BinPoly, MultiIndex, PolyTuple
 from .lattice import Lattice
 from .numutil import lcm_upto
 
-# Point budget of the package's exhaustive sweeps (the r-epsilon period grid)
-# and of the stable-rank search window; larger instances are refused loudly
-# rather than silently truncated.
-SWEEP_CAP = 10**6
 
-
-@dataclass(frozen=True)
-class KeyInstance:
+class KeyInstance(NamedTuple):
     """A polynomial tuple v: Z^n -> Z^K together with a target subgroup V."""
 
     v: PolyTuple
@@ -63,8 +57,7 @@ def key_instance(v: PolyTuple, V: Lattice) -> KeyInstance:
     return KeyInstance(v, V)
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """Greedy rank witness: samples whose images span the image subgroup.
 
     Invariants (re-assertable via :func:`verify_rank_certificate`): V is the

@@ -10,10 +10,8 @@ All arithmetic is exact; scale is desk-sized (no reduction algorithms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch
 from .numutil import ext_gcd
@@ -21,20 +19,17 @@ from .numutil import ext_gcd
 Vector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Subgroup of Z^ambient, basis columns in canonical Hermite form."""
+class Lattice(NamedTuple):
+    """Subgroup of Z^ambient, basis columns in canonical Hermite form;
+    ``pivot_rows[j]`` is the row of column j's first nonzero entry."""
 
     ambient: int
     basis: Tuple[Vector, ...]
+    pivot_rows: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def pivot_rows(self) -> Tuple[int, ...]:
-        return tuple(next(i for i, e in enumerate(col) if e) for col in self.basis)
 
     def contains(self, v: Sequence[int]) -> bool:
         return contains(self, v)
@@ -90,7 +85,7 @@ def hnf_from_generators(ambient: int, gens: Sequence[Sequence[int]]) -> Lattice:
             q = cols[k][r] // p
             if q:
                 cols[k] = [a - q * b for a, b in zip(cols[k], cj)]
-    return Lattice(ambient, tuple(tuple(c) for c in cols))
+    return Lattice(ambient, tuple(tuple(c) for c in cols), tuple(r for r, _ in pivots))
 
 
 def zero_lattice(ambient: int) -> Lattice:
@@ -112,7 +107,7 @@ def diagonal(steps: Sequence[int]) -> Lattice:
         raise ArityMismatch(f"diagonal steps must be positive, got {tuple(steps)}")
     n = len(steps)
     cols = tuple(tuple(s if i == j else 0 for i in range(n)) for j, s in enumerate(steps))
-    return Lattice(n, cols)
+    return Lattice(n, cols, tuple(range(n)))
 
 
 def index(lat: Lattice) -> Optional[int]:

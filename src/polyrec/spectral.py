@@ -16,9 +16,8 @@ exact Gaussian-rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import intpoly, keyengine, lattice
 from .errors import (
@@ -38,8 +37,7 @@ MAX_PHASE_DENOMINATOR = 720
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussRat:
+class GaussRat(NamedTuple):
     """Complex number with exact rational real and imaginary parts."""
 
     re: Fraction
@@ -66,8 +64,7 @@ GQ_ZERO = gq(0)
 GQ_ONE = gq(1)
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
+class ComplexMatrix(NamedTuple):
     """Square matrix with exact Gaussian-rational entries."""
 
     entries: Tuple[Tuple[GaussRat, ...], ...]
@@ -111,8 +108,7 @@ def mat_adjoint(a: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix(rows)
 
 
-@dataclass(frozen=True)
-class ProjectionCheck:
+class ProjectionCheck(NamedTuple):
     ok: bool
     normal: bool
     idempotent: bool
@@ -135,8 +131,7 @@ def is_orthogonal_projection(m: ComplexMatrix) -> ProjectionCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseUnitary:
+class PhaseUnitary(NamedTuple):
     """Commuting unitaries, diagonal on a common eigenbasis of size ``dim``.
 
     ``phases[e][i]`` is the rational phase (in [0, 1)) of eigenvector e
@@ -198,8 +193,7 @@ def power_phases(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProjectionDesc:
+class ProjectionDesc(NamedTuple):
     """Diagonal 0/1 projection, supported on ``fixed`` eigenvector indices.
 
     ``certificate``, when present, is the sublattice on which the defining
@@ -311,8 +305,7 @@ def orbit_fixed_projection(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AveragingExpansion:
+class AveragingExpansion(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     diagonal: Fraction

@@ -219,6 +219,28 @@ class TestExitCodes:
             # an output is refused before any scenario runs
             assert proc.stdout == ""
 
+    def test_input_error_leaves_no_empty_report(self, tmp_path):
+        # --json is checked before the scenarios run; a report file that this
+        # check created is removed when a runner then stops on an input error,
+        # and a report that was there before is left as it was
+        payload = {
+            "v": [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}],
+            "V": {"ambient": 3, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            "hypothesis": {"ambient": 1, "basis": [[1]]},
+        }
+        path = scenario_file(tmp_path / "kl.json", "key-lemma", payload)
+        out = tmp_path / "out.json"
+        for before in (None, "an older report\n"):
+            if before is not None:
+                out.write_text(before)
+            proc = run_cli("run", str(path), "--json", str(out), timeout=30)
+            assert proc.returncode == 2, proc.stderr
+            assert "target subgroup lives in Z^3 but the tuple has 1 components" in proc.stderr
+            if before is None:
+                assert not out.exists()
+            else:
+                assert out.read_text() == before
+
     def test_target_with_large_prime_index(self, tmp_path):
         # V = (1000000007 * 1000000009) Z: the least period of z modulo V is
         # its index, found without factoring it
@@ -551,6 +573,15 @@ def key_lemma_payloads(draw):
 
 
 @st.composite
+def key_lemma_tampers(draw):
+    """One field of an emitted key-lemma certificate, replaced."""
+    field = draw(st.sampled_from(["v", "V", "witness"]))
+    if field == "v":
+        return {field: draw(stable_rank_tuples())}
+    return {field: draw(lattice_docs(draw(st.integers(1, 4)), field == "witness"))}
+
+
+@st.composite
 def spectral_payloads(draw):
     """Phases of denominators up to 721 (one past the cap), now and then a
     ragged table, a wrong declared size or exponent polynomials in different
@@ -568,6 +599,27 @@ def spectral_payloads(draw):
         if draw(st.booleans()):
             unitary[key] = draw(now_and_then(size + 1, size))
     return {"unitary": unitary, "fs": draw(exponent_polys(ops, mixed=True))}
+
+
+@st.composite
+def spectral_tampers(draw):
+    """One field of an emitted spectral-limit certificate, replaced."""
+    field = draw(st.sampled_from(["lattice", "unitary", "fs"]))
+    if field == "unitary":
+        return {field: draw(spectral_payloads())["unitary"]}
+    if field == "fs":
+        return {field: draw(exponent_polys(draw(st.integers(1, 3)), mixed=True))}
+    return {field: draw(lattice_docs(draw(st.integers(1, 3)), full=True))}
+
+
+# The shapes that lattice_docs and RATIONALS draw only now and then, given to
+# the fuzz tests as explicit examples so that their coverage does not depend
+# on which examples the derandomized draw happens to make.
+Z = [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}]
+Z_ONE = {"ambient": 1, "basis": [[1]]}
+HUGE_EMPTY = {"ambient": 10**12, "basis": []}
+LARGE_INDEX = {"ambient": 1, "basis": [[1000000007 * 1000000009]]}
+HALF_TURN = {"unitary": {"phases": [["1/2"]]}, "fs": Z}
 
 
 @st.composite
@@ -617,6 +669,8 @@ class TestFrontDoorFuzz:
         assert code in (0, 1, 2) and "Traceback" not in err
 
     @FUZZ
+    @example(epsilon="1/0", weight="1/4")
+    @example(epsilon="0", weight="1/00")
     @given(epsilon=RATIONALS, weight=st.one_of(st.just("1/4"), st.just("02/8"), RATIONALS))
     def test_r_epsilon_rationals(self, tmp_path_factory, epsilon, weight):
         system = {**R_EPSILON["system"], "weights": {**R_EPSILON["system"]["weights"], "0": weight}}
@@ -682,8 +736,11 @@ class TestFrontDoorFuzz:
         assert code in (0, 1, 2) and "Traceback" not in err
 
     @FUZZ
-    @given(payload=key_lemma_payloads(), data=st.data())
-    def test_key_lemma(self, tmp_path_factory, payload, data):
+    @example(payload={"v": Z, "V": HUGE_EMPTY, "hypothesis": Z_ONE}, tamper={"V": Z_ONE})
+    @example(payload={"v": Z, "V": LARGE_INDEX, "hypothesis": Z_ONE}, tamper={"witness": HUGE_EMPTY})
+    @example(payload={"v": Z, "V": Z_ONE, "hypothesis": Z_ONE}, tamper={"V": LARGE_INDEX})
+    @given(payload=key_lemma_payloads(), tamper=key_lemma_tampers())
+    def test_key_lemma(self, tmp_path_factory, payload, tamper):
         jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["key-lemma"])
         tmp = tmp_path_factory.mktemp("fuzz")
         path = scenario_file(tmp / "kl.json", "key-lemma", payload)
@@ -692,16 +749,13 @@ class TestFrontDoorFuzz:
         if code == 1:
             assert 'error: "HypothesisFailed"' in out
         if code == 0:
-            field = data.draw(st.sampled_from(["v", "V", "witness"]))
-            if field == "v":
-                tampered = data.draw(stable_rank_tuples())
-            else:
-                tampered = data.draw(lattice_docs(data.draw(st.integers(1, 4)), field == "witness"))
-            self.check_emitted(tmp, "kl", {field: tampered})
+            self.check_emitted(tmp, "kl", tamper)
 
     @FUZZ
-    @given(payload=spectral_payloads(), data=st.data())
-    def test_spectral_limit(self, tmp_path_factory, payload, data):
+    @example(payload=HALF_TURN, tamper={"lattice": HUGE_EMPTY})
+    @example(payload=HALF_TURN, tamper={"lattice": LARGE_INDEX})
+    @given(payload=spectral_payloads(), tamper=spectral_tampers())
+    def test_spectral_limit(self, tmp_path_factory, payload, tamper):
         jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["spectral-limit"])
         tmp = tmp_path_factory.mktemp("fuzz")
         path = scenario_file(tmp / "sl.json", "spectral-limit", payload)
@@ -709,14 +763,7 @@ class TestFrontDoorFuzz:
         # the limit projection is proved, never refuted: only input errors fail
         assert code in (0, 2) and "Traceback" not in err
         if code == 0:
-            field = data.draw(st.sampled_from(["lattice", "unitary", "fs"]))
-            if field == "unitary":
-                tampered = data.draw(spectral_payloads())["unitary"]
-            elif field == "fs":
-                tampered = data.draw(exponent_polys(data.draw(st.integers(1, 3)), mixed=True))
-            else:
-                tampered = data.draw(lattice_docs(data.draw(st.integers(1, 3)), full=True))
-            self.check_emitted(tmp, "sl", {field: tampered})
+            self.check_emitted(tmp, "sl", tamper)
 
     @FUZZ
     @given(payload=hindman_payloads())
@@ -1211,6 +1258,80 @@ class TestSchemaChecker:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] False", "[2] True"]
+
+
+RUNNER_MODULES = {"dynamics", "intpoly", "ipstruct", "keyengine", "lattice", "spectral"}
+
+
+class TestProcessStart:
+    """cli binds the runner modules lazily, so a process executes only the
+    modules its command reaches, and no command imports dataclasses."""
+
+    # a module bound lazily and not yet read is still a _LazyModule; vars()
+    # or any attribute read would execute it, so only its type is looked at
+    CHILD = "\n".join(
+        [
+            "import importlib.util, json, sys",
+            "from pathlib import Path",
+            "from polyrec import cli",
+            "code = {call}",
+            "ran = sorted(n.split('.')[1] for n, m in sys.modules.items()",
+            "             if n.startswith('polyrec.') and type(m) is not importlib.util._LazyModule)",
+            "stdlib = sorted(m for m in ('argparse', 'dataclasses') if m in sys.modules)",
+            "print(json.dumps([code, ran, stdlib]))",
+        ]
+    )
+
+    @classmethod
+    def executed(cls, call, *argv):
+        """(return value of call, polyrec modules executed, argparse and
+        dataclasses if imported) in a fresh child process."""
+        proc = subprocess.run(
+            [sys.executable, "-c", cls.CHILD.format(call=call), *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, ran, stdlib = json.loads(proc.stdout.splitlines()[-1])
+        return code, set(ran), set(stdlib)
+
+    @pytest.fixture(scope="class")
+    def cert_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("certs")
+        assert run_in_process("run", "--bundled", "--emit-certificates", str(out))[0] == 0
+        return out
+
+    def test_loading_scenarios_runs_no_runner_module(self, tmp_path):
+        # the benchmark's set-up child: load and schema-check a directory
+        for entry in cli._bundled_entries():
+            (tmp_path / entry.name).write_text(entry.read_text())
+        call = "len(cli.load_scenarios([Path(sys.argv[1])], False))"
+        count, ran, stdlib = self.executed(call, str(tmp_path))
+        assert count == len(cli._bundled_entries())
+        assert not ran & RUNNER_MODULES and not stdlib, (ran, stdlib)
+
+    def test_schema_runs_no_runner_module(self):
+        code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "schema", "r-epsilon")
+        assert code == 0 and not ran & RUNNER_MODULES, ran
+        assert stdlib == {"argparse"}
+
+    @pytest.mark.parametrize("name", ["key-lemma-parabola", "stable-rank-parabola"])
+    def test_algebra_certificates_skip_the_recurrence_modules(self, cert_dir, name):
+        path = str(cert_dir / f"{name}.cert.json")
+        code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "verify-certificate", path)
+        assert code == 0 and ran & RUNNER_MODULES == {"intpoly", "keyengine", "lattice"}, ran
+        assert "dataclasses" not in stdlib
+
+    def test_no_command_imports_dataclasses(self, cert_dir, tmp_path):
+        code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "run", "--bundled")
+        assert code == 0 and ran >= RUNNER_MODULES and "dataclasses" not in stdlib
+        path = str(cert_dir / "spectral-limit-bilinear.cert.json")
+        code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "verify-certificate", path)
+        assert code == 0 and "dataclasses" not in stdlib
+        code, _ran, stdlib = self.executed("cli.main(sys.argv[1:])", "list-scenarios")
+        assert code == 0 and "dataclasses" not in stdlib
 
 
 class TestIntegralFloats:

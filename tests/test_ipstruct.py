@@ -31,6 +31,11 @@ class TestFsExpand:
         with pytest.raises(CapExceeded):
             ips.fs_expand(ips.FiniteIP((1,) * 21))
 
+    @pytest.mark.parametrize("gens", [(), (0, 1)])
+    def test_generators_must_be_positive(self, gens):
+        with pytest.raises(ArityMismatch):
+            ips.fs_expand(ips.FiniteIP(gens))
+
     def test_against_brute_force(self):
         rng = random.Random(73)
         for _ in range(40):

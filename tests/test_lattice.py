@@ -66,7 +66,8 @@ class TestHnf:
             gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(3)]
             l = lat.hnf_from_generators(n, gens)
             rows = l.pivot_rows
-            # the cached rows leave equality, hashing and JSON as they were
+            # the rows are fixed by the basis, so equal lattices have equal rows,
+            # hashes and JSON
             fresh = lat.hnf_from_generators(n, gens)
             assert l == fresh and hash(l) == hash(fresh)
             assert lat.to_json(l) == lat.to_json(fresh) and lat.from_json(lat.to_json(l)) == l

@@ -112,8 +112,9 @@ TEST_ONLY = {
 
 
 def _package_modules():
-    """Per module: its top-level definitions, and the names its imports bind
-    to a module or to a (module, name) pair inside the package."""
+    """Per module: its top-level definitions, and the names its imports and
+    its lazy bindings bind to a module or to a (module, name) pair inside the
+    package."""
     modules = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -125,6 +126,9 @@ def _package_modules():
                 for alias in node.names:
                     bound = alias.asname or alias.name
                     imports[bound] = alias.name if node.module is None else (node.module, alias.name)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("_lazy("):
+                # cli's `name = _lazy("name")` binds the module of that name
+                imports[node.targets[0].id] = node.value.args[0].value
         modules[path.stem] = (tree, defs, imports)
     return modules
 

@@ -365,11 +365,15 @@ def _accepts(schema, x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _run_khintchine(payload, cap, seed):
+def _recurrence_input(payload):
+    """The system and the query of a recurrence payload (khintchine has no epsilon)."""
     sys_ = dynamics.system_from_json(payload["system"])
     fs = [intpoly.from_json(p) for p in payload["fs"]]
-    query = dynamics.recurrence_query(payload["A"], fs)
-    rep = dynamics.verify_khintchine(sys_, query)
+    return sys_, dynamics.recurrence_query(payload["A"], fs, payload.get("epsilon", 0))
+
+
+def _run_khintchine(payload, cap, seed):
+    rep = dynamics.verify_khintchine(*_recurrence_input(payload))
     details = {
         "sup": str(rep.sup_value),
         "bound": str(rep.bound),
@@ -391,20 +395,16 @@ def _residue_details(verdict: dynamics.ResidueVerdict) -> dict:
 
 
 def _run_r_epsilon(payload, cap, seed):
-    sys_ = dynamics.system_from_json(payload["system"])
-    fs = [intpoly.from_json(p) for p in payload["fs"]]
-    query = dynamics.recurrence_query(payload["A"], fs, payload["epsilon"])
+    sys_, query = _recurrence_input(payload)
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     details = _residue_details(verdict)
     details["table"] = dynamics.residue_table(verdict)
-    zero = (0,) * fs[0].nvars
+    zero = (0,) * query.fs[0].nvars
     return zero in verdict.members, details, None
 
 
 def _run_ip_star(payload, cap, seed):
-    sys_ = dynamics.system_from_json(payload["system"])
-    fs = [intpoly.from_json(p) for p in payload["fs"]]
-    query = dynamics.recurrence_query(payload["A"], fs, payload["epsilon"])
+    sys_, query = _recurrence_input(payload)
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     k, w = int(payload["k"]), int(payload["W"])
     window = dynamics.ip_star_verdict(verdict, k, w)
@@ -492,11 +492,11 @@ def _delta_identities(f) -> Tuple[bool, dict]:
     expected = intpoly.constant((d + 1) * f.nvars, expected_value)
     constant_ok = collapsed == expected
     drop_ok = True
-    if f.degree >= 1:
+    if d >= 1:
         doubled = intpoly.delta(f, 2)
         n = f.nvars
         for block in (range(n), range(n, 2 * n)):
-            if intpoly.degree_in_vars(doubled, block) >= f.degree:
+            if intpoly.degree_in_vars(doubled, block) >= d:
                 drop_ok = False
     return constant_ok and drop_ok, {
         "constant_collapse": constant_ok,
@@ -856,8 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=SWEEP_CAP,
-        help="point budget of the r-epsilon and ip-star sweeps and of the stable-rank "
-        "window, and row budget of a delta-check polynomial's difference expansions",
+        help="budget of the r-epsilon and ip-star sweeps (grid points plus |A| * m steps per "
+        "exponent key), the stable-rank window and delta-check difference expansions (rows)",
     )
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     run_p.add_argument(

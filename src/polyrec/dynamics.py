@@ -14,7 +14,9 @@ The sets where the return measure clears the threshold mu(A)^2 - eps are
 therefore computed *exactly* as unions of residue classes, in one pass over
 the minimal period grid that sums the exponents up from forward
 differences along the last axis and looks each return measure up by its
-exponent residues (e_i mod order_i).
+exponent residues (e_i mod order_i).  Each return measure moves every
+point of A e_i places along its cycle of each T_i, read off the table that
+:func:`build_system` builds once: |A| * m integer steps.
 All measures are rationals; there is no floating point anywhere in this
 module.
 """
@@ -25,7 +27,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
 from .errors import (
@@ -44,13 +46,20 @@ from .intpoly import BinPoly
 class FiniteSystem(NamedTuple):
     """Finite weighted probability space with commuting m.p. bijections.
 
-    ``maps[i]`` sends point index x to its image index; weights are exact
-    positive rationals summing to 1 and are preserved by every map.
+    ``maps[i]`` sends point index x to its image index, ``index`` a point id
+    to its index.  The weight of x is ``mass[x] / denominator``; weights sum
+    to 1 and every map preserves them.  ``cycles[i]`` lists the cycles of
+    map i; T_i^e x = cycle[(position + e) % len(cycle)] for any integer e,
+    where ``place[i][x] = (cycle, position)``.
     """
 
     points: Tuple[str, ...]
-    weights: Tuple[Fraction, ...]
     maps: Tuple[Tuple[int, ...], ...]
+    index: Dict[str, int]
+    mass: Tuple[int, ...]
+    denominator: int
+    cycles: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    place: Tuple[Tuple[Tuple[Tuple[int, ...], int], ...], ...]
 
     @property
     def size(self) -> int:
@@ -60,37 +69,30 @@ class FiniteSystem(NamedTuple):
     def num_maps(self) -> int:
         return len(self.maps)
 
-    def point_index(self, pt: str) -> int:
-        try:
-            return self.points.index(pt)
-        except ValueError:
-            raise UnknownPoint(f"point {pt!r} is not part of the system") from None
+    def indices(self, subset: Iterable[str]) -> Set[int]:
+        """The indices of ``subset``; the least unknown point, if any, raises."""
+        subset = set(subset)
+        unknown = subset.difference(self.index)
+        if unknown:
+            raise UnknownPoint(f"point {min(unknown)!r} is not part of the system")
+        return {self.index[p] for p in subset}
 
-    def measure(self, subset: Sequence[str]) -> Fraction:
-        return sum(
-            (self.weights[self.point_index(p)] for p in set(subset)), Fraction(0)
-        )
+    def measure(self, subset: Iterable[str]) -> Fraction:
+        return Fraction(sum(self.mass[x] for x in self.indices(subset)), self.denominator)
 
 
-def _perm_cycles(perm: Sequence[int]) -> List[List[int]]:
-    cycles, seen = [], set()
+def _cycle_table(perm: Sequence[int]):
+    """(cycles of perm, (cycle, position) of every point)."""
+    cycles, place = [], [None] * len(perm)
     for start in range(len(perm)):
-        if start not in seen:
+        if place[start] is None:
             cycle = [start]
             while perm[cycle[-1]] != start:
                 cycle.append(perm[cycle[-1]])
-            seen.update(cycle)
-            cycles.append(cycle)
-    return cycles
-
-
-def _perm_power(perm: Sequence[int], e: int) -> List[int]:
-    """perm^e for any integer e: each point moves e steps along its cycle."""
-    out = [0] * len(perm)
-    for cycle in _perm_cycles(perm):
-        for i, x in enumerate(cycle):
-            out[x] = cycle[(i + e) % len(cycle)]
-    return out
+            cycles.append(tuple(cycle))
+            for i, x in enumerate(cycle):
+                place[x] = (cycles[-1], i)
+    return tuple(cycles), tuple(place)
 
 
 def build_system(
@@ -144,10 +146,11 @@ def build_system(
         for j in range(i + 1, len(perms)):
             for x in range(len(pts)):
                 if perms[i][perms[j][x]] != perms[j][perms[i][x]]:
-                    raise NotCommuting(
-                        f"maps {i} and {j} disagree at point {pts[x]!r}"
-                    )
-    return FiniteSystem(pts, tuple(wts), tuple(perms))
+                    raise NotCommuting(f"maps {i} and {j} disagree at point {pts[x]!r}")
+    denominator = math.lcm(*(w.denominator for w in wts))
+    mass = tuple(w.numerator * (denominator // w.denominator) for w in wts)
+    cycles, place = zip(*map(_cycle_table, perms)) if perms else ((), ())
+    return FiniteSystem(pts, tuple(perms), pos, mass, denominator, cycles, place)
 
 
 def system_from_json(obj: Mapping) -> FiniteSystem:
@@ -173,24 +176,25 @@ def recurrence_query(
     return RecurrenceQuery(frozenset(str(p) for p in A), fs, eps)
 
 
-def return_measure(
-    sys: FiniteSystem, A: Sequence[str], exps: Sequence[int]
-) -> Fraction:
-    """Exact mu(A intersect T_1^{-e_1} ... T_m^{-e_m} A)."""
+def _moved(sys: FiniteSystem, xs: Iterable[int], exps: Sequence[int]) -> List[int]:
+    """T_1^{e_1} ... T_m^{e_m} x for each x of xs, read off the cycle table."""
+    for place, e in zip(sys.place, exps):
+        xs = [cycle[(i + e) % len(cycle)] for cycle, i in map(place.__getitem__, xs)]
+    return list(xs)
+
+
+def return_measure(sys: FiniteSystem, A: Sequence[str], exps: Sequence[int]) -> Fraction:
+    """Exact mu(A intersect T_1^{-e_1} ... T_m^{-e_m} A), in |A| * m steps: the
+    mass of the points T^e x, x in A, that land in A (T^e x weighs what x does)."""
     if len(exps) != sys.num_maps:
         raise ArityMismatch(f"{len(exps)} exponents for {sys.num_maps} maps")
-    idxs = {sys.point_index(p) for p in A}
-    composite = list(range(sys.size))
-    for perm, e in zip(sys.maps, exps):
-        power = _perm_power(perm, int(e))
-        composite = [power[x] for x in composite]
-    return sum(
-        (sys.weights[x] for x in idxs if composite[x] in idxs), Fraction(0)
-    )
+    idxs = sys.indices(A)
+    hits = [y for y in _moved(sys, idxs, exps) if y in idxs]
+    return Fraction(sum(map(sys.mass.__getitem__, hits)), sys.denominator)
 
 
 def map_orders(sys: FiniteSystem) -> Tuple[int, ...]:
-    return tuple(math.lcm(*map(len, _perm_cycles(perm))) for perm in sys.maps)
+    return tuple(math.lcm(*map(len, cycles)) for cycles in sys.cycles)
 
 
 def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
@@ -255,15 +259,17 @@ def r_epsilon(
 ) -> ResidueVerdict:
     """All residues whose return measure clears mu(A)^2 - eps, exactly.
 
-    Sweeps the minimal period grid (:func:`system_period`) once; a grid of
-    more than ``cap`` points is refused with :class:`SweepCapExceeded`.  The
+    Sweeps the minimal period grid (:func:`system_period`) once.  The
     exponents come from forward differences along the last axis
     (:func:`_exponent_rows`).  As T_i^{order_i} = id, each return measure is
-    computed once per tuple (e_i mod order_i), then looked up.
+    computed once per tuple (e_i mod order_i), then looked up.  Past ``cap``
+    grid points plus |A| * m steps per measure, :class:`SweepCapExceeded`
+    is raised; the grid alone is checked before the sweep.
     """
     period = system_period(sys, query.fs)
-    if math.prod(period) > cap:
-        raise SweepCapExceeded(f"period grid needs {math.prod(period)} points, cap is {cap}")
+    grid = math.prod(period)
+    if grid > cap:
+        raise SweepCapExceeded(f"period grid needs {grid} points, cap is {cap}")
     orders = map_orders(sys)
     A = sorted(query.A)
     mu_a = sys.measure(A)
@@ -272,6 +278,10 @@ def r_epsilon(
     for z, exps in _exponent_rows(query.fs, period):
         key = tuple(map(operator.mod, exps, orders))
         if key not in measures:
+            steps = (len(measures) + 1) * len(A) * len(orders)
+            if grid + steps > cap:
+                raise SweepCapExceeded(f"period grid needs {grid} points and its return "
+                                       f"measures {steps} steps so far, cap is {cap}")
             measures[key] = return_measure(sys, A, key)
         rows.append((z, exps, measures[key]))
     threshold = mu_a * mu_a - query.epsilon

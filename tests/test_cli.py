@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -218,6 +219,21 @@ class TestExitCodes:
         if "--emit-certificates" in args or "--json" in args:
             # an output is refused before any scenario runs
             assert proc.stdout == ""
+
+    def test_unknown_point_does_not_depend_on_the_hash_seed(self, tmp_path):
+        path = scenario_file(tmp_path / "unknown.json", "r-epsilon", {**R_EPSILON, "A": list("abcde")})
+        errors = set()
+        for seed in ("2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "polyrec.cli", "run", str(path)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={**child_env(), "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 2
+            errors.add(proc.stderr)
+        assert len(errors) == 1 and "point 'a' is not part of the system" in errors.pop()
 
     def test_input_error_leaves_no_empty_report(self, tmp_path):
         # --json is checked before the scenarios run; a report file that this
@@ -442,6 +458,41 @@ class TestDeltaCheckCap:
         payload = {"random": {"count": 3, "nvars": 3, "max_degree": 4}}
         path = scenario_file(tmp_path / "suite.json", "delta-check", payload)
         assert run_in_process("run", str(path), "--cap", "1")[0] == 0
+
+
+def ncycle_payload(n, a_size):
+    """r-epsilon on an n-cycle with uniform weights, f = z and A its first a_size points."""
+    points = [f"p{i}" for i in range(n)]
+    system = {
+        "points": points,
+        "weights": {p: f"1/{n}" for p in points},
+        "maps": [points[1:] + points[:1]],
+    }
+    z = {"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}
+    return {"system": system, "A": points[:a_size], "fs": [z], "epsilon": "0"}
+
+
+class TestRecurrenceCap:
+    def test_return_measure_steps_are_counted(self, tmp_path):
+        # 40 grid points, then 40 exponent keys of |A| * m = 20 steps each
+        path = scenario_file(tmp_path / "c40.json", "r-epsilon", ncycle_payload(40, 20))
+        code, out, err = run_in_process("run", str(path), "--cap", "839")
+        assert code == 2 and out == ""
+        assert "period grid needs 40 points and its return measures 800 steps so far" in err
+        assert "cap is 839" in err
+        code, out, err = run_in_process("run", str(path), "--cap", "840")
+        assert code == 0 and "HOLDS" in out, err
+
+    def test_large_cycle_is_refused_quickly(self, tmp_path):
+        # 2 000 grid points and 1 000 steps per key would need 2 002 000
+        payload = {**ncycle_payload(2000, 1000), "k": 2, "W": 8}
+        path = scenario_file(tmp_path / "c2000.json", "ip-star", payload)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_cli("run", str(path), timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert proc.returncode == 2 and "cap is 1000000" in proc.stderr, proc.stderr
+        assert cpu < 2.0, cpu
 
 
 @st.composite

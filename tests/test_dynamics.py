@@ -119,6 +119,14 @@ class TestReturnMeasure:
         with pytest.raises(UnknownPoint):
             dy.return_measure(cyclic(3), ["9"], [1])
 
+    def test_least_unknown_point_is_named(self):
+        sys_ = cyclic(3)
+        for subset in (["e", "0", "b", "d"], ["d", "b", "e"]):
+            with pytest.raises(UnknownPoint, match="point 'b' is not part"):
+                sys_.measure(subset)
+            with pytest.raises(UnknownPoint, match="point 'b' is not part"):
+                dy.return_measure(sys_, subset, [1])
+
 
 class TestSystemPeriod:
     def test_square_on_cyclic4(self):
@@ -342,16 +350,6 @@ class TestOnePass:
             assert verdict.members == members
             assert dy.residue_table(verdict) == table
 
-    def test_perm_power_matches_composition(self):
-        rng = random.Random(113)
-        for _ in range(20):
-            pts = [str(x) for x in range(rng.randint(1, 9))]
-            image = rng.sample(pts, len(pts))
-            sys_ = dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, [image])
-            (perm,), (order,) = sys_.maps, dy.map_orders(sys_)
-            for e in range(-2 * order, 2 * order + 1):
-                assert dy._perm_power(perm, e) == perm_power_by_composition(perm, e)
-
     def test_one_return_measure_per_exponent_residue(self, monkeypatch):
         calls = []
         real = dy.return_measure
@@ -377,6 +375,71 @@ class TestOnePass:
         calls.clear()
         dy.r_epsilon(cyclic(4), dy.recurrence_query(["0"], [ZSQ], 0))
         assert len(calls) == 2  # z^2 mod 4 takes 2 values on the 2-point grid
+
+
+def weighted_blocks(rng):
+    """A seeded system with one to three commuting maps and non-uniform weights.
+
+    A disjoint union of one to three blocks Z/s_1 x ... x Z/s_m, map i
+    rotating coordinate i of every block, each block with a mass of its
+    own, and the points in shuffled order.  Returns the system and its
+    weights by point.
+    """
+    m = rng.randint(1, 3)
+    blocks = [[rng.randint(1, (5, 4, 3)[m - 1]) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+    cells = [(b, c) for b, sizes in enumerate(blocks) for c in product(*map(range, sizes))]
+    rng.shuffle(cells)
+    mass = [Fraction(rng.randint(1, 5)) for _ in blocks]
+    total = sum(mass[b] for b, _ in cells)
+
+    def name(b, c):
+        return f"{b}:" + ",".join(map(str, c))
+
+    def rotate(b, c, i):
+        return name(b, c[:i] + ((c[i] + 1) % blocks[b][i],) + c[i + 1 :])
+
+    weights = {name(b, c): mass[b] / total for b, c in cells}
+    maps = [[rotate(b, c, i) for b, c in cells] for i in range(m)]
+    return dy.build_system([name(b, c) for b, c in cells], weights, maps), weights
+
+
+def return_measure_by_composition(sys_, weights, A, exps):
+    """mu(A intersect T^{-e} A) with every permutation power composed
+    directly and each point of A found by a scan of the points."""
+    idxs = {sys_.points.index(p) for p in A}
+    composite = list(range(sys_.size))
+    for perm, e in zip(sys_.maps, exps):
+        power = perm_power_by_composition(perm, e)
+        composite = [power[x] for x in composite]
+    return sum((weights[sys_.points[x]] for x in idxs if composite[x] in idxs), Fraction(0))
+
+
+class TestCycleTable:
+    def test_steps_match_composition(self):
+        # mu(A n T^{-e} A) = mu(A n T^{e} A), so measures alone cannot tell
+        # a step of e from a step of -e; the steps themselves can
+        rng = random.Random(113)
+        for _ in range(30):
+            sys_, _weights = weighted_blocks(rng)
+            for i, (perm, order) in enumerate(zip(sys_.maps, dy.map_orders(sys_))):
+                for e in range(-2 * order, 2 * order + 1):
+                    exps = [0] * sys_.num_maps
+                    exps[i] = e
+                    moved = dy._moved(sys_, range(sys_.size), exps)
+                    assert moved == perm_power_by_composition(perm, e)
+
+    def test_measures_match_composition(self):
+        rng = random.Random(139)
+        for _ in range(30):
+            sys_, weights = weighted_blocks(rng)
+            orders = dy.map_orders(sys_)
+            for size in range(sys_.size + 1):
+                A = rng.sample(sys_.points, size)
+                assert sys_.measure(A) == sum((weights[p] for p in A), Fraction(0))
+                for _ in range(3):
+                    exps = [rng.randint(-3 * o, 3 * o) for o in orders]
+                    expected = return_measure_by_composition(sys_, weights, A, exps)
+                    assert dy.return_measure(sys_, A, exps) == expected
 
 
 def random_product_query(rng, n):

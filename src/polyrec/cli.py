@@ -52,6 +52,7 @@ def _lazy(name: str):
 dynamics = _lazy("dynamics")
 intpoly = _lazy("intpoly")
 ipstruct = _lazy("ipstruct")
+jsonout = _lazy("jsonout")
 keyengine = _lazy("keyengine")
 lattice = _lazy("lattice")
 spectral = _lazy("spectral")
@@ -384,9 +385,11 @@ def _run_khintchine(payload, cap, seed):
 
 
 def _residue_details(verdict: dynamics.ResidueVerdict) -> dict:
+    """The threshold set of a swept verdict; members in the order of its
+    rows, which is lexicographic."""
     return {
         "period": list(verdict.period),
-        "members": sorted(list(m) for m in verdict.members),
+        "members": [list(z) for z, _, k in verdict.rows if verdict.holds[k]],
         "member_count": len(verdict.members),
         "epsilon": str(verdict.epsilon),
         "mu_a": str(verdict.mu_a),
@@ -662,10 +665,10 @@ def _writing(path):
 
 
 def _write(path: Path, doc) -> None:
-    """Write doc as indented, key-sorted JSON; a path that cannot be written
-    is an :class:`InputError`."""
+    """Write doc as indented, key-sorted JSON (:func:`jsonout.dumps`); a
+    path that cannot be written is an :class:`InputError`."""
     with _writing(path):
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(jsonout.dumps(doc) + "\n")
 
 
 def _bundled_entries():
@@ -737,7 +740,7 @@ def _format_text(report: dict) -> str:
             continue
         lines.append(f"   {key}: {json.dumps(details[key], sort_keys=True)}")
     if table:
-        lines.extend("   " + row for row in table.splitlines())
+        lines.append("   " + table.replace("\n", "\n   "))
     return "\n".join(lines)
 
 
@@ -828,7 +831,7 @@ def cmd_schema(args) -> int:
         raise InputError(
             f"unknown kind {args.kind!r}; choose from {', '.join(sorted(PAYLOAD_SCHEMAS))}"
         )
-    print(json.dumps(PAYLOAD_SCHEMAS[args.kind], indent=2, sort_keys=True))
+    print(jsonout.dumps(PAYLOAD_SCHEMAS[args.kind]))
     return 0
 
 

@@ -13,10 +13,13 @@ and is decided from binomial coordinates (:func:`keyengine.least_periods`).
 The sets where the return measure clears the threshold mu(A)^2 - eps are
 therefore computed *exactly* as unions of residue classes, in one pass over
 the minimal period grid that sums the exponents up from forward
-differences along the last axis and looks each return measure up by its
-exponent residues (e_i mod order_i).  Each return measure moves every
-point of A e_i places along its cycle of each T_i, read off the table that
-:func:`build_system` builds once: |A| * m integer steps.
+differences along the last axis.  Each exponent key (e_i mod order_i) is
+decided once, the first time the sweep meets it: its return measure, and
+whether that clears the threshold.  A grid point then carries only the
+index of its key, so the residue table formats each key's measure and
+verdict once.  Each return measure moves every point of A e_i places
+along its cycle of each T_i, read off the table that :func:`build_system`
+builds once: |A| * m integer steps.
 All measures are rationals; there is no floating point anywhere in this
 module.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, compress, product, starmap
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
@@ -215,9 +218,12 @@ class ResidueVerdict(NamedTuple):
 
     z belongs to the set iff (z_1 mod N_1, ..., z_n mod N_n) is in
     ``members``, N = ``period`` the minimal per-coordinate periods.  ``rows``
-    holds (residue, exponents, return measure) for every point of that
-    grid, in lexicographic order; the exponents are the exact values
-    f_i(residue), not reduced.
+    holds (residue, exponents, key) for every point of that grid, in
+    lexicographic order; the exponents are the exact values f_i(residue),
+    not reduced, and key numbers the exponent key (e_i mod order_i) in the
+    order the sweep first met it.  ``values[key]`` is that key's return
+    measure and ``holds[key]`` whether it clears mu(A)^2 - eps, so a
+    residue is a member iff its key holds.
     """
 
     period: Tuple[int, ...]
@@ -225,21 +231,25 @@ class ResidueVerdict(NamedTuple):
     epsilon: Fraction
     mu_a: Fraction
     mu_a_sq: Fraction
-    rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction], ...] = ()
+    rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = ()
+    values: Tuple[Fraction, ...] = ()
+    holds: Tuple[bool, ...] = ()
 
 
-def _exponent_rows(fs: Sequence[BinPoly], period: Sequence[int]):
-    """(z, (f_1(z), ..., f_m(z))) for every z of the grid, in lexicographic order.
+def _exponent_lines(fs: Sequence[BinPoly], period: Sequence[int]):
+    """The grid one line at a time, in lexicographic order: for each prefix p
+    of the first n - 1 coordinates, the points (p, t), t = 0 .. N_n - 1, and
+    the columns t -> f_i(p, t), one per f_i.
 
-    For each prefix p of the first n - 1 coordinates, t -> f_i(p, t) has
-    binomial coordinate c_j = sum over the terms of f_i with last index j
-    of coef * prod_l C(p_l, idx_l), read off f_i's own coordinates without
-    evaluating it.  These are its forward differences at t = 0: the k-th
-    one (k its degree in the last variable) is constant, and each lower one
-    is the running sum of the one above.
+    t -> f_i(p, t) has binomial coordinate c_j = sum over the terms of f_i
+    with last index j of coef * prod_l C(p_l, idx_l), read off f_i's own
+    coordinates without evaluating it.  These are its forward differences
+    at t = 0: the k-th one (k its degree in the last variable) is constant,
+    and each lower one is the running sum of the one above.
     """
     *head, last = period
     depths = [intpoly.degree_in_vars(f, [len(period) - 1]) for f in fs]
+    tails = [(t,) for t in range(last)]
     for prefix in product(*(range(p) for p in head)):
         columns = []
         for f, k in zip(fs, depths):
@@ -250,8 +260,7 @@ def _exponent_rows(fs: Sequence[BinPoly], period: Sequence[int]):
             while leading:
                 column = list(accumulate(column[: last - 1], initial=leading.pop()))
             columns.append(column)
-        for t, exps in enumerate(zip(*columns)):
-            yield prefix + (t,), exps
+        yield [prefix + t for t in tails], columns
 
 
 def r_epsilon(
@@ -260,11 +269,13 @@ def r_epsilon(
     """All residues whose return measure clears mu(A)^2 - eps, exactly.
 
     Sweeps the minimal period grid (:func:`system_period`) once.  The
-    exponents come from forward differences along the last axis
-    (:func:`_exponent_rows`).  As T_i^{order_i} = id, each return measure is
-    computed once per tuple (e_i mod order_i), then looked up.  Past ``cap``
-    grid points plus |A| * m steps per measure, :class:`SweepCapExceeded`
-    is raised; the grid alone is checked before the sweep.
+    exponents come from forward differences along the last axis, and the
+    keys (e_i mod order_i) of a whole line at once (:func:`_exponent_lines`).
+    As T_i^{order_i} = id, each key gets its return measure and its verdict
+    once, the first time it is met; a grid point records only its key's
+    index.  Past ``cap`` grid points plus |A| * m steps per measure,
+    :class:`SweepCapExceeded` is raised; the grid alone is checked before
+    the sweep.
     """
     period = system_period(sys, query.fs)
     grid = math.prod(period)
@@ -273,25 +284,34 @@ def r_epsilon(
     orders = map_orders(sys)
     A = sorted(query.A)
     mu_a = sys.measure(A)
-    measures: Dict[Tuple[int, ...], Fraction] = {}
-    rows = []
-    for z, exps in _exponent_rows(query.fs, period):
-        key = tuple(map(operator.mod, exps, orders))
-        if key not in measures:
-            steps = (len(measures) + 1) * len(A) * len(orders)
-            if grid + steps > cap:
-                raise SweepCapExceeded(f"period grid needs {grid} points and its return "
-                                       f"measures {steps} steps so far, cap is {cap}")
-            measures[key] = return_measure(sys, A, key)
-        rows.append((z, exps, measures[key]))
     threshold = mu_a * mu_a - query.epsilon
+    keys: Dict[Tuple[int, ...], int] = {}
+    values: List[Fraction] = []
+    holds: List[bool] = []
+    rows, members = [], []
+    for zs, columns in _exponent_lines(query.fs, period):
+        line = list(zip(*[[e % o for e in column] for column, o in zip(columns, orders)]))
+        for key in dict.fromkeys(line):
+            if key not in keys:
+                keys[key] = len(keys)
+                steps = len(keys) * len(A) * len(orders)
+                if grid + steps > cap:
+                    raise SweepCapExceeded(f"period grid needs {grid} points and its return "
+                                           f"measures {steps} steps so far, cap is {cap}")
+                values.append(return_measure(sys, A, key))
+                holds.append(values[-1] >= threshold)
+        ks = list(map(keys.__getitem__, line))
+        rows += zip(zs, zip(*columns), ks)
+        members += compress(zs, map(holds.__getitem__, ks))
     return ResidueVerdict(
         period=period,
-        members=frozenset(z for z, _, value in rows if value >= threshold),
+        members=frozenset(members),
         epsilon=query.epsilon,
         mu_a=mu_a,
         mu_a_sq=mu_a * mu_a,
         rows=tuple(rows),
+        values=tuple(values),
+        holds=tuple(holds),
     )
 
 
@@ -354,21 +374,32 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
 
 
+def _width(header: str, cells: Sequence[str]) -> int:
+    return max([len(header), *map(len, cells)])
+
+
+def _commas(n: int):
+    """Format n values separated by commas, as ",".join(map(str, values))."""
+    return ",".join(["{}"] * n).format
+
+
 def residue_table(verdict: ResidueVerdict) -> str:
     """Aligned text table of the rows :func:`r_epsilon` recorded: residue,
-    exponents, return measure, threshold, verdict.  Nothing is evaluated."""
+    exponents, return measure, threshold, verdict.  Nothing is evaluated.
+
+    A row holds (residue, exponents, key), and the key indexes the per-key
+    ``values`` and ``holds``.  So each key's measure, threshold and verdict
+    are formatted once, into the tail its rows share, and each line is one
+    format of its residue, its exponents and that tail.
+    """
+    rows = verdict.rows
     threshold = str(verdict.mu_a_sq - verdict.epsilon)
-    rows = [("residue", "exponents", "return measure", "threshold", "verdict")]
-    for z, exps, value in verdict.rows:
-        rows.append(
-            (
-                ",".join(map(str, z)),
-                ",".join(map(str, exps)),
-                str(value),
-                threshold,
-                "holds" if z in verdict.members else "fails",
-            )
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(5)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines)
+    residues = list(starmap(_commas(len(verdict.period)), map(operator.itemgetter(0), rows)))
+    exponents = list(starmap(_commas(len(rows[0][1]) if rows else 0), map(operator.itemgetter(1), rows)))
+    values = list(map(str, verdict.values))
+    tail = "{:<%d}  {:<%d}  {}" % (_width("return measure", values), _width("threshold", [threshold]))
+    tails = [tail.format(v, threshold, "holds" if h else "fails") for v, h in zip(values, verdict.holds)]
+    row = "{:<%d}  {:<%d}  {}" % (_width("residue", residues), _width("exponents", exponents))
+    header = row.format("residue", "exponents", tail.format("return measure", "threshold", "verdict"))
+    lines = map(row.format, residues, exponents, map(tails.__getitem__, map(operator.itemgetter(2), rows)))
+    return "\n".join([header, *lines])

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import child_env
 from polyrec import cli
 from polyrec import intpoly as ip
+from polyrec import jsonout
 from polyrec import lattice as lat
 from polyrec.errors import InputError
 from polyrec.numutil import lcm_upto
@@ -132,6 +133,74 @@ class TestRunBundled:
         assert schema["schema_version"] == 1 and "system" in schema["properties"]
         bad = run_cli("schema", "no-such-kind")
         assert bad.returncode == 2
+
+
+def indented(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+BIG_INTS = st.integers(-(10**30), 10**30)
+INT_OR_BOOL = st.one_of(BIG_INTS, st.booleans())
+
+
+def int_rows(cells):
+    """Lists of equal-length lists of cells."""
+    return st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(cells, min_size=n, max_size=n), max_size=6)
+    )
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    BIG_INTS,
+    st.floats(),  # nan and the infinities too
+    st.text(),  # non-ASCII and control characters too
+    st.lists(BIG_INTS),
+    st.lists(INT_OR_BOOL),
+    int_rows(BIG_INTS),
+    int_rows(INT_OR_BOOL),
+    st.lists(st.lists(BIG_INTS), max_size=6),  # ragged
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(st.integers(-100, 100), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    """``jsonout.dumps`` writes what ``json.dumps(indent=2, sort_keys=True)`` does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=JSON_DOCS)
+    @example(doc=[[1, True], [0, False]])
+    @example(doc=[True, 1, False])
+    @example(doc={"wall_time_ms": 12.5, "x": [float("nan"), float("inf"), -0.0]})
+    @example(doc={10: [], 2: {}, -1: "\x00\x1fé \U0001f600\"\\"})
+    @example(doc={"members": [[0, 1], [2, 3]], "period": [4, 4], "table": "a\n  b"})
+    def test_matches_json_dumps(self, doc):
+        assert jsonout.dumps(doc) == indented(doc)
+
+    def test_reports_and_certificates(self, tmp_path):
+        report, certs = tmp_path / "reports.json", tmp_path / "certs"
+        code, _out, err = run_in_process(
+            "run", "--bundled", "--json", str(report), "--emit-certificates", str(certs)
+        )
+        assert code == 0, err
+        written = [report, *sorted(certs.glob("*.cert.json"))]
+        assert len(written) == 6  # a certificate per key-lemma, stable-rank and spectral-limit
+        for path in written:
+            text = path.read_text()
+            assert text == indented(json.loads(text)) + "\n", path.name
+
+    def test_schemas(self):
+        for kind, schema in cli.PAYLOAD_SCHEMAS.items():
+            assert run_in_process("schema", kind)[1] == indented(schema) + "\n", kind
 
 
 class TestExitCodes:

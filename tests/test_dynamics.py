@@ -9,6 +9,7 @@ import pytest
 from sympy import primefactors
 
 from conftest import product_system, random_binpoly
+from polyrec import cli
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec.errors import (
@@ -339,6 +340,37 @@ def perm_power_by_composition(perm, e):
     return out
 
 
+def wide_case(rng):
+    """A seeded r-epsilon case whose table cells may be wider than their
+    headers: heavy cycle masses (long return measures), coefficients up to
+    10^8 of either sign (long and negative exponents), up to five variables
+    (long residues) and eps over a large denominator (a long threshold,
+    negative when eps > mu(A)^2).  Drawn again until the grid has at most
+    2 000 points."""
+    while True:
+        lengths = [rng.randint(2, 12) for _ in range(rng.randint(1, 3))]
+        masses = [rng.randint(10**5, 10**7) for _ in lengths]
+        total = sum(m * k for m, k in zip(masses, lengths))
+        pts, weights, image = [], {}, []
+        for c, (k, m) in enumerate(zip(lengths, masses)):
+            cycle = [f"{c}.{i}" for i in range(k)]
+            pts += cycle
+            weights.update({p: Fraction(m, total) for p in cycle})
+            image += [cycle[(i + 1) % k] for i in range(k)]
+        sys_ = dy.build_system(pts, weights, [image])
+        n = rng.randint(1, 5)
+        degree = 1 if n > 2 else 2
+        terms = {}
+        for idx in product(range(degree + 1), repeat=n):
+            if 0 < sum(idx) <= degree and rng.random() < 0.6:
+                terms[idx] = rng.choice([-1, 1]) * rng.choice([rng.randint(1, 9), rng.randint(1, 10**8)])
+        fs = [ip.binpoly(n, terms or {(1,) + (0,) * (n - 1): 1})]
+        A = rng.sample(pts, rng.randint(1, len(pts)))
+        epsilon = Fraction(rng.randint(0, 10**4), rng.randint(10**4, 10**6))
+        if math.prod(dy.system_period(sys_, fs)) <= 2000:
+            return sys_, dy.recurrence_query(A, fs, epsilon)
+
+
 class TestOnePass:
     def test_matches_two_sweeps(self):
         rng = random.Random(109)
@@ -349,6 +381,57 @@ class TestOnePass:
             members, table = two_sweeps(sys_, query)
             assert verdict.members == members
             assert dy.residue_table(verdict) == table
+
+    def test_cells_wider_than_headers_match_two_sweeps(self):
+        rng = random.Random(167)
+        headers = ("residue", "exponents", "return measure", "threshold")
+        wider = set()
+        for _ in range(30):
+            sys_, query = wide_case(rng)
+            verdict = dy.r_epsilon(sys_, query)
+            members, table = two_sweeps(sys_, query)
+            assert verdict.members == members
+            assert dy.residue_table(verdict) == table
+            for row in table.splitlines()[1:]:
+                cells = [c.strip() for c in row.split("  ") if c.strip()]
+                wider.update(h for h, c in zip(headers, cells) if len(c) > len(h))
+        # every column's width was set by a cell, not its header, at least once
+        assert wider == set(headers)
+
+    def test_details_list_members_lexicographically(self):
+        rng = random.Random(173)
+        cases = [(cyclic(4), dy.recurrence_query(["0"], [ZSQ], "1/100"))]
+        for _ in range(20):
+            sys_ = random_system(rng)
+            cases.append((sys_, random_query(rng, sys_)))
+        cases += [wide_case(rng) for _ in range(10)]
+        for sys_, query in cases:
+            verdict = dy.r_epsilon(sys_, query)
+            members = cli._residue_details(verdict)["members"]
+            assert members == sorted(list(m) for m in verdict.members)
+
+    def test_one_threshold_comparison_per_exponent_residue(self, monkeypatch):
+        compares = []
+        real = dy.return_measure
+
+        class Counted(Fraction):
+            def __ge__(self, other):
+                compares.append(self)
+                return Fraction.__ge__(self, other)
+
+        monkeypatch.setattr(dy, "return_measure", lambda *args: Counted(real(*args)))
+        rng = random.Random(179)
+        for _ in range(20):
+            sys_ = random_system(rng)
+            query = random_query(rng, sys_)
+            compares.clear()
+            verdict = dy.r_epsilon(sys_, query)
+            orders = dy.map_orders(sys_)
+            residues = {
+                tuple(f.evaluate(z) % o for f, o in zip(query.fs, orders))
+                for z in product(*(range(p) for p in verdict.period))
+            }
+            assert len(compares) == len(residues) == len(verdict.values)
 
     def test_one_return_measure_per_exponent_residue(self, monkeypatch):
         calls = []
@@ -534,7 +617,12 @@ class TestMinimalGrid:
                 (z, tuple(f.evaluate(z) for f in fs))
                 for z in product(*(range(p) for p in period))
             ]
-            assert list(dy._exponent_rows(fs, period)) == want
+            got = [
+                row
+                for zs, columns in dy._exponent_lines(fs, period)
+                for row in zip(zs, zip(*columns))
+            ]
+            assert got == want
         for case in range(20):
             sys_, query = random_product_query(rng, case % 3 + 1)
             for z, exps, _ in dy.r_epsilon(sys_, query).rows:

@@ -59,5 +59,6 @@ class TestRecords:
 
 
 def test_defaults():
-    assert residue_verdict({(0,)}).rows == ()
+    verdict = residue_verdict({(0,)})
+    assert verdict.rows == verdict.values == verdict.holds == ()
     assert sp.ProjectionDesc(dim=2, fixed=frozenset({0})).certificate is None

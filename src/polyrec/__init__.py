@@ -8,7 +8,8 @@ Modules:
 - :mod:`polyrec.ipstruct`  finite subset-sum combinatorics and window verdicts
 - :mod:`polyrec.dynamics`  recurrence on finite measure-preserving systems
 - :mod:`polyrec.spectral`  rational-phase unitary families and projections
-- :mod:`polyrec.cli`       scenario runner and certificate verifier
+- :mod:`polyrec.runners`   one runner per scenario kind
+- :mod:`polyrec.cli`       scenario loader, checker and certificate verifier
 """
 
 __version__ = "0.1.0"

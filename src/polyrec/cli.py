@@ -2,9 +2,14 @@
 
 A scenario is a JSON document {"schema_version": 1, "id": ..., "kind": ...,
 "payload": {...}}; payloads are validated against per-kind JSON schemas
-before dispatch.  Reports are reproducible: identical inputs give identical
-bytes apart from the wall-time field.  Scenarios run one after another;
---jobs is accepted and ignored.
+before dispatch to the runner of their kind (:mod:`polyrec.runners`).
+Reports are reproducible: identical inputs give identical bytes apart from
+the wall-time field.  Scenarios run one after another; --jobs is accepted
+and ignored.
+
+The runners and the modules they use are bound lazily: loading and
+checking documents executes this module alone, and verifying a certificate
+only the modules its kind needs.
 
 Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 input error.
 """
@@ -15,8 +20,6 @@ import contextlib
 import functools
 import importlib.util
 import json
-import math
-import random
 import re
 import sys
 import time
@@ -28,7 +31,6 @@ from .errors import (
     CheckFailed,
     InputError,
     PolyrecError,
-    SweepCapExceeded,
     VerificationFailed,
 )
 
@@ -55,6 +57,7 @@ ipstruct = _lazy("ipstruct")
 jsonout = _lazy("jsonout")
 keyengine = _lazy("keyengine")
 lattice = _lazy("lattice")
+runners = _lazy("runners")
 spectral = _lazy("spectral")
 
 RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/0*[1-9][0-9]*)?$"}
@@ -314,281 +317,75 @@ def _equal(a, b) -> bool:
     return a == b
 
 
-def _properties(props, x, schema) -> bool:
-    return not isinstance(x, dict) or all(k not in x or _accepts(s, x[k]) for k, s in props.items())
+def _fields(named, x) -> bool:
+    """Whether each field of the object x that named checks passes."""
+    for name, check in named:
+        if name in x and not check(x[name]):
+            return False
+    return True
 
 
-def _additional(extra, x, schema) -> bool:
-    named = schema.get("properties", {})
-    return not isinstance(x, dict) or all(_accepts(extra, v) for k, v in x.items() if k not in named)
-
-
-# keyword -> test(argument, instance, enclosing schema), for the 14 keywords
-# the schemas above use; only "additionalProperties" reads the enclosing
-# schema.  Each keyword but "type", "const", "enum" and "not" ignores
-# instances of other types.
+# keyword -> factory(argument, enclosing schema) -> test(instance), for the
+# 14 keywords the schemas above use.  _checker hands "properties" its
+# (name, checker) pairs, "additionalProperties", "items" and "not" the
+# checker of their schema, and "pattern" its compiled search; only
+# "additionalProperties" reads the enclosing schema.  Each test but "type",
+# "const", "enum" and "not" passes instances of other types.
 KEYWORDS = {
-    "type": lambda t, x, s: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
-    "required": lambda names, x, s: not isinstance(x, dict) or all(n in x for n in names),
-    "properties": _properties,
-    "additionalProperties": _additional,
-    "items": lambda item, x, s: not isinstance(x, list) or all(_accepts(item, e) for e in x),
-    "minItems": lambda n, x, s: not isinstance(x, list) or len(x) >= n,
-    "minLength": lambda n, x, s: not isinstance(x, str) or len(x) >= n,
+    "type": lambda t, s: _TYPES[t] if isinstance(t, str) else lambda x: any(_TYPES[n](x) for n in t),
+    "required": lambda names, s: lambda x: not isinstance(x, dict) or all(map(x.__contains__, names)),
+    "properties": lambda named, s: lambda x: not isinstance(x, dict) or _fields(named, x),
+    "additionalProperties": lambda check, s: lambda x: not isinstance(x, dict)
+    or all([check(x[k]) for k in x.keys() - s.get("properties", {})]),
+    "items": lambda check, s: lambda x: not isinstance(x, list) or all(map(check, x)),
+    "minItems": lambda n, s: lambda x: not isinstance(x, list) or len(x) >= n,
+    "minLength": lambda n, s: lambda x: not isinstance(x, str) or len(x) >= n,
     # "not x < m" rather than "x >= m", as jsonschema compares (NaN passes)
-    "minimum": lambda m, x, s: not (_is_number(x) and x < m),
-    "maximum": lambda m, x, s: not (_is_number(x) and x > m),
-    # re.search, not re.fullmatch: "12\n" matches ^-?[0-9]+$
-    "pattern": lambda p, x, s: not isinstance(x, str) or re.search(p, x) is not None,
-    "const": lambda c, x, s: _equal(x, c),
-    "enum": lambda options, x, s: any(_equal(x, o) for o in options),
-    "not": lambda sub, x, s: not _accepts(sub, x),
-    "schema_version": lambda v, x, s: True,  # an annotation of this package
+    "minimum": lambda m, s: lambda x: not (_is_number(x) and x < m),
+    "maximum": lambda m, s: lambda x: not (_is_number(x) and x > m),
+    # a search, not a full match: "12\n" matches ^-?[0-9]+$
+    "pattern": lambda search, s: lambda x: not isinstance(x, str) or search(x) is not None,
+    "const": lambda c, s: lambda x: _equal(x, c),
+    "enum": lambda options, s: lambda x: any(_equal(x, o) for o in options),
+    "not": lambda check, s: lambda x: not check(x),
+    "schema_version": lambda v, s: None,  # an annotation of this package
 }
+
+
+def _checker(schema):
+    """The test x -> whether x is valid under schema, built once.  A keyword
+    outside KEYWORDS raises here, before any document is checked, so a
+    schema edit cannot be silently ignored."""
+    if isinstance(schema, bool):
+        return lambda x: schema
+    tests = []
+    for key, arg in schema.items():
+        if key not in KEYWORDS:
+            raise ValueError(f"schema keyword {key!r} is not interpreted")
+        if key == "properties":
+            arg = [(name, _checker(sub)) for name, sub in arg.items()]
+        elif key in ("additionalProperties", "items", "not"):
+            arg = _checker(arg)
+        elif key == "pattern":
+            arg = re.compile(arg).search
+        test = KEYWORDS[key](arg, schema)
+        if test is not None:
+            tests.append(test)
+    if len(tests) == 1:
+        return tests[0]
+
+    def every(x):
+        for test in tests:
+            if not test(x):
+                return False
+        return True
+
+    return every
 
 
 def _accepts(schema, x) -> bool:
-    """Whether x is valid under schema.  A keyword outside KEYWORDS raises,
-    so a schema edit cannot be silently ignored."""
-    if isinstance(schema, bool):
-        return schema
-    for key, arg in schema.items():
-        test = KEYWORDS.get(key)
-        if test is None:
-            raise ValueError(f"schema keyword {key!r} is not interpreted")
-        if not test(arg, x, schema):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Scenario runners: payload -> (verdict, details, certificate-or-None)
-# ---------------------------------------------------------------------------
-
-
-def _recurrence_input(payload):
-    """The system and the query of a recurrence payload (khintchine has no epsilon)."""
-    sys_ = dynamics.system_from_json(payload["system"])
-    fs = [intpoly.from_json(p) for p in payload["fs"]]
-    return sys_, dynamics.recurrence_query(payload["A"], fs, payload.get("epsilon", 0))
-
-
-def _run_khintchine(payload, cap, seed):
-    rep = dynamics.verify_khintchine(*_recurrence_input(payload))
-    details = {
-        "sup": str(rep.sup_value),
-        "bound": str(rep.bound),
-        "witness_residue": list(rep.witness_residue),
-        "period": list(rep.period),
-    }
-    return rep.holds, details, None
-
-
-def _residue_details(verdict: dynamics.ResidueVerdict) -> dict:
-    """The threshold set of a swept verdict; members in the order of its
-    rows, which is lexicographic."""
-    return {
-        "period": list(verdict.period),
-        "members": [list(z) for z, _, k in verdict.rows if verdict.holds[k]],
-        "member_count": len(verdict.members),
-        "epsilon": str(verdict.epsilon),
-        "mu_a": str(verdict.mu_a),
-        "mu_a_sq": str(verdict.mu_a_sq),
-    }
-
-
-def _run_r_epsilon(payload, cap, seed):
-    sys_, query = _recurrence_input(payload)
-    verdict = dynamics.r_epsilon(sys_, query, cap=cap)
-    details = _residue_details(verdict)
-    details["table"] = dynamics.residue_table(verdict)
-    zero = (0,) * query.fs[0].nvars
-    return zero in verdict.members, details, None
-
-
-def _run_ip_star(payload, cap, seed):
-    sys_, query = _recurrence_input(payload)
-    verdict = dynamics.r_epsilon(sys_, query, cap=cap)
-    k, w = int(payload["k"]), int(payload["W"])
-    window = dynamics.ip_star_verdict(verdict, k, w)
-    details = _residue_details(verdict)
-    details.update(
-        {
-            "ip_star": {
-                "holds": window.ip_star.holds,
-                "witness": list(window.ip_star.witness) if window.ip_star.witness else None,
-            },
-            "syndetic_gap": window.gap,
-            "horizon": window.horizon,
-            "window": {"k": k, "W": w},
-        }
-    )
-    return window.ip_star.holds and window.gap is not None, details, None
-
-
-def _run_key_lemma(payload, cap, seed):
-    v = intpoly.polytuple_from_json(payload["v"])
-    target = lattice.from_json(payload["V"])
-    hypothesis = lattice.from_json(payload["hypothesis"])
-    inst = keyengine.key_instance(v, target)
-    witness = keyengine.key_lemma_lattice(inst, hypothesis)
-    details = {
-        "witness": lattice.to_json(witness),
-        "witness_index": lattice.index(witness),
-    }
-    return True, details, keyengine.key_certificate_json(inst, witness)
-
-
-def _run_stable_rank(payload, cap, seed):
-    v = intpoly.polytuple_from_json(payload["v"])
-    cert = keyengine.stable_rank_subgroup(v, int(payload["window"]), cap=cap)
-    details = {
-        "r": cert.r,
-        "samples": [list(pt) for pt in cert.samples],
-        "V": lattice.to_json(cert.V),
-        "saturation_window": cert.saturation_window,
-    }
-    return True, details, keyengine.rank_certificate_json(v, cert)
-
-
-def _run_spectral_limit(payload, cap, seed):
-    u = spectral.from_json(payload["unitary"])
-    fs = [intpoly.from_json(p) for p in payload["fs"]]
-    desc = spectral.limit_projection(u, fs)
-    details = {
-        "fixed": sorted(desc.fixed),
-        "is_identity": len(desc.fixed) == u.dim,
-        "certificate": lattice.to_json(desc.certificate),
-        "phase_order": spectral.phase_lcm(u),
-    }
-    certificate = {
-        "certificate_kind": "spectral-limit",
-        "unitary": spectral.to_json(u),
-        "fs": [intpoly.to_json(f) for f in fs],
-        "lattice": lattice.to_json(desc.certificate),
-    }
-    return True, details, certificate
-
-
-def _random_binpoly(rng: random.Random, nvars: int, max_degree: int, bound: int):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        while True:
-            idx = tuple(rng.randint(0, max_degree) for _ in range(nvars))
-            if 0 < sum(idx) <= max_degree:
-                break
-        coef = rng.randint(-bound, bound)
-        if coef:
-            terms[idx] = coef
-    terms[(0,) * nvars] = rng.randint(-bound, bound)
-    f = intpoly.binpoly(nvars, terms)
-    if f.degree < 1:
-        idx = (1,) + (0,) * (nvars - 1)
-        f = intpoly.add(f, intpoly.binpoly(nvars, {idx: 1}))
-    return f
-
-
-def _delta_identities(f) -> Tuple[bool, dict]:
-    d = max(f.degree, 0)
-    collapsed = intpoly.delta(f, d + 1)
-    expected_value = (-1) ** d * f.constant_term()
-    expected = intpoly.constant((d + 1) * f.nvars, expected_value)
-    constant_ok = collapsed == expected
-    drop_ok = True
-    if d >= 1:
-        doubled = intpoly.delta(f, 2)
-        n = f.nvars
-        for block in (range(n), range(n, 2 * n)):
-            if intpoly.degree_in_vars(doubled, block) >= d:
-                drop_ok = False
-    return constant_ok and drop_ok, {
-        "constant_collapse": constant_ok,
-        "collapsed_value": str(expected_value),
-        "block_degree_drop": drop_ok,
-    }
-
-
-def _recursion_consistent(f, max_s: int) -> bool:
-    """delta(f, s) equals the recursion at every 2 <= s <= max_s.  The chain
-    of recursion levels is built once, and stops at the first mismatch."""
-    level = f
-    for s in range(2, max_s + 1):
-        level = intpoly.delta_recursive(f, s, level)
-        if intpoly.delta(f, s) != level:
-            return False
-    return True
-
-
-def _run_delta_check(payload, cap, seed):
-    details = {}
-    ok = True
-    if "poly" in payload:
-        f = intpoly.from_json(payload["poly"])
-        max_s = int(payload.get("recursion_max_s", 3))
-        # delta(f, d + 1) expands no row; delta(f, 2) is expanded once for the
-        # identities, then delta and delta_recursive once each per s.  The
-        # random suite is not counted: its schema bounds it to polynomials
-        # in at most 3 variables of degree at most 4.
-        rows = intpoly.delta_rows(f, 2)
-        rows += 2 * sum(intpoly.delta_rows(f, s) for s in range(2, max_s + 1))
-        if rows > cap:
-            raise SweepCapExceeded(f"delta-check expands {rows} rows, cap is {cap}")
-        good, info = _delta_identities(f)
-        ok &= good
-        details["poly"] = info
-        rec = _recursion_consistent(f, max_s)
-        ok &= rec
-        details["recursion_consistent"] = rec
-    if "c_table_max" in payload:
-        top = int(payload["c_table_max"])
-        diag = all(intpoly.c_number(m, m) == math.factorial(m) for m in range(1, top + 1))
-        zeros = all(
-            intpoly.c_number(s, m) == 0
-            for m in range(1, top + 1)
-            for s in range(m + 1, top + 1)
-        )
-        ok &= diag and zeros
-        details["c_table"] = {"factorial_diagonal": diag, "upper_zeros": zeros}
-    if "random" in payload:
-        params = payload["random"]
-        count, nvars, max_degree = (int(params[k]) for k in ("count", "nvars", "max_degree"))
-        bound = int(params.get("coeff_bound", 9))
-        rng = random.Random(seed)
-        failures = 0
-        for _ in range(count):
-            f = _random_binpoly(rng, nvars, max_degree, bound)
-            good, _info = _delta_identities(f)
-            failures += 0 if good else 1
-        ok &= failures == 0
-        details["random"] = {"count": count, "failures": failures, "seed": seed}
-    return ok, details, None
-
-
-def _run_hindman_search(payload, cap, seed):
-    coloring = ipstruct.coloring_from_json(payload["coloring"])
-    witness = ipstruct.find_monochromatic_fs(coloring, int(payload["k"]))
-    # the search returns a tuple only once its sums pass the one-color test,
-    # and None only after it has visited every tuple
-    if witness is None:
-        return True, {"witness": None, "verified_by_exhaustion": True}, None
-    details = {
-        "witness": list(witness.generators),
-        "subset_sums": sorted(ipstruct.fs_expand(witness)),
-        "verified": True,
-    }
-    return True, details, None
-
-
-RUNNERS = {
-    "khintchine": _run_khintchine,
-    "r-epsilon": _run_r_epsilon,
-    "ip-star": _run_ip_star,
-    "key-lemma": _run_key_lemma,
-    "stable-rank": _run_stable_rank,
-    "spectral-limit": _run_spectral_limit,
-    "delta-check": _run_delta_check,
-    "hindman-search": _run_hindman_search,
-}
+    """Whether x is valid under schema."""
+    return _checker(schema)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +407,11 @@ def _jsonable(value):
 def _validator(key):
     """Compiled jsonschema validator of ``SCHEMAS[key]``.
 
-    Only a document that :func:`_accepts` rejects reaches this, so a run
-    of valid documents never imports jsonschema.  The schemas are
-    constants of this module, so the tests check them against their
-    meta-schema; loading the meta-schema on every run would cost more
-    than validating a document.
+    Only a document that the checker of its key (:func:`_key_checker`)
+    rejects reaches this, so a run of valid documents never imports
+    jsonschema.  The schemas are constants of this module, so the tests
+    check them against their meta-schema; loading the meta-schema on every
+    run would cost more than validating a document.
     """
     import jsonschema
 
@@ -622,17 +419,24 @@ def _validator(key):
     return jsonschema.validators.validator_for(schema)(schema)
 
 
+@functools.lru_cache(maxsize=None)
+def _key_checker(key):
+    """The checker of ``SCHEMAS[key]``, built once per process."""
+    return _checker(SCHEMAS[key])
+
+
 def _check(source: str, key, doc) -> None:
     """Raise :class:`InputError` naming source unless doc is valid under
     ``SCHEMAS[key]``.
 
-    The error is jsonschema's, worded "at PATH: MESSAGE" and picked with
+    The checker of each key is built on its first use.  The error is
+    jsonschema's, worded "at PATH: MESSAGE" and picked with
     ``best_match`` exactly as ``jsonschema.validate`` picks it.  Should
-    jsonschema find none where :func:`_accepts` rejected, the document is
+    jsonschema find none where the checker rejected, the document is
     accepted.  A document nested too deeply to check is an input error.
     """
     try:
-        if _accepts(SCHEMAS[key], doc):
+        if _key_checker(key)(doc):
             return
         from jsonschema.exceptions import best_match
 
@@ -707,7 +511,7 @@ def load_scenarios(paths: List[Path], bundled: bool) -> List[Tuple[str, dict]]:
 
 def run_scenario(source: str, doc: dict, cap: int, seed: int) -> dict:
     start = time.perf_counter()
-    runner = RUNNERS[doc["kind"]]
+    runner = runners.RUNNERS[doc["kind"]]
     certificate = None
     try:
         verdict, details, certificate = runner(doc["payload"], cap=cap, seed=seed)

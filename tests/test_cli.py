@@ -1204,10 +1204,10 @@ def mutated(draw, doc):
 
 
 def agrees(kind, doc):
-    """The checker's verdict on doc, asserted equal to jsonschema's.  A
-    certificate is decided as its envelope and then the schema of its kind,
-    each step compared."""
-    accepted = cli._accepts(cli.SCHEMAS[kind], doc)
+    """The verdict on doc of the checker _check uses, asserted equal to
+    jsonschema's.  A certificate is decided as its envelope and then the
+    schema of its kind, each step compared."""
+    accepted = cli._key_checker(kind)(doc)
     assert accepted == cli._validator(kind).is_valid(doc), (kind, doc)
     if kind == "certificate" and accepted:
         return agrees(("certificate", doc["certificate_kind"]), doc)
@@ -1354,6 +1354,35 @@ class TestSchemaChecker:
         with pytest.raises(ValueError, match="'anyOf' is not interpreted"):
             cli._accepts({"type": "object", "anyOf": []}, {})
 
+    def test_unknown_keyword_raises_when_the_checker_is_built(self):
+        # no document is checked, and none could reach the nested schema
+        schema = {"type": "object", "properties": {"never": {"anyOf": []}}}
+        with pytest.raises(ValueError, match="'anyOf' is not interpreted"):
+            cli._checker(schema)
+
+    def test_check_builds_each_checker_once(self, monkeypatch):
+        scenarios, certificates = bundled_documents()
+        built = []
+        checker = cli._checker
+
+        def counted(schema):
+            built.extend(key for key, s in cli.SCHEMAS.items() if s is schema)
+            return checker(schema)
+
+        monkeypatch.setattr(cli, "_checker", counted)
+        cli._key_checker.cache_clear()
+        try:
+            for _ in range(2):
+                for doc in scenarios:
+                    cli._check("doc", None, doc)
+                    cli._check("doc", doc["kind"], doc["payload"])
+                for doc in certificates:
+                    cli._check("doc", "certificate", doc)
+                    cli._check("doc", ("certificate", doc["certificate_kind"]), doc)
+        finally:
+            cli._key_checker.cache_clear()
+        assert sorted(map(repr, built)) == sorted(map(repr, cli.SCHEMAS))
+
     def test_valid_documents_never_import_jsonschema(self, tmp_path):
         child = "\n".join(
             [
@@ -1380,12 +1409,14 @@ class TestSchemaChecker:
         assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] False", "[2] True"]
 
 
-RUNNER_MODULES = {"dynamics", "intpoly", "ipstruct", "keyengine", "lattice", "spectral"}
+RUNNER_MODULES = {"dynamics", "intpoly", "ipstruct", "keyengine", "lattice", "runners", "spectral"}
 
 
 class TestProcessStart:
     """cli binds the runner modules lazily, so a process executes only the
-    modules its command reaches, and no command imports dataclasses."""
+    modules its command reaches, and no command imports dataclasses.  The
+    children run without site (-S), which on some installs imports random
+    before any code of polyrec runs."""
 
     # a module bound lazily and not yet read is still a _LazyModule; vars()
     # or any attribute read would execute it, so only its type is looked at
@@ -1397,17 +1428,17 @@ class TestProcessStart:
             "code = {call}",
             "ran = sorted(n.split('.')[1] for n, m in sys.modules.items()",
             "             if n.startswith('polyrec.') and type(m) is not importlib.util._LazyModule)",
-            "stdlib = sorted(m for m in ('argparse', 'dataclasses') if m in sys.modules)",
+            "stdlib = sorted(m for m in ('argparse', 'dataclasses', 'random') if m in sys.modules)",
             "print(json.dumps([code, ran, stdlib]))",
         ]
     )
 
     @classmethod
     def executed(cls, call, *argv):
-        """(return value of call, polyrec modules executed, argparse and
-        dataclasses if imported) in a fresh child process."""
+        """(return value of call, polyrec modules executed, argparse,
+        dataclasses and random if imported) in a fresh child process."""
         proc = subprocess.run(
-            [sys.executable, "-c", cls.CHILD.format(call=call), *argv],
+            [sys.executable, "-S", "-c", cls.CHILD.format(call=call), *argv],
             capture_output=True,
             text=True,
             timeout=60,
@@ -1443,6 +1474,14 @@ class TestProcessStart:
         code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "verify-certificate", path)
         assert code == 0 and ran & RUNNER_MODULES == {"intpoly", "keyengine", "lattice"}, ran
         assert "dataclasses" not in stdlib
+
+    @pytest.mark.parametrize(
+        "name", ["key-lemma-parabola", "stable-rank-parabola", "spectral-limit-bilinear"]
+    )
+    def test_verifying_a_certificate_runs_no_scenario_runner(self, cert_dir, name):
+        path = str(cert_dir / f"{name}.cert.json")
+        code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "verify-certificate", path)
+        assert code == 0 and "runners" not in ran and "random" not in stdlib, (ran, stdlib)
 
     def test_no_command_imports_dataclasses(self, cert_dir, tmp_path):
         code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "run", "--bundled")

@@ -9,9 +9,9 @@ import pytest
 from sympy import primefactors
 
 from conftest import product_system, random_binpoly
-from polyrec import cli
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
+from polyrec import runners
 from polyrec.errors import (
     ArityMismatch,
     NonzeroConstantTerm,
@@ -407,7 +407,7 @@ class TestOnePass:
         cases += [wide_case(rng) for _ in range(10)]
         for sys_, query in cases:
             verdict = dy.r_epsilon(sys_, query)
-            members = cli._residue_details(verdict)["members"]
+            members = runners._residue_details(verdict)["members"]
             assert members == sorted(list(m) for m in verdict.members)
 
     def test_one_threshold_comparison_per_exponent_residue(self, monkeypatch):

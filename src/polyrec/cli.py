@@ -383,11 +383,6 @@ def _checker(schema):
     return every
 
 
-def _accepts(schema, x) -> bool:
-    """Whether x is valid under schema."""
-    return _checker(schema)(x)
-
-
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ therefore computed *exactly* as unions of residue classes, in one pass over
 the minimal period grid that sums the exponents up from forward
 differences along the last axis.  Each exponent key (e_i mod order_i) is
 decided once, the first time the sweep meets it: its return measure, and
-whether that clears the threshold.  A grid point then carries only the
-index of its key, so the residue table formats each key's measure and
-verdict once.  Each return measure moves every point of A e_i places
-along its cycle of each T_i, read off the table that :func:`build_system`
-builds once: |A| * m integer steps.
+whether that clears the threshold.  A grid point then carries only its
+exponents and the index of its key, in grid order (:func:`grid`), so the
+residue table formats each key's measure and verdict once.  Each return
+measure moves every point of A e_i places along its cycle of each T_i,
+read off the table that :func:`build_system` builds once: |A| * m integer
+steps.
 All measures are rationals; there is no floating point anywhere in this
 module.
 """
@@ -27,10 +28,9 @@ module.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import accumulate, compress, product, starmap
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
 from .errors import (
@@ -213,33 +213,47 @@ def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     return keyengine.least_periods(fs, lattice.diagonal(orders))
 
 
+def grid(period: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The residues of the period grid in grid order, which is lexicographic:
+    the origin is point 0, and the last coordinate runs fastest."""
+    return product(*map(range, period))
+
+
 class ResidueVerdict(NamedTuple):
     """Exact description of a threshold set as residue classes.
 
-    z belongs to the set iff (z_1 mod N_1, ..., z_n mod N_n) is in
-    ``members``, N = ``period`` the minimal per-coordinate periods.  ``rows``
-    holds (residue, exponents, key) for every point of that grid, in
-    lexicographic order; the exponents are the exact values f_i(residue),
-    not reduced, and key numbers the exponent key (e_i mod order_i) in the
-    order the sweep first met it.  ``values[key]`` is that key's return
-    measure and ``holds[key]`` whether it clears mu(A)^2 - eps, so a
-    residue is a member iff its key holds.
+    z belongs to the set iff the key of (z_1 mod N_1, ..., z_n mod N_n)
+    holds, N = ``period`` the minimal per-coordinate periods.  For the i-th
+    point of that grid (:func:`grid`), ``exponents[i]`` holds the exact
+    values f_i there, not reduced, and ``keys[i]`` the index of its exponent
+    key (e_i mod order_i), keys numbered in the order the sweep first met
+    them.  ``values[key]`` is that key's return measure and ``holds[key]``
+    whether it clears mu(A)^2 - eps.  These are the only record of the set.
     """
 
     period: Tuple[int, ...]
-    members: FrozenSet[Tuple[int, ...]]
     epsilon: Fraction
     mu_a: Fraction
     mu_a_sq: Fraction
-    rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = ()
+    exponents: Tuple[Tuple[int, ...], ...] = ()
+    keys: Tuple[int, ...] = ()
     values: Tuple[Fraction, ...] = ()
     holds: Tuple[bool, ...] = ()
 
+    def members_in_grid_order(self) -> Iterator[Tuple[int, ...]]:
+        """The residues of the set, in grid order."""
+        return compress(grid(self.period), map(self.holds.__getitem__, self.keys))
+
+    @property
+    def members(self) -> FrozenSet[Tuple[int, ...]]:
+        """The residues of the set, rebuilt on every read."""
+        return frozenset(self.members_in_grid_order())
+
 
 def _exponent_lines(fs: Sequence[BinPoly], period: Sequence[int]):
-    """The grid one line at a time, in lexicographic order: for each prefix p
-    of the first n - 1 coordinates, the points (p, t), t = 0 .. N_n - 1, and
-    the columns t -> f_i(p, t), one per f_i.
+    """The exponents of the grid one line at a time, in grid order: for each
+    prefix p of the first n - 1 coordinates, the columns t -> f_i(p, t),
+    t = 0 .. N_n - 1, one per f_i.
 
     t -> f_i(p, t) has binomial coordinate c_j = sum over the terms of f_i
     with last index j of coef * prod_l C(p_l, idx_l), read off f_i's own
@@ -249,8 +263,7 @@ def _exponent_lines(fs: Sequence[BinPoly], period: Sequence[int]):
     """
     *head, last = period
     depths = [intpoly.degree_in_vars(f, [len(period) - 1]) for f in fs]
-    tails = [(t,) for t in range(last)]
-    for prefix in product(*(range(p) for p in head)):
+    for prefix in grid(head):
         columns = []
         for f, k in zip(fs, depths):
             leading = [0] * (k + 1)
@@ -260,7 +273,7 @@ def _exponent_lines(fs: Sequence[BinPoly], period: Sequence[int]):
             while leading:
                 column = list(accumulate(column[: last - 1], initial=leading.pop()))
             columns.append(column)
-        yield [prefix + t for t in tails], columns
+        yield columns
 
 
 def r_epsilon(
@@ -272,44 +285,44 @@ def r_epsilon(
     exponents come from forward differences along the last axis, and the
     keys (e_i mod order_i) of a whole line at once (:func:`_exponent_lines`).
     As T_i^{order_i} = id, each key gets its return measure and its verdict
-    once, the first time it is met; a grid point records only its key's
-    index.  Past ``cap`` grid points plus |A| * m steps per measure,
-    :class:`SweepCapExceeded` is raised; the grid alone is checked before
-    the sweep.
+    once, the first time it is met; a grid point records only its exponents
+    and its key's index.  Past ``cap`` grid points plus |A| * m steps per
+    measure, :class:`SweepCapExceeded` is raised; the grid alone is checked
+    before the sweep.
     """
     period = system_period(sys, query.fs)
-    grid = math.prod(period)
-    if grid > cap:
-        raise SweepCapExceeded(f"period grid needs {grid} points, cap is {cap}")
+    points = math.prod(period)
+    if points > cap:
+        raise SweepCapExceeded(f"period grid needs {points} points, cap is {cap}")
     orders = map_orders(sys)
     A = sorted(query.A)
     mu_a = sys.measure(A)
     threshold = mu_a * mu_a - query.epsilon
-    keys: Dict[Tuple[int, ...], int] = {}
+    index: Dict[Tuple[int, ...], int] = {}
     values: List[Fraction] = []
     holds: List[bool] = []
-    rows, members = [], []
-    for zs, columns in _exponent_lines(query.fs, period):
+    exponents: List[Tuple[int, ...]] = []
+    keys: List[int] = []
+    for columns in _exponent_lines(query.fs, period):
         line = list(zip(*[[e % o for e in column] for column, o in zip(columns, orders)]))
         for key in dict.fromkeys(line):
-            if key not in keys:
-                keys[key] = len(keys)
-                steps = len(keys) * len(A) * len(orders)
-                if grid + steps > cap:
-                    raise SweepCapExceeded(f"period grid needs {grid} points and its return "
+            if key not in index:
+                index[key] = len(index)
+                steps = len(index) * len(A) * len(orders)
+                if points + steps > cap:
+                    raise SweepCapExceeded(f"period grid needs {points} points and its return "
                                            f"measures {steps} steps so far, cap is {cap}")
                 values.append(return_measure(sys, A, key))
                 holds.append(values[-1] >= threshold)
-        ks = list(map(keys.__getitem__, line))
-        rows += zip(zs, zip(*columns), ks)
-        members += compress(zs, map(holds.__getitem__, ks))
+        keys += map(index.__getitem__, line)
+        exponents += zip(*columns)
     return ResidueVerdict(
         period=period,
-        members=frozenset(members),
         epsilon=query.epsilon,
         mu_a=mu_a,
         mu_a_sq=mu_a * mu_a,
-        rows=tuple(rows),
+        exponents=tuple(exponents),
+        keys=tuple(keys),
         values=tuple(values),
         holds=tuple(holds),
     )
@@ -364,11 +377,8 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     """
     ipstruct.check_window(k, window)
     horizon = max(window * k, 2 * math.lcm(*verdict.period))
-    values = {
-        t
-        for t in range(1, horizon + 1)
-        if tuple(t % p for p in verdict.period) in verdict.members
-    }
+    members = verdict.members
+    values = {t for t in range(1, horizon + 1) if tuple(t % p for p in verdict.period) in members}
     ip = ipstruct.is_ip_star_window(values, k, window)
     gap = ipstruct.syndetic_gap(values, 1, horizon)
     return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
@@ -384,22 +394,21 @@ def _commas(n: int):
 
 
 def residue_table(verdict: ResidueVerdict) -> str:
-    """Aligned text table of the rows :func:`r_epsilon` recorded: residue,
+    """Aligned text table of the grid :func:`r_epsilon` swept: residue,
     exponents, return measure, threshold, verdict.  Nothing is evaluated.
 
-    A row holds (residue, exponents, key), and the key indexes the per-key
-    ``values`` and ``holds``.  So each key's measure, threshold and verdict
-    are formatted once, into the tail its rows share, and each line is one
-    format of its residue, its exponents and that tail.
+    The i-th line formats the i-th grid point, its exponents and the tail of
+    its key: each key's measure, threshold and verdict are formatted once,
+    into the tail its points share, and each line is one format.
     """
-    rows = verdict.rows
     threshold = str(verdict.mu_a_sq - verdict.epsilon)
-    residues = list(starmap(_commas(len(verdict.period)), map(operator.itemgetter(0), rows)))
-    exponents = list(starmap(_commas(len(rows[0][1]) if rows else 0), map(operator.itemgetter(1), rows)))
+    residues = list(starmap(_commas(len(verdict.period)), grid(verdict.period)))
+    width = len(verdict.exponents[0]) if verdict.exponents else 0
+    exponents = list(starmap(_commas(width), verdict.exponents))
     values = list(map(str, verdict.values))
     tail = "{:<%d}  {:<%d}  {}" % (_width("return measure", values), _width("threshold", [threshold]))
     tails = [tail.format(v, threshold, "holds" if h else "fails") for v, h in zip(values, verdict.holds)]
     row = "{:<%d}  {:<%d}  {}" % (_width("residue", residues), _width("exponents", exponents))
     header = row.format("residue", "exponents", tail.format("return measure", "threshold", "verdict"))
-    lines = map(row.format, residues, exponents, map(tails.__getitem__, map(operator.itemgetter(2), rows)))
+    lines = map(row.format, residues, exponents, map(tails.__getitem__, verdict.keys))
     return "\n".join([header, *lines])

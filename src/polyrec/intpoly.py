@@ -105,13 +105,6 @@ def constant(nvars: int, value: int) -> BinPoly:
     return binpoly(nvars, {(0,) * nvars: value})
 
 
-def variable(nvars: int, j: int) -> BinPoly:
-    """The coordinate polynomial z_j (0-based j)."""
-    idx = [0] * nvars
-    idx[j] = 1
-    return binpoly(nvars, {tuple(idx): 1})
-
-
 def evaluate(f: BinPoly, z: Sequence[int]) -> int:
     """Exact value of f at an integer point.
 

@@ -38,12 +38,13 @@ def _run_khintchine(payload, cap, seed):
 
 
 def _residue_details(verdict: dynamics.ResidueVerdict) -> dict:
-    """The threshold set of a swept verdict; members in the order of its
-    rows, which is lexicographic."""
+    """The threshold set of a swept verdict, its members listed in grid
+    order (:func:`dynamics.grid`), which is lexicographic."""
+    members = list(map(list, verdict.members_in_grid_order()))
     return {
         "period": list(verdict.period),
-        "members": [list(z) for z, _, k in verdict.rows if verdict.holds[k]],
-        "member_count": len(verdict.members),
+        "members": members,
+        "member_count": len(members),
         "epsilon": str(verdict.epsilon),
         "mu_a": str(verdict.mu_a),
         "mu_a_sq": str(verdict.mu_a_sq),
@@ -55,8 +56,8 @@ def _run_r_epsilon(payload, cap, seed):
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     details = _residue_details(verdict)
     details["table"] = dynamics.residue_table(verdict)
-    zero = (0,) * query.fs[0].nvars
-    return zero in verdict.members, details, None
+    # the origin is grid point 0
+    return verdict.holds[verdict.keys[0]], details, None
 
 
 def _run_ip_star(payload, cap, seed):

@@ -180,19 +180,6 @@ def _check_exponents(u: PhaseUnitary, fs: Sequence[BinPoly]) -> int:
     return intpoly.polytuple(fs).nvars
 
 
-def power_phases(
-    u: PhaseUnitary, fs: Sequence[BinPoly], z: Sequence[int]
-) -> Tuple[Fraction, ...]:
-    """Eigenvector phases of the product of U_i^{f_i(z)}, each in [0, 1)."""
-    _check_exponents(u, fs)
-    exps = [f.evaluate(z) for f in fs]
-    out = []
-    for row in u.phases:
-        total = sum((e * p for e, p in zip(exps, row)), Fraction(0))
-        out.append(total - math.floor(total))
-    return tuple(out)
-
-
 class ProjectionDesc(NamedTuple):
     """Diagonal 0/1 projection, supported on ``fixed`` eigenvector indices.
 

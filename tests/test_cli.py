@@ -1352,7 +1352,7 @@ class TestSchemaChecker:
                 types.update([arg] if isinstance(arg, str) else arg)
         assert types == set(cli._TYPES)
         with pytest.raises(ValueError, match="'anyOf' is not interpreted"):
-            cli._accepts({"type": "object", "anyOf": []}, {})
+            cli._checker({"type": "object", "anyOf": []})
 
     def test_unknown_keyword_raises_when_the_checker_is_built(self):
         # no document is checked, and none could reach the nested schema

@@ -196,9 +196,10 @@ class TestREpsilon:
             verdict = dy.r_epsilon(sys_, query)
             (period,) = verdict.period
             threshold = verdict.mu_a_sq - verdict.epsilon
+            members = verdict.members
             for z in range(3 * period):
                 direct = dy.return_measure(sys_, ["0"], [ZSQ.evaluate([z])])
-                assert ((z % period,) in verdict.members) == (direct >= threshold)
+                assert ((z % period,) in members) == (direct >= threshold)
 
     def test_map_count_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -235,10 +236,11 @@ class TestWindowStructure:
     def test_all_residues(self):
         verdict = dy.ResidueVerdict(
             period=(4,),
-            members=frozenset((i,) for i in range(4)),
             epsilon=Fraction(0),
             mu_a=Fraction(1, 2),
             mu_a_sq=Fraction(1, 4),
+            keys=(0, 0, 0, 0),
+            holds=(True,),
         )
         window = dy.ip_star_verdict(verdict, 2, 4)
         assert window.ip_star.holds and window.gap == 1
@@ -246,10 +248,11 @@ class TestWindowStructure:
     def test_multiples_of_four_fail(self):
         verdict = dy.ResidueVerdict(
             period=(4,),
-            members=frozenset({(0,)}),
             epsilon=Fraction(0),
             mu_a=Fraction(1, 4),
             mu_a_sq=Fraction(1, 16),
+            keys=(0, 1, 1, 1),
+            holds=(True, False),
         )
         window = dy.ip_star_verdict(verdict, 2, 2)
         assert not window.ip_star.holds and window.ip_star.witness == (1, 1)
@@ -262,10 +265,11 @@ class TestTwoVariableQueries:
         query = dy.recurrence_query(["0"], [f], 0)
         verdict = dy.r_epsilon(sys_, query)
         assert verdict.period == (4, 4)  # z1 * z2 + 2 * z2 differs mod 4 when z2 is odd
+        members = verdict.members
         for z1 in range(8):
             for z2 in range(8):
                 expected = (z1 * z2) % 4 == 0
-                assert ((z1 % 4, z2 % 4) in verdict.members) == expected
+                assert ((z1 % 4, z2 % 4) in members) == expected
         report = dy.verify_khintchine(sys_, query)
         assert report.holds and report.witness_residue == (0, 0)
         # diagonal lift: t belongs iff t*t is divisible by 4, i.e. t even
@@ -409,6 +413,24 @@ class TestOnePass:
             verdict = dy.r_epsilon(sys_, query)
             members = runners._residue_details(verdict)["members"]
             assert members == sorted(list(m) for m in verdict.members)
+
+    def test_keys_and_exponents_follow_grid_order(self):
+        rng = random.Random(181)
+        cases = []
+        for _ in range(20):
+            sys_ = random_system(rng)
+            cases.append((sys_, random_query(rng, sys_)))
+        cases += [wide_case(rng) for _ in range(10)]
+        for sys_, query in cases:
+            verdict = dy.r_epsilon(sys_, query)
+            points = list(product(*(range(p) for p in verdict.period)))
+            assert list(dy.grid(verdict.period)) == points
+            assert points[0] == (0,) * len(verdict.period)
+            assert len(verdict.keys) == len(verdict.exponents) == math.prod(verdict.period)
+            members = verdict.members
+            for z, exps, key in zip(points, verdict.exponents, verdict.keys):
+                assert (z in members) == verdict.holds[key]
+                assert exps == tuple(f.evaluate(z) for f in query.fs)
 
     def test_one_threshold_comparison_per_exponent_residue(self, monkeypatch):
         compares = []
@@ -569,13 +591,14 @@ class TestMinimalGrid:
             shrunk += verdict.period != (full,) * len(verdict.period)
             A = sorted(query.A)
             threshold = verdict.mu_a_sq - verdict.epsilon
+            members = verdict.members
             direct = {}  # by exact exponents
             for z in product(range(full), repeat=len(verdict.period)):
                 exps = tuple(f.evaluate(z) for f in query.fs)
                 if exps not in direct:
                     direct[exps] = dy.return_measure(sys_, A, exps) >= threshold
                 residue = tuple(c % p for c, p in zip(z, verdict.period))
-                assert (residue in verdict.members) == direct[exps], (case, z)
+                assert (residue in members) == direct[exps], (case, z)
         assert shrunk > 24
 
     def test_no_proper_divisor_is_a_period(self):
@@ -613,19 +636,13 @@ class TestMinimalGrid:
             n = rng.randint(1, 3)
             fs = [random_binpoly(rng, n, rng.randint(0, 4), bound=7) for _ in range(rng.randint(1, 3))]
             period = tuple(rng.randint(1, 6) for _ in range(n))
-            want = [
-                (z, tuple(f.evaluate(z) for f in fs))
-                for z in product(*(range(p) for p in period))
-            ]
-            got = [
-                row
-                for zs, columns in dy._exponent_lines(fs, period)
-                for row in zip(zs, zip(*columns))
-            ]
+            want = [tuple(f.evaluate(z) for f in fs) for z in dy.grid(period)]
+            got = [exps for columns in dy._exponent_lines(fs, period) for exps in zip(*columns)]
             assert got == want
         for case in range(20):
             sys_, query = random_product_query(rng, case % 3 + 1)
-            for z, exps, _ in dy.r_epsilon(sys_, query).rows:
+            verdict = dy.r_epsilon(sys_, query)
+            for z, exps in zip(dy.grid(verdict.period), verdict.exponents, strict=True):
                 assert exps == tuple(f.evaluate(z) for f in query.fs)
 
     def test_evaluate_calls_per_line(self, monkeypatch):

@@ -74,11 +74,17 @@ def sweep_hypothesis(v, V, hypothesis):
             )
 
 
+def phases_at(u, fs, z):
+    """The eigenvector phases of U_1^{f_1(z)} ... U_m^{f_m(z)}, each in [0, 1)."""
+    exps = [f.evaluate(z) for f in fs]
+    return [sum((e * p for e, p in zip(exps, row)), Fraction(0)) % 1 for row in u.phases]
+
+
 def sweep_limit_certificate(u, fs, cert):
     side = sp.phase_lcm(u) * lcm_upto(max(f.degree for f in fs))
     for ks in product(range(side), repeat=cert.rank):
         point = lattice_point(cert.basis, ks, cert.ambient)
-        if any(sp.power_phases(u, fs, point)):
+        if any(phases_at(u, fs, point)):
             raise VerificationFailed(
                 witness=point,
                 message=f"certificate lattice leaves a nonzero phase at {point}",

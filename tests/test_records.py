@@ -11,9 +11,9 @@ from polyrec import lattice as lat
 from polyrec import spectral as sp
 
 
-def residue_verdict(members):
+def residue_verdict(holds):
     half = Fraction(1, 2)
-    return dy.ResidueVerdict((2,), frozenset(members), Fraction(0), half, half * half)
+    return dy.ResidueVerdict((2,), Fraction(0), half, half * half, keys=(0, 1), holds=holds)
 
 
 # (build a record, build a record with other values, a field name)
@@ -34,9 +34,9 @@ RECORDS = {
         "components",
     ),
     "ResidueVerdict": (
-        lambda: residue_verdict({(0,)}),
-        lambda: residue_verdict({(0,), (1,)}),
-        "members",
+        lambda: residue_verdict((True, False)),
+        lambda: residue_verdict((True, True)),
+        "keys",
     ),
 }
 
@@ -59,6 +59,6 @@ class TestRecords:
 
 
 def test_defaults():
-    verdict = residue_verdict({(0,)})
-    assert verdict.rows == verdict.values == verdict.holds == ()
+    verdict = dy.ResidueVerdict((2,), Fraction(0), Fraction(1, 2), Fraction(1, 4))
+    assert verdict.exponents == verdict.keys == verdict.values == verdict.holds == ()
     assert sp.ProjectionDesc(dim=2, fixed=frozenset({0})).certificate is None

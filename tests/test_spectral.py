@@ -15,7 +15,6 @@ from polyrec.errors import (
     VerificationFailed,
 )
 
-Z = ip.binpoly(1, {(1,): 1})
 ZSQ = ip.from_monomial_coeffs(1, {(2,): 1})
 Z1Z2 = ip.binpoly(2, {(1, 1): 1})
 
@@ -32,25 +31,6 @@ class TestPhaseUnitary:
     def test_json_round_trip(self):
         u = sp.phase_unitary([["0", "1/2"], ["1/3", "1/6"]])
         assert sp.from_json(sp.to_json(u)) == u
-
-
-class TestPowerPhases:
-    def test_square_example(self):
-        u = sp.phase_unitary([["0"], ["1/2"]])
-        assert sp.power_phases(u, [ZSQ], [3]) == (Fraction(0), Fraction(1, 2))
-
-    def test_zero_point(self):
-        u = sp.phase_unitary([["1/3"], ["1/7"]])
-        assert sp.power_phases(u, [ZSQ], [0]) == (Fraction(0), Fraction(0))
-
-    def test_two_operators(self):
-        u = sp.phase_unitary([["1/2", "1/3"]])
-        assert sp.power_phases(u, [Z, ZSQ], [6]) == (Fraction(0),)
-
-    def test_arity(self):
-        u = sp.phase_unitary([["1/2", "1/3"]])
-        with pytest.raises(ArityMismatch):
-            sp.power_phases(u, [Z], [1])
 
 
 class TestLimitProjection:

@@ -89,21 +89,18 @@ def test_jsonschema_is_imported_only_inside_functions():
 
 # Top-level names no command reaches that the tests still need: the exact
 # Gaussian-rational matrix layer of spectral, which checks that realized
-# limit projections are commuting orthogonal projections, the phases and
-# fixed spaces they are checked against, and the averaging expansion; and
-# the monomial and variable constructors the oracles build polynomials with;
-# and the one-off schema check, where the commands check with the checker
-# cached per schema key.  (matrix_exact and ComplexMatrix are reached through
-# the methods of ProjectionDesc, a class the commands use.)
+# limit projections are commuting orthogonal projections, the fixed spaces
+# they are checked against, and the averaging expansion; and the monomial
+# constructor the tests build polynomials with.  (matrix_exact and
+# ComplexMatrix are reached through the methods of ProjectionDesc, a class
+# the commands use.)
 TEST_ONLY = {
-    "cli": {"_accepts"},
-    "intpoly": {"from_monomial_coeffs", "variable"},
+    "intpoly": {"from_monomial_coeffs"},
     "spectral": {
         "mat_mul",
         "mat_adjoint",
         "ProjectionCheck",
         "is_orthogonal_projection",
-        "power_phases",
         "orbit_fixed_projection",
         "AveragingExpansion",
         "_coerce_vector",

@@ -609,6 +609,7 @@ def cmd_verify_certificate(args) -> int:
         else:
             u = spectral.from_json(doc["unitary"])
             fs = [intpoly.from_json(f) for f in doc["fs"]]
+            spectral.check_budget(u, fs, SWEEP_CAP)
             cert = lattice.from_json(doc["lattice"])
             _require_finite_index(cert, "lattice")
             spectral.verify_limit_certificate(u, fs, cert)
@@ -659,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=SWEEP_CAP,
         help="budget of the r-epsilon and ip-star sweeps (grid points plus |A| * m steps per "
-        "exponent key), the stable-rank window and delta-check difference expansions (rows)",
+        "exponent key), the stable-rank window, delta-check difference expansions (rows) and "
+        "spectral-limit certificates (D^2 per binomial index)",
     )
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     run_p.add_argument(

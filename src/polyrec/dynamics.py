@@ -15,12 +15,12 @@ therefore computed *exactly* as unions of residue classes, in one pass over
 the minimal period grid that sums the exponents up from forward
 differences along the last axis.  Each exponent key (e_i mod order_i) is
 decided once, the first time the sweep meets it: its return measure, and
-whether that clears the threshold.  A grid point then carries only its
-exponents and the index of its key, in grid order (:func:`grid`), so the
-residue table formats each key's measure and verdict once.  Each return
-measure moves every point of A e_i places along its cycle of each T_i,
-read off the table that :func:`build_system` builds once: |A| * m integer
-steps.
+whether that clears the threshold.  A grid point then carries only the
+index of its key, in grid order (:func:`grid`); the residue table sums the
+exponents up again with the same sweep, and formats each key's measure and
+verdict once.  Each return measure moves every point of A e_i places along
+its cycle of each T_i, read off the table that :func:`build_system` builds
+once: |A| * m integer steps.
 All measures are rationals; there is no floating point anywhere in this
 module.
 """
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, compress, product, starmap
+from functools import partial, reduce
+from itertools import accumulate, compress, cycle, islice, product, starmap
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
@@ -224,18 +225,19 @@ class ResidueVerdict(NamedTuple):
 
     z belongs to the set iff the key of (z_1 mod N_1, ..., z_n mod N_n)
     holds, N = ``period`` the minimal per-coordinate periods.  For the i-th
-    point of that grid (:func:`grid`), ``exponents[i]`` holds the exact
-    values f_i there, not reduced, and ``keys[i]`` the index of its exponent
-    key (e_i mod order_i), keys numbered in the order the sweep first met
-    them.  ``values[key]`` is that key's return measure and ``holds[key]``
-    whether it clears mu(A)^2 - eps.  These are the only record of the set.
+    point of that grid (:func:`grid`), ``keys[i]`` is the index of its
+    exponent key (e_i mod order_i), keys numbered in the order the sweep
+    first met them.  ``values[key]`` is that key's return measure and
+    ``holds[key]`` whether it clears mu(A)^2 - eps.  These are the only
+    record of the set; ``fs``, the query's exponent polynomials, lets the
+    residue table derive each point's exponents again.
     """
 
     period: Tuple[int, ...]
     epsilon: Fraction
     mu_a: Fraction
     mu_a_sq: Fraction
-    exponents: Tuple[Tuple[int, ...], ...] = ()
+    fs: Tuple[BinPoly, ...] = ()
     keys: Tuple[int, ...] = ()
     values: Tuple[Fraction, ...] = ()
     holds: Tuple[bool, ...] = ()
@@ -285,10 +287,10 @@ def r_epsilon(
     exponents come from forward differences along the last axis, and the
     keys (e_i mod order_i) of a whole line at once (:func:`_exponent_lines`).
     As T_i^{order_i} = id, each key gets its return measure and its verdict
-    once, the first time it is met; a grid point records only its exponents
-    and its key's index.  Past ``cap`` grid points plus |A| * m steps per
-    measure, :class:`SweepCapExceeded` is raised; the grid alone is checked
-    before the sweep.
+    once, the first time it is met; a grid point records only its key's
+    index, and no exponent is kept.  Past ``cap`` grid points plus |A| * m
+    steps per measure, :class:`SweepCapExceeded` is raised; the grid alone
+    is checked before the sweep.
     """
     period = system_period(sys, query.fs)
     points = math.prod(period)
@@ -301,7 +303,6 @@ def r_epsilon(
     index: Dict[Tuple[int, ...], int] = {}
     values: List[Fraction] = []
     holds: List[bool] = []
-    exponents: List[Tuple[int, ...]] = []
     keys: List[int] = []
     for columns in _exponent_lines(query.fs, period):
         line = list(zip(*[[e % o for e in column] for column, o in zip(columns, orders)]))
@@ -315,13 +316,12 @@ def r_epsilon(
                 values.append(return_measure(sys, A, key))
                 holds.append(values[-1] >= threshold)
         keys += map(index.__getitem__, line)
-        exponents += zip(*columns)
     return ResidueVerdict(
         period=period,
         epsilon=query.epsilon,
         mu_a=mu_a,
         mu_a_sq=mu_a * mu_a,
-        exponents=tuple(exponents),
+        fs=query.fs,
         keys=tuple(keys),
         values=tuple(values),
         holds=tuple(holds),
@@ -372,13 +372,20 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     {t in [1, horizon] : (t mod N_1, ..., t mod N_n) in members} (the
     diagonal embedding; for one variable this is just the set itself), with
     horizon = max(window * k, 2 * lcm(N_1, ..., N_n)): the lift has period
-    lcm(N), so the window holds at least two of its periods.  The caps of
+    lcm(N), so the window holds at least two of its periods.  No member set
+    is built: t's verdict is read through its grid index, the sum over j of
+    (t mod N_j) * N_{j+1} ... N_n, in ``keys`` and then ``holds``, and each
+    term of that sum cycles with period N_j.  The caps of
     :func:`ipstruct.is_ip_star_window` are checked before the lift is built.
     """
     ipstruct.check_window(k, window)
-    horizon = max(window * k, 2 * math.lcm(*verdict.period))
-    members = verdict.members
-    values = {t for t in range(1, horizon + 1) if tuple(t % p for p in verdict.period) in members}
+    period = verdict.period
+    horizon = max(window * k, 2 * math.lcm(*period))
+    strides = [math.prod(period[j + 1:]) for j in range(len(period))]
+    terms = (islice(cycle(range(0, n * s, s)), 1, None) for n, s in zip(period, strides))
+    index = reduce(partial(map, int.__add__), terms)
+    held = map(verdict.holds.__getitem__, map(verdict.keys.__getitem__, index))
+    values = set(compress(range(1, horizon + 1), held))
     ip = ipstruct.is_ip_star_window(values, k, window)
     gap = ipstruct.syndetic_gap(values, 1, horizon)
     return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
@@ -395,7 +402,9 @@ def _commas(n: int):
 
 def residue_table(verdict: ResidueVerdict) -> str:
     """Aligned text table of the grid :func:`r_epsilon` swept: residue,
-    exponents, return measure, threshold, verdict.  Nothing is evaluated.
+    exponents, return measure, threshold, verdict.  Nothing is evaluated:
+    the exponents are summed up again from the forward differences of
+    ``verdict.fs``, line by line, as the sweep did (:func:`_exponent_lines`).
 
     The i-th line formats the i-th grid point, its exponents and the tail of
     its key: each key's measure, threshold and verdict are formatted once,
@@ -403,8 +412,9 @@ def residue_table(verdict: ResidueVerdict) -> str:
     """
     threshold = str(verdict.mu_a_sq - verdict.epsilon)
     residues = list(starmap(_commas(len(verdict.period)), grid(verdict.period)))
-    width = len(verdict.exponents[0]) if verdict.exponents else 0
-    exponents = list(starmap(_commas(width), verdict.exponents))
+    cells = _commas(len(verdict.fs))
+    exponents = [e for columns in _exponent_lines(verdict.fs, verdict.period)
+                 for e in starmap(cells, zip(*columns))]
     values = list(map(str, verdict.values))
     tail = "{:<%d}  {:<%d}  {}" % (_width("return measure", values), _width("threshold", [threshold]))
     tails = [tail.format(v, threshold, "holds" if h else "fails") for v, h in zip(values, verdict.holds)]

@@ -40,9 +40,9 @@ class SweepCapExceeded(CapExceeded):
     """An exhaustive grid sweep would exceed the configured point budget."""
 
 
-# Point budget of the package's exhaustive sweeps (the r-epsilon period grid)
-# and of the stable-rank search window; larger instances are refused loudly
-# rather than silently truncated.
+# Point budget of the package's exhaustive sweeps (the r-epsilon period grid),
+# of the stable-rank search window and of spectral-limit certificates;
+# larger instances are refused loudly rather than silently truncated.
 SWEEP_CAP = 10**6
 
 

@@ -108,6 +108,7 @@ def _run_stable_rank(payload, cap, seed):
 def _run_spectral_limit(payload, cap, seed):
     u = spectral.from_json(payload["unitary"])
     fs = [intpoly.from_json(p) for p in payload["fs"]]
+    spectral.check_budget(u, fs, cap)
     desc = spectral.limit_projection(u, fs)
     details = {
         "fixed": sorted(desc.fixed),

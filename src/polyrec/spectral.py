@@ -24,6 +24,7 @@ from .errors import (
     ArityMismatch,
     CapExceeded,
     DimMismatch,
+    SweepCapExceeded,
     VerificationFailed,
 )
 from .intpoly import BinPoly
@@ -216,6 +217,21 @@ def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
                 acc[idx] = acc.get(idx, 0) + weight * coef
         combos.append(BinPoly(fs[0].nvars, tuple(sorted((i, c) for i, c in acc.items() if c))))
     return combos
+
+
+def check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
+    """Refuse a family whose certificate would cost more than ``cap``.
+
+    :func:`keyengine.least_periods` and :func:`keyengine.first_escape`
+    against the D x D target q * Z^D cost about D^2 steps per binomial
+    coordinate, so the charge is D^2 times the number of distinct binomial
+    indices of ``fs``; it is checked before any lattice is built.
+    """
+    indices = len({idx for f in fs for idx, _ in f.terms})
+    charge = u.dim * u.dim * indices
+    if charge > cap:
+        raise SweepCapExceeded(f"{u.dim} eigenvectors and {indices} binomial indices "
+                               f"charge {charge}, cap is {cap}")
 
 
 def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -562,6 +563,59 @@ class TestRecurrenceCap:
         cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
         assert proc.returncode == 2 and "cap is 1000000" in proc.stderr, proc.stderr
         assert cpu < 2.0, cpu
+
+
+def spectral_payload(dim, fs):
+    """spectral-limit on dim eigenvectors of one operator, phases k/4."""
+    return {"unitary": {"phases": [[f"{e % 4}/4"] for e in range(dim)]}, "fs": fs}
+
+
+class TestSpectralCap:
+    # two binomial indices, (1, 0) and (1, 1): 7^2 * 2 = 98
+    FS = [{"nvars": 2, "terms": [{"idx": [1, 0], "coef": "1"}, {"idx": [1, 1], "coef": "3"}]}]
+
+    def test_charge_is_eigenvectors_squared_times_indices(self, tmp_path):
+        path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(7, self.FS))
+        code, out, err = run_in_process("run", str(path), "--cap", "97")
+        assert code == 2 and out == ""
+        assert "7 eigenvectors and 2 binomial indices charge 98, cap is 97" in err
+        code, out, err = run_in_process("run", str(path), "--cap", "98")
+        assert code == 0 and "HOLDS" in out, err
+
+    def test_large_family_is_refused_quickly(self, tmp_path):
+        # 1 001^2 * 1 is just over the default cap of 10^6
+        z = [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}]
+        path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(1001, z))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_cli("run", str(path), timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert proc.returncode == 2 and "charge 1002001, cap is 1000000" in proc.stderr, proc.stderr
+        assert cpu < 2.0, cpu
+
+    def test_verify_certificate_refuses_an_over_cap_family(self, tmp_path):
+        # a certificate the run emitted under a raised --cap
+        z = [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}]
+        path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(1001, z))
+        code, _out, err = run_in_process(
+            "run", str(path), "--cap", "1002001", "--emit-certificates", str(tmp_path / "certs")
+        )
+        assert code == 0, err
+        cert = tmp_path / "certs" / "sl.cert.json"
+        code, out, err = run_in_process("verify-certificate", str(cert))
+        assert code == 2 and out == ""
+        assert "charge 1002001, cap is 1000000" in err
+
+
+def test_every_scale_harness_case_is_schema_valid(tmp_path):
+    # the cases are written and loaded, not run: some take seconds
+    harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
+    assert len(harness["CASES"]) == 12
+    for name, doc, cap in harness["CASES"]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        [(_source, loaded)] = cli.load_scenarios([path], bundled=False)
+        assert loaded == doc and (cap is None or cap > 0), name
 
 
 @st.composite

@@ -426,11 +426,50 @@ class TestOnePass:
             points = list(product(*(range(p) for p in verdict.period)))
             assert list(dy.grid(verdict.period)) == points
             assert points[0] == (0,) * len(verdict.period)
-            assert len(verdict.keys) == len(verdict.exponents) == math.prod(verdict.period)
+            assert len(verdict.keys) == math.prod(verdict.period)
             members = verdict.members
-            for z, exps, key in zip(points, verdict.exponents, verdict.keys):
+            rows = dy.residue_table(verdict).splitlines()[1:]
+            for z, row, key in zip(points, rows, verdict.keys, strict=True):
                 assert (z in members) == verdict.holds[key]
-                assert exps == tuple(f.evaluate(z) for f in query.fs)
+                cells = row.split()
+                assert cells[0] == ",".join(map(str, z))
+                assert cells[1] == ",".join(str(f.evaluate(z)) for f in query.fs)
+
+    def test_ip_star_lift_matches_the_member_set_lift(self, monkeypatch):
+        ipstruct = dy.ipstruct
+        real_gap = ipstruct.syndetic_gap
+
+        def member_set_lift(verdict, k, window):
+            """The lift as once built: the member set, and a residue tuple per t."""
+            horizon = max(window * k, 2 * math.lcm(*verdict.period))
+            members = verdict.members
+            values = {t for t in range(1, horizon + 1) if tuple(t % p for p in verdict.period) in members}
+            ip_star = ipstruct.is_ip_star_window(values, k, window)
+            return values, dy.WindowStructure(ip_star, real_gap(values, 1, horizon), horizon)
+
+        lifts = []
+
+        def recorded(values, lo, hi):
+            lifts.append(set(values))
+            return real_gap(values, lo, hi)
+
+        monkeypatch.setattr(ipstruct, "syndetic_gap", recorded)
+        rng = random.Random(191)
+        cases = []
+        for _ in range(30):
+            sys_ = random_system(rng)
+            cases.append((sys_, random_query(rng, sys_)))
+        cases += [wide_case(rng) for _ in range(15)]
+        multi = 0
+        for sys_, query in cases:
+            verdict = dy.r_epsilon(sys_, query)
+            # periods with at least two coordinates above 1
+            multi += sum(p > 1 for p in verdict.period) > 1
+            k, window = rng.randint(1, 3), rng.randint(1, 12)
+            values, expected = member_set_lift(verdict, k, window)
+            assert dy.ip_star_verdict(verdict, k, window) == expected
+            assert lifts.pop() == values
+        assert multi >= 5
 
     def test_one_threshold_comparison_per_exponent_residue(self, monkeypatch):
         compares = []
@@ -641,8 +680,10 @@ class TestMinimalGrid:
             assert got == want
         for case in range(20):
             sys_, query = random_product_query(rng, case % 3 + 1)
-            verdict = dy.r_epsilon(sys_, query)
-            for z, exps in zip(dy.grid(verdict.period), verdict.exponents, strict=True):
+            period = dy.system_period(sys_, query.fs)
+            lines = dy._exponent_lines(query.fs, period)
+            got = [exps for columns in lines for exps in zip(*columns)]
+            for z, exps in zip(dy.grid(period), got, strict=True):
                 assert exps == tuple(f.evaluate(z) for f in query.fs)
 
     def test_evaluate_calls_per_line(self, monkeypatch):

@@ -13,7 +13,8 @@ from polyrec import spectral as sp
 
 def residue_verdict(holds):
     half = Fraction(1, 2)
-    return dy.ResidueVerdict((2,), Fraction(0), half, half * half, keys=(0, 1), holds=holds)
+    fs = (ip.binpoly(1, {(1,): 1}),)
+    return dy.ResidueVerdict((2,), Fraction(0), half, half * half, fs=fs, keys=(0, 1), holds=holds)
 
 
 # (build a record, build a record with other values, a field name)
@@ -60,5 +61,5 @@ class TestRecords:
 
 def test_defaults():
     verdict = dy.ResidueVerdict((2,), Fraction(0), Fraction(1, 2), Fraction(1, 4))
-    assert verdict.exponents == verdict.keys == verdict.values == verdict.holds == ()
+    assert verdict.fs == verdict.keys == verdict.values == verdict.holds == ()
     assert sp.ProjectionDesc(dim=2, fixed=frozenset({0})).certificate is None

@@ -1,0 +1,110 @@
+"""CPU time, peak memory and output size of ``polyrec run --json`` at scale.
+
+Run from the repository root:
+
+    python3 tools/scale_cost.py [--src PATH]
+
+The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
+
+- cap edge: one 97-cycle with uniform weights, A = its first 40 points and
+  f = z1 + z2 + z3 + C(z1, 2), whose minimal period grid is 97^3 = 912 673
+  points, just under the default cap of 10^6, with 97 distinct exponent
+  keys; the r-epsilon scenario and the ip-star one with k = 2 and W = 12.
+- n-cycle: r-epsilon on an n-cycle with uniform weights, f = z and A the
+  first n/2 points, so the grid has n points and n keys of n/2 steps each;
+  n = 500, 1 000 and 2 000 at the default cap (2 000 + 2 000 * 1 000 is over
+  it, so it is refused), and n = 2 000 and 4 000 under ``--cap 100000000``.
+- spectral: spectral-limit on D eigenvectors of one operator with phases
+  (e mod 12)/12, at the default cap; f = z at D = 500, 1 000 and 2 000
+  (charges D^2 = 2.5 * 10^5, 10^6 and 4 * 10^6), and f = the sum of all 14
+  binomial coordinates C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and
+  500 (charges 8.75 * 10^5 and 3.5 * 10^6).
+
+Each case runs ``python -m polyrec.cli run FILE --json REPORT`` in a child
+with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
+JSON line: the case, the cap, the exit code, the child's CPU seconds (user +
+system, from ``os.wait4``), its ``ru_maxrss`` in kB, and the bytes of the
+report and of standard output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def poly(nvars: int, indices) -> dict:
+    return {"nvars": nvars, "terms": [{"idx": list(idx), "coef": "1"} for idx in indices]}
+
+
+def cycle_payload(n: int, a_size: int, f: dict) -> dict:
+    points = [f"p{i}" for i in range(n)]
+    system = {"points": points, "weights": {p: f"1/{n}" for p in points}, "maps": [points[1:] + points[:1]]}
+    return {"system": system, "A": points[:a_size], "fs": [f], "epsilon": "0"}
+
+
+def scenario(name: str, kind: str, payload: dict) -> dict:
+    return {"schema_version": 1, "id": name, "kind": kind, "payload": payload}
+
+
+def spectral(name: str, dim: int, f: dict) -> dict:
+    phases = [[f"{e % 12}/12"] for e in range(dim)]
+    return scenario(name, "spectral-limit", {"unitary": {"phases": phases}, "fs": [f]})
+
+
+CAPEDGE = cycle_payload(97, 40, poly(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]))
+Z = poly(1, [(1,)])
+DEGREE_4 = poly(2, [(a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4])
+CASES = [
+    ("capedge-r-epsilon", scenario("capedge-r-epsilon", "r-epsilon", CAPEDGE), None),
+    ("capedge-ip-star", scenario("capedge-ip-star", "ip-star", {**CAPEDGE, "k": 2, "W": 12}), None),
+    *((f"cycle-{n}", scenario(f"cycle-{n}", "r-epsilon", cycle_payload(n, n // 2, Z)), cap)
+      for n, cap in [(500, None), (1000, None), (2000, None), (2000, 10**8), (4000, 10**8)]),
+    *((f"spectral-z-{d}", spectral(f"spectral-z-{d}", d, Z), None) for d in (500, 1000, 2000)),
+    *((f"spectral-deg4-{d}", spectral(f"spectral-deg4-{d}", d, DEGREE_4), None) for d in (250, 500)),
+]
+
+
+def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
+    path, report, stdout = (scratch / f"{name}.{ext}" for ext in ("json", "report.json", "out"))
+    path.write_text(json.dumps(doc))
+    argv = [sys.executable, "-m", "polyrec.cli", "run", str(path), "--json", str(report)]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with stdout.open("wb") as out:
+        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+    result = {
+        "case": name,
+        "cap": cap,
+        "exit": os.waitstatus_to_exitcode(status),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
+        "maxrss_kb": usage.ru_maxrss,
+        "report_bytes": report.stat().st_size if report.exists() else 0,
+        "stdout_bytes": stdout.stat().st_size,
+    }
+    for p in (path, report, stdout):
+        p.unlink(missing_ok=True)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="tree to import polyrec from")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, doc, cap in CASES:
+            print(json.dumps(run_case(args.src.resolve(), Path(scratch), name, doc, cap)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

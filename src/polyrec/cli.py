@@ -3,13 +3,13 @@
 A scenario is a JSON document {"schema_version": 1, "id": ..., "kind": ...,
 "payload": {...}}; payloads are validated against per-kind JSON schemas
 before dispatch to the runner of their kind (:mod:`polyrec.runners`).
-Reports are reproducible: identical inputs give identical bytes apart from
-the wall-time field.  Scenarios run one after another; --jobs is accepted
-and ignored.
+Reports and certificates are one line of key-sorted JSON, reproducible:
+identical inputs give identical bytes apart from the wall-time field.
+Scenarios run one after another; --jobs is accepted and ignored.
 
 The runners and the modules they use are bound lazily: loading and
-checking documents executes this module alone, and verifying a certificate
-only the modules its kind needs.
+checking documents, schema and list-scenarios execute this module
+alone, and a run or a certificate check only the modules its kinds need.
 
 Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 input error.
 """
@@ -54,7 +54,6 @@ def _lazy(name: str):
 dynamics = _lazy("dynamics")
 intpoly = _lazy("intpoly")
 ipstruct = _lazy("ipstruct")
-jsonout = _lazy("jsonout")
 keyengine = _lazy("keyengine")
 lattice = _lazy("lattice")
 runners = _lazy("runners")
@@ -464,10 +463,10 @@ def _writing(path):
 
 
 def _write(path: Path, doc) -> None:
-    """Write doc as indented, key-sorted JSON (:func:`jsonout.dumps`); a
-    path that cannot be written is an :class:`InputError`."""
+    """Write doc as one line of key-sorted JSON, which ``json`` encodes in C;
+    a path that cannot be written is an :class:`InputError`."""
     with _writing(path):
-        path.write_text(jsonout.dumps(doc) + "\n")
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _bundled_entries():
@@ -631,7 +630,7 @@ def cmd_schema(args) -> int:
         raise InputError(
             f"unknown kind {args.kind!r}; choose from {', '.join(sorted(PAYLOAD_SCHEMAS))}"
         )
-    print(jsonout.dumps(PAYLOAD_SCHEMAS[args.kind]))
+    print(json.dumps(PAYLOAD_SCHEMAS[args.kind], indent=2, sort_keys=True))
     return 0
 
 

@@ -37,11 +37,14 @@ class CapExceeded(InputError):
 
 
 class SweepCapExceeded(CapExceeded):
-    """An exhaustive grid sweep would exceed the configured point budget."""
+    """A request would pass the ``--cap`` work budget: an r-epsilon or ip-star
+    grid (points plus |A| * m steps per exponent key), a stable-rank window,
+    delta-check expansion rows, or the spectral-limit D^2 per binomial index."""
 
 
-# Point budget of the package's exhaustive sweeps (the r-epsilon period grid),
-# of the stable-rank search window and of spectral-limit certificates;
+# Default ``--cap``: r-epsilon and ip-star grid points plus |A| * m steps per
+# exponent key (m maps), the stable-rank window, delta-check expansion rows and
+# spectral-limit's D^2 per binomial index, which verify-certificate charges too;
 # larger instances are refused loudly rather than silently truncated.
 SWEEP_CAP = 10**6
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from conftest import child_env
 from polyrec import cli
 from polyrec import intpoly as ip
-from polyrec import jsonout
 from polyrec import lattice as lat
 from polyrec.errors import InputError
 from polyrec.numutil import lcm_upto
@@ -140,52 +139,9 @@ def indented(doc):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-BIG_INTS = st.integers(-(10**30), 10**30)
-INT_OR_BOOL = st.one_of(BIG_INTS, st.booleans())
-
-
-def int_rows(cells):
-    """Lists of equal-length lists of cells."""
-    return st.integers(0, 4).flatmap(
-        lambda n: st.lists(st.lists(cells, min_size=n, max_size=n), max_size=6)
-    )
-
-
-JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    BIG_INTS,
-    st.floats(),  # nan and the infinities too
-    st.text(),  # non-ASCII and control characters too
-    st.lists(BIG_INTS),
-    st.lists(INT_OR_BOOL),
-    int_rows(BIG_INTS),
-    int_rows(INT_OR_BOOL),
-    st.lists(st.lists(BIG_INTS), max_size=6),  # ragged
-)
-JSON_DOCS = st.recursive(
-    JSON_LEAVES,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.dictionaries(st.text(), children, max_size=5),
-        st.dictionaries(st.integers(-100, 100), children, max_size=5),
-    ),
-    max_leaves=25,
-)
-
-
 class TestWriter:
-    """``jsonout.dumps`` writes what ``json.dumps(indent=2, sort_keys=True)`` does."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(doc=JSON_DOCS)
-    @example(doc=[[1, True], [0, False]])
-    @example(doc=[True, 1, False])
-    @example(doc={"wall_time_ms": 12.5, "x": [float("nan"), float("inf"), -0.0]})
-    @example(doc={10: [], 2: {}, -1: "\x00\x1fé \U0001f600\"\\"})
-    @example(doc={"members": [[0, 1], [2, 3]], "period": [4, 4], "table": "a\n  b"})
-    def test_matches_json_dumps(self, doc):
-        assert jsonout.dumps(doc) == indented(doc)
+    """Reports and certificates are one line of key-sorted JSON; schemas are
+    indented."""
 
     def test_reports_and_certificates(self, tmp_path):
         report, certs = tmp_path / "reports.json", tmp_path / "certs"
@@ -197,7 +153,19 @@ class TestWriter:
         assert len(written) == 6  # a certificate per key-lemma, stable-rank and spectral-limit
         for path in written:
             text = path.read_text()
-            assert text == indented(json.loads(text)) + "\n", path.name
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+            assert text.count("\n") == 1, path.name
+
+    def test_indented_certificates_still_verify(self, tmp_path):
+        # certificates written before reports became one line were indented
+        certs = tmp_path / "certs"
+        assert run_in_process("run", "--bundled", "--emit-certificates", str(certs))[0] == 0
+        written = sorted(certs.glob("*.cert.json"))
+        assert len(written) == 5
+        for path in written:
+            path.write_text(indented(json.loads(path.read_text())) + "\n")
+            code, out, err = run_in_process("verify-certificate", str(path))
+            assert code == 0 and out.startswith("certificate verified"), (path.name, err)
 
     def test_schemas(self):
         for kind, schema in cli.PAYLOAD_SCHEMAS.items():
@@ -1519,8 +1487,24 @@ class TestProcessStart:
 
     def test_schema_runs_no_runner_module(self):
         code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "schema", "r-epsilon")
-        assert code == 0 and not ran & RUNNER_MODULES, ran
+        assert code == 0 and ran == {"cli", "errors"}, ran
         assert stdlib == {"argparse"}
+
+    @pytest.mark.parametrize(
+        "name, modules",
+        [
+            ("key-lemma-parabola", {"intpoly", "keyengine", "lattice"}),
+            ("spectral-limit-bilinear", {"intpoly", "keyengine", "lattice", "spectral"}),
+            ("ip-star-cyclic4-square", {"dynamics", "intpoly", "ipstruct", "keyengine", "lattice"}),
+        ],
+    )
+    def test_writing_outputs_runs_only_the_modules_of_its_kinds(self, tmp_path, name, modules):
+        scenario = str(Path(cli.__file__).parent / "scenarios" / f"{name}.json")
+        argv = ["run", scenario, "--json", str(tmp_path / "out.json")]
+        argv += ["--emit-certificates", str(tmp_path / "certs")]
+        code, ran, _stdlib = self.executed("cli.main(sys.argv[1:])", *argv)
+        assert code == 0 and (tmp_path / "out.json").exists(), ran
+        assert ran == {"cli", "errors", "numutil", "runners", *modules}, ran
 
     @pytest.mark.parametrize("name", ["key-lemma-parabola", "stable-rank-parabola"])
     def test_algebra_certificates_skip_the_recurrence_modules(self, cert_dir, name):

@@ -3,8 +3,9 @@
 A scenario is a JSON document {"schema_version": 1, "id": ..., "kind": ...,
 "payload": {...}}; payloads are validated against per-kind JSON schemas
 before dispatch to the runner of their kind (:mod:`polyrec.runners`).
-Reports and certificates are one line of key-sorted JSON, reproducible:
-identical inputs give identical bytes apart from the wall-time field.
+Reports and certificates are one line of compact, key-sorted JSON, with
+no space after a separator, and reproducible: identical inputs give
+identical bytes apart from the wall-time field.
 Scenarios run one after another; --jobs is accepted and ignored.
 
 The runners and the modules they use are bound lazily: loading and
@@ -463,10 +464,11 @@ def _writing(path):
 
 
 def _write(path: Path, doc) -> None:
-    """Write doc as one line of key-sorted JSON, which ``json`` encodes in C;
-    a path that cannot be written is an :class:`InputError`."""
+    """Write doc as one line of compact, key-sorted JSON (no space after
+    "," or ":"), which ``json`` encodes in C; a path that cannot be written
+    is an :class:`InputError`."""
     with _writing(path):
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _bundled_entries():

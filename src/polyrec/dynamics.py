@@ -391,34 +391,28 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
 
 
-def _width(header: str, cells: Sequence[str]) -> int:
-    return max([len(header), *map(len, cells)])
-
-
 def _commas(n: int):
     """Format n values separated by commas, as ",".join(map(str, values))."""
     return ",".join(["{}"] * n).format
 
 
 def residue_table(verdict: ResidueVerdict) -> str:
-    """Aligned text table of the grid :func:`r_epsilon` swept: residue,
-    exponents, return measure, threshold, verdict.  Nothing is evaluated:
-    the exponents are summed up again from the forward differences of
-    ``verdict.fs``, line by line, as the sweep did (:func:`_exponent_lines`).
+    """Text table of the grid :func:`r_epsilon` swept, one row per point in
+    grid order: residue, exponents, return measure, threshold, verdict, the
+    cells joined by single spaces.  Nothing is evaluated: the exponents are
+    summed up again from the forward differences of ``verdict.fs``, line by
+    line, as the sweep did (:func:`_exponent_lines`).
 
-    The i-th line formats the i-th grid point, its exponents and the tail of
-    its key: each key's measure, threshold and verdict are formatted once,
-    into the tail its points share, and each line is one format.
+    The rows are formatted in one pass, straight into the join: the i-th
+    row is the i-th grid point, its exponents and the tail of its key, each
+    key's measure, threshold and verdict formatted once into the tail its
+    points share.  No column is padded, so no cell outlives its row.
     """
     threshold = str(verdict.mu_a_sq - verdict.epsilon)
-    residues = list(starmap(_commas(len(verdict.period)), grid(verdict.period)))
+    residues = starmap(_commas(len(verdict.period)), grid(verdict.period))
     cells = _commas(len(verdict.fs))
-    exponents = [e for columns in _exponent_lines(verdict.fs, verdict.period)
-                 for e in starmap(cells, zip(*columns))]
-    values = list(map(str, verdict.values))
-    tail = "{:<%d}  {:<%d}  {}" % (_width("return measure", values), _width("threshold", [threshold]))
-    tails = [tail.format(v, threshold, "holds" if h else "fails") for v, h in zip(values, verdict.holds)]
-    row = "{:<%d}  {:<%d}  {}" % (_width("residue", residues), _width("exponents", exponents))
-    header = row.format("residue", "exponents", tail.format("return measure", "threshold", "verdict"))
-    lines = map(row.format, residues, exponents, map(tails.__getitem__, verdict.keys))
-    return "\n".join([header, *lines])
+    exponents = (e for columns in _exponent_lines(verdict.fs, verdict.period)
+                 for e in starmap(cells, zip(*columns)))
+    tails = [f"{v} {threshold} {'holds' if h else 'fails'}" for v, h in zip(verdict.values, verdict.holds)]
+    rows = map(" ".join, zip(residues, exponents, map(tails.__getitem__, verdict.keys)))
+    return "\n".join(["residue exponents return measure threshold verdict", *rows])

@@ -39,8 +39,9 @@ def _run_khintchine(payload, cap, seed):
 
 def _residue_details(verdict: dynamics.ResidueVerdict) -> dict:
     """The threshold set of a swept verdict, its members listed in grid
-    order (:func:`dynamics.grid`), which is lexicographic."""
-    members = list(map(list, verdict.members_in_grid_order()))
+    order (:func:`dynamics.grid`), which is lexicographic, as the grid's own
+    tuples, which JSON encodes as arrays."""
+    members = list(verdict.members_in_grid_order())
     return {
         "period": list(verdict.period),
         "members": members,

@@ -140,8 +140,8 @@ def indented(doc):
 
 
 class TestWriter:
-    """Reports and certificates are one line of key-sorted JSON; schemas are
-    indented."""
+    """Reports and certificates are one line of compact, key-sorted JSON;
+    schemas are indented."""
 
     def test_reports_and_certificates(self, tmp_path):
         report, certs = tmp_path / "reports.json", tmp_path / "certs"
@@ -153,19 +153,23 @@ class TestWriter:
         assert len(written) == 6  # a certificate per key-lemma, stable-rank and spectral-limit
         for path in written:
             text = path.read_text()
-            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+            compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+            assert text == compact + "\n", path.name
             assert text.count("\n") == 1, path.name
 
     def test_indented_certificates_still_verify(self, tmp_path):
-        # certificates written before reports became one line were indented
+        # certificates written before reports became one line were indented,
+        # and before they became compact had a space after each separator
         certs = tmp_path / "certs"
         assert run_in_process("run", "--bundled", "--emit-certificates", str(certs))[0] == 0
         written = sorted(certs.glob("*.cert.json"))
         assert len(written) == 5
         for path in written:
-            path.write_text(indented(json.loads(path.read_text())) + "\n")
-            code, out, err = run_in_process("verify-certificate", str(path))
-            assert code == 0 and out.startswith("certificate verified"), (path.name, err)
+            cert = json.loads(path.read_text())
+            for text in (indented(cert), json.dumps(cert, sort_keys=True)):
+                path.write_text(text + "\n")
+                code, out, err = run_in_process("verify-certificate", str(path))
+                assert code == 0 and out.startswith("certificate verified"), (path.name, err)
 
     def test_schemas(self):
         for kind, schema in cli.PAYLOAD_SCHEMAS.items():

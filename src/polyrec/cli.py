@@ -5,7 +5,8 @@ A scenario is a JSON document {"schema_version": 1, "id": ..., "kind": ...,
 before dispatch to the runner of their kind (:mod:`polyrec.runners`).
 Reports and certificates are one line of compact, key-sorted JSON, with
 no space after a separator, and reproducible: identical inputs give
-identical bytes apart from the wall-time field.
+identical bytes apart from the wall-time field.  Text output encodes each
+detail the same way.
 Scenarios run one after another; --jobs is accepted and ignored.
 
 The runners and the modules they use are bound lazily: loading and
@@ -388,16 +389,6 @@ def _checker(schema):
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value):
-    from fractions import Fraction
-
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (Fraction,)):
-        return str(value)
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def _validator(key):
     """Compiled jsonschema validator of ``SCHEMAS[key]``.
@@ -516,7 +507,7 @@ def run_scenario(source: str, doc: dict, cap: int, seed: int) -> dict:
         details = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "witness": _jsonable(exc.witness),
+            "witness": exc.witness,
         }
     except InputError as exc:
         raise InputError(f"{source}: {exc}") from None
@@ -538,7 +529,7 @@ def _format_text(report: dict) -> str:
     for key in sorted(details):
         if key == "table":
             continue
-        lines.append(f"   {key}: {json.dumps(details[key], sort_keys=True)}")
+        lines.append(f"   {key}: {json.dumps(details[key], sort_keys=True, separators=(',', ':'))}")
     if table:
         lines.append("   " + table.replace("\n", "\n   "))
     return "\n".join(lines)
@@ -596,6 +587,8 @@ def _require_finite_index(lat: lattice.Lattice, field: str) -> None:
 
 
 def cmd_verify_certificate(args) -> int:
+    """Re-check a certificate document from its fields, as its runner in
+    :mod:`polyrec.runners` wrote them."""
     path = Path(args.certificate)
     doc = _read_json(str(path), path)
     _check(str(path), "certificate", doc)
@@ -603,10 +596,25 @@ def cmd_verify_certificate(args) -> int:
     _check(str(path), ("certificate", kind), doc)
     try:
         if kind == "key-lemma":
-            _require_finite_index(lattice.from_json(doc["witness"]), "witness")
-            keyengine.verify_key_certificate_json(doc)
+            witness = lattice.from_json(doc["witness"])
+            _require_finite_index(witness, "witness")
+            v = intpoly.polytuple_from_json(doc["v"])
+            target = lattice.from_json(doc["V"])
+            offset = v.evaluate([0] * v.nvars)
+            point = keyengine.verify_value_membership(v, offset, target, witness)
+            if point is not None:
+                raise VerificationFailed(
+                    witness=point, message=f"certificate lattice fails membership at {point}"
+                )
         elif kind == "stable-rank":
-            keyengine.verify_rank_certificate_json(doc)
+            v = intpoly.polytuple_from_json(doc["v"])
+            cert = keyengine.RankCertificate(
+                r=int(doc["r"]),
+                samples=tuple(tuple(int(e) for e in pt) for pt in doc["samples"]),
+                V=lattice.from_json(doc["V"]),
+                saturation_window=int(doc["saturation_window"]),
+            )
+            keyengine.verify_rank_certificate(v, cert)
         else:
             u = spectral.from_json(doc["unitary"])
             fs = [intpoly.from_json(f) for f in doc["fs"]]

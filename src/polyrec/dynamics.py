@@ -127,6 +127,9 @@ def build_system(
     total = sum(wts)
     if total != 1:
         raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
+    stray = min((str(k) for k in weights if k not in pos), default=None)
+    if stray is not None:
+        raise UnknownPoint(f"weight given for unknown point {stray!r}")
 
     perms: List[Tuple[int, ...]] = []
     for mi, images in enumerate(maps):

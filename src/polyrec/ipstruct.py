@@ -19,29 +19,24 @@ MAX_WINDOW = 12  # exhaustive window searches
 MAX_TUPLE_LEN = 4  # generator-tuple length in exhaustive sweeps
 
 
-class FiniteIP(NamedTuple):
-    """Finite family of positive generators; repetition allowed."""
-
-    generators: Tuple[int, ...]
-
-
-def fs_expand(ip: FiniteIP) -> FrozenSet[int]:
-    """All nonempty-subset sums of the generators (duplicates collapse)."""
-    if not ip.generators:
+def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
+    """All nonempty-subset sums of a finite family of positive generators,
+    repetition allowed (duplicate sums collapse)."""
+    if not generators:
         raise ArityMismatch("need at least one generator")
-    if any(g < 1 for g in ip.generators):
-        raise ArityMismatch(f"generators must be positive: {ip.generators}")
-    k = len(ip.generators)
+    if any(g < 1 for g in generators):
+        raise ArityMismatch(f"generators must be positive: {generators}")
+    k = len(generators)
     if k > MAX_GENERATORS:
         raise CapExceeded(f"{k} generators exceed the expansion cap {MAX_GENERATORS}")
     sums = {0}
-    for g in ip.generators:
+    for g in generators:
         sums |= {s + g for s in sums}
     sums.discard(0)
     return frozenset(sums)
 
 
-def find_monochromatic_fs(coloring: Mapping[int, object], k: int) -> Optional[FiniteIP]:
+def find_monochromatic_fs(coloring: Mapping[int, object], k: int) -> Optional[Tuple[int, ...]]:
     """Least strictly increasing generators with a one-color subset-sum set.
 
     ``coloring`` maps 1..W to colors.  The search runs over strictly
@@ -52,12 +47,12 @@ def find_monochromatic_fs(coloring: Mapping[int, object], k: int) -> Optional[Fi
     w = _coloring_window(coloring)
     check_window(k, w)
     for gens in combinations(range(1, w + 1), k):
-        sums = fs_expand(FiniteIP(gens))
+        sums = fs_expand(gens)
         if max(sums) > w:
             continue
         colors = {coloring[s] for s in sums}
         if len(colors) == 1:
-            return FiniteIP(gens)
+            return gens
     return None
 
 
@@ -93,7 +88,7 @@ def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
     check_window(k, window)
     members = frozenset(int(x) for x in s)
     for tup in combinations_with_replacement(range(1, window + 1), k):
-        if not (fs_expand(FiniteIP(tup)) & members):
+        if not (fs_expand(tup) & members):
             return IpStarVerdict(False, tup)
     return IpStarVerdict(True, None)
 

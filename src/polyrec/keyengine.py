@@ -367,51 +367,3 @@ def verify_rank_certificate(v: PolyTuple, cert: RankCertificate) -> None:
         )
     _check_saturation(v, cert.V)
 
-
-# ---------------------------------------------------------------------------
-# Certificate JSON
-# ---------------------------------------------------------------------------
-
-
-def key_certificate_json(inst: KeyInstance, witness: Lattice) -> dict:
-    return {
-        "certificate_kind": "key-lemma",
-        "v": intpoly.polytuple_to_json(inst.v),
-        "V": lattice.to_json(inst.V),
-        "witness": lattice.to_json(witness),
-    }
-
-
-def verify_key_certificate_json(obj: dict) -> None:
-    v = intpoly.polytuple_from_json(obj["v"])
-    target = lattice.from_json(obj["V"])
-    witness = lattice.from_json(obj["witness"])
-    offset = v.evaluate([0] * v.nvars)
-    counterexample = verify_value_membership(v, offset, target, witness)
-    if counterexample is not None:
-        raise VerificationFailed(
-            witness=counterexample,
-            message=f"certificate lattice fails membership at {counterexample}",
-        )
-
-
-def rank_certificate_json(v: PolyTuple, cert: RankCertificate) -> dict:
-    return {
-        "certificate_kind": "stable-rank",
-        "v": intpoly.polytuple_to_json(v),
-        "r": cert.r,
-        "samples": [list(pt) for pt in cert.samples],
-        "V": lattice.to_json(cert.V),
-        "saturation_window": cert.saturation_window,
-    }
-
-
-def verify_rank_certificate_json(obj: dict) -> None:
-    v = intpoly.polytuple_from_json(obj["v"])
-    cert = RankCertificate(
-        r=int(obj["r"]),
-        samples=tuple(tuple(int(e) for e in pt) for pt in obj["samples"]),
-        V=lattice.from_json(obj["V"]),
-        saturation_window=int(obj["saturation_window"]),
-    )
-    verify_rank_certificate(v, cert)

@@ -10,7 +10,7 @@ All arithmetic is exact; scale is desk-sized (no reduction algorithms).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch
@@ -120,41 +120,43 @@ def index(lat: Lattice) -> Optional[int]:
     return out
 
 
-def contains(lat: Lattice, v: Sequence[int]) -> bool:
-    """Whether v is an integer combination of the basis columns."""
-    if len(v) != lat.ambient:
-        raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
-    residual = [int(e) for e in v]
-    for r, col in zip(lat.pivot_rows, lat.basis):
-        if residual[r] % col[r]:
-            return False
-        q = residual[r] // col[r]
-        if q:
-            for i in range(r, lat.ambient):
-                residual[i] -= q * col[i]
-    return not any(residual)
+def _order(lat: Lattice, v: Sequence[int]) -> Optional[int]:
+    """Least N >= 1 with N * v in the lattice; None if v is off its span.
 
-
-def smallest_multiple(lat: Lattice, v: Sequence[int | Fraction]) -> Optional[int]:
-    """Minimal N >= 1 with N * v in the lattice; None if v is off the span.
-
-    Accepts exact rational entries as well as integers.  Solves basis @ x = v
-    over Q down the pivot rows; the lcm of the coefficient denominators is
-    already minimal: the basis is independent, so N * v lies in the lattice
-    exactly when N * x is integral, that is, when every denominator divides N.
-    This is the package's one test of "v lies in the rational span".
+    Walks the pivot rows in integers, carrying N times what is left of v.
+    At a pivot p that does not divide the residual entry x, N and the rest
+    of the residual are scaled by p / gcd(x, p), the least factor after
+    which p divides x.  The basis is independent, so the rational
+    coefficients of v on it are fixed, and N ends as the lcm of their
+    denominators.  A non-integer entry raises :class:`TypeError`.
     """
     if len(v) != lat.ambient:
         raise ArityMismatch(f"vector has length {len(v)}, expected {lat.ambient}")
-    residual = [Fraction(e) for e in v]
+    residual = [operator.index(e) for e in v]
     multiple = 1
     for r, col in zip(lat.pivot_rows, lat.basis):
-        c = residual[r] / col[r]
-        if c:
-            multiple = math.lcm(multiple, c.denominator)
+        x, p = residual[r], col[r]
+        if x % p:
+            step = p // math.gcd(x, p)
+            multiple *= step
+            residual[r:] = [step * e for e in residual[r:]]
+            x = residual[r]
+        q = x // p
+        if q:
             for i in range(r, lat.ambient):
-                residual[i] -= c * col[i]
+                residual[i] -= q * col[i]
     return None if any(residual) else multiple
+
+
+def contains(lat: Lattice, v: Sequence[int]) -> bool:
+    """Whether v is an integer combination of the basis columns."""
+    return _order(lat, v) == 1
+
+
+def smallest_multiple(lat: Lattice, v: Sequence[int]) -> Optional[int]:
+    """Minimal N >= 1 with N * v in the lattice; None if v is off the span.
+    This is the package's one test of "v lies in the rational span"."""
+    return _order(lat, v)
 
 
 def to_json(lat: Lattice) -> dict:

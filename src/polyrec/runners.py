@@ -1,6 +1,8 @@
 """Scenario runners: payload -> (verdict, details, certificate-or-None).
 
-``RUNNERS`` maps each scenario kind to its runner.  :mod:`polyrec.cli`
+``RUNNERS`` maps each scenario kind to its runner.  A runner that emits a
+certificate builds its document here, and ``cli.cmd_verify_certificate``
+reads it back; no other module knows the layout.  :mod:`polyrec.cli`
 validates a payload against the schema of its kind before it reaches a
 runner, and binds this module lazily, so only ``run`` executes it.  The
 modules imported below are then the ones cli bound lazily, so a run
@@ -91,7 +93,13 @@ def _run_key_lemma(payload, cap, seed):
         "witness": lattice.to_json(witness),
         "witness_index": lattice.index(witness),
     }
-    return True, details, keyengine.key_certificate_json(inst, witness)
+    certificate = {
+        "certificate_kind": "key-lemma",
+        "v": intpoly.polytuple_to_json(v),
+        "V": lattice.to_json(target),
+        "witness": details["witness"],
+    }
+    return True, details, certificate
 
 
 def _run_stable_rank(payload, cap, seed):
@@ -103,7 +111,8 @@ def _run_stable_rank(payload, cap, seed):
         "V": lattice.to_json(cert.V),
         "saturation_window": cert.saturation_window,
     }
-    return True, details, keyengine.rank_certificate_json(v, cert)
+    certificate = {"certificate_kind": "stable-rank", "v": intpoly.polytuple_to_json(v), **details}
+    return True, details, certificate
 
 
 def _run_spectral_limit(payload, cap, seed):
@@ -228,7 +237,7 @@ def _run_hindman_search(payload, cap, seed):
     if witness is None:
         return True, {"witness": None, "verified_by_exhaustion": True}, None
     details = {
-        "witness": list(witness.generators),
+        "witness": list(witness),
         "subset_sums": sorted(ipstruct.fs_expand(witness)),
         "verified": True,
     }

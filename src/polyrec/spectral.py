@@ -203,29 +203,33 @@ class ProjectionDesc(NamedTuple):
 
 
 def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
-    """The D phase polynomials g_e = sum_i (q * theta[e][i]) * f_i, q = :func:`phase_lcm`.
+    """The phase polynomials g_e = sum_i (q * theta[e][i]) * f_i, q = :func:`phase_lcm`,
+    one per distinct row of the phase table, in order of first occurrence.
 
-    Eigenvector e's phase at z vanishes exactly when q divides g_e(z).
+    Eigenvector e's phase at z vanishes exactly when q divides g_e(z), and
+    equal rows give equal polynomials, so the distinct rows decide every
+    claim about the target q * Z^D.
     """
     q = phase_lcm(u)
     combos = []
-    for row in u.phases:
+    for row in dict.fromkeys(u.phases):
         acc = {}
         for f, p in zip(fs, row):
             weight = int(q * p)
             for idx, coef in f.terms:
                 acc[idx] = acc.get(idx, 0) + weight * coef
-        combos.append(BinPoly(fs[0].nvars, tuple(sorted((i, c) for i, c in acc.items() if c))))
+        combos.append(intpoly.binpoly(fs[0].nvars, acc))
     return combos
 
 
 def check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
     """Refuse a family whose certificate would cost more than ``cap``.
 
-    :func:`keyengine.least_periods` and :func:`keyengine.first_escape`
-    against the D x D target q * Z^D cost about D^2 steps per binomial
-    coordinate, so the charge is D^2 times the number of distinct binomial
-    indices of ``fs``; it is checked before any lattice is built.
+    The charge is D^2 times the number of distinct binomial indices of
+    ``fs``, checked before any lattice is built.  It is what
+    :func:`keyengine.least_periods` and :func:`keyengine.first_escape` cost
+    against q * Z^D, so it bounds their cost against q * Z^k, k the number
+    of distinct phase rows, on which they run.
     """
     indices = len({idx for f in fs for idx, _ in f.terms})
     charge = u.dim * u.dim * indices
@@ -239,15 +243,16 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
 
     For exponent polynomials vanishing at the origin, the powered product
     is the identity on the diagonal lattice of the least periods of the
-    phase polynomials modulo q * Z^D (:func:`keyengine.least_periods`), q
-    the common order of the phases.  The certificate lattice is checked
-    with :func:`verify_limit_certificate` before being returned, so the
-    identity claim is checked, not assumed.
+    phase polynomials modulo q * Z^k (:func:`keyengine.least_periods`), q
+    the common order of the phases and k the number of distinct rows.  The
+    certificate lattice is checked with :func:`verify_limit_certificate`
+    before being returned, so the identity claim is checked, not assumed.
     """
     _check_exponents(u, fs)
     intpoly.exponent_tuple(fs)
-    target = lattice.scaled(u.dim, phase_lcm(u))
-    cert = lattice.diagonal(keyengine.least_periods(_phase_polys(u, fs), target))
+    combos = _phase_polys(u, fs)
+    target = lattice.scaled(len(combos), phase_lcm(u))
+    cert = lattice.diagonal(keyengine.least_periods(combos, target))
     verify_limit_certificate(u, fs, cert)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
@@ -258,7 +263,7 @@ def verify_limit_certificate(
     """Decide that all eigen-phases vanish on the whole certificate lattice.
 
     The claim is that the phase polynomials (:func:`_phase_polys`) land in
-    q * Z^D on the lattice; :func:`keyengine.first_escape` decides it on
+    q * Z^k on the lattice; :func:`keyengine.first_escape` decides it on
     the lattice's Hermite coordinates (:func:`keyengine.restrict`).  Raises
     :class:`VerificationFailed` with the bad point whose lattice
     coordinates are lexicographically least among the non-negative ones.
@@ -269,9 +274,9 @@ def verify_limit_certificate(
             f"certificate lattice lives in Z^{cert.ambient}, polynomials take {n} variables"
         )
     # restriction is linear, so restrict the m polynomials f_i once and
-    # combine them into the D phase polynomials after
+    # combine them into the k phase polynomials after
     combos = _phase_polys(u, keyengine.restrict(fs, cert))
-    a = keyengine.first_escape(combos, lattice.scaled(u.dim, phase_lcm(u)))
+    a = keyengine.first_escape(combos, lattice.scaled(len(combos), phase_lcm(u)))
     if a is not None:
         point = keyengine.lattice_point(cert, a)
         raise VerificationFailed(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import os
 import random
 from fractions import Fraction
@@ -11,6 +14,7 @@ from pathlib import Path
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_decomp
 
+from polyrec import cli
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
@@ -23,6 +27,21 @@ def child_env() -> dict:
     ``python -m polyrec.cli`` imports this tree without an install."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def run_in_process(*argv):
+    """cli.main with captured output; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def verify_certificate(path: Path, doc: dict):
+    """``polyrec verify-certificate`` in process on doc, written to path:
+    its exit code, standard output and standard error."""
+    path.write_text(json.dumps(doc))
+    return run_in_process("verify-certificate", str(path))
 
 
 def random_binpoly(
@@ -84,8 +103,8 @@ def smith_form(V: lat.Lattice):
 
 def sympy_saturation(V: lat.Lattice) -> lat.Lattice:
     """Q*V intersected with Z^K, from sympy's Smith form B = U^-1 * S * W^-1:
-    the first rank(V) columns of U^-1 span it.  Independent of the rational
-    solve in polyrec.lattice."""
+    the first rank(V) columns of U^-1 span it.  Independent of the walk in
+    polyrec.lattice."""
     if V.rank == 0:
         return V
     _, U = smith_form(V)

@@ -1,9 +1,7 @@
 """Integration tests for the scenario runner and certificate verifier."""
 
-import contextlib
 import copy
 import functools
-import io
 import itertools
 import json
 import math
@@ -20,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import child_env, run_in_process
 from polyrec import cli
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
@@ -39,14 +37,6 @@ def run_cli(*args, cwd=None, timeout=120):
         cwd=cwd,
         env=child_env(),
     )
-
-
-def run_in_process(*argv):
-    """cli.main with captured output; an uncaught exception fails the test."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def scenario_file(path, kind, payload):
@@ -276,6 +266,18 @@ class TestExitCodes:
             assert proc.returncode == 2
             errors.add(proc.stderr)
         assert len(errors) == 1 and "point 'a' is not part of the system" in errors.pop()
+
+    def test_weight_of_an_unknown_point_is_input_error(self, tmp_path):
+        system = {
+            "points": ["a", "b"],
+            "weights": {"a": "1/2", "b": "1/2", "zz": "5", "yy": "0"},
+            "maps": [["b", "a"]],
+        }
+        payload = {**R_EPSILON, "system": system, "A": ["a"]}
+        path = scenario_file(tmp_path / "stray.json", "r-epsilon", payload)
+        code, out, err = run_in_process("run", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: weight given for unknown point 'yy'\n"
 
     def test_input_error_leaves_no_empty_report(self, tmp_path):
         # --json is checked before the scenarios run; a report file that this
@@ -815,17 +817,28 @@ class TestFrontDoorFuzz:
         assert code in (0, 1, 2) and "Traceback" not in err
 
     @FUZZ
-    @example(epsilon="1/0", weight="1/4")
-    @example(epsilon="0", weight="1/00")
-    @given(epsilon=RATIONALS, weight=st.one_of(st.just("1/4"), st.just("02/8"), RATIONALS))
-    def test_r_epsilon_rationals(self, tmp_path_factory, epsilon, weight):
-        system = {**R_EPSILON["system"], "weights": {**R_EPSILON["system"]["weights"], "0": weight}}
+    @example(epsilon="1/0", weight="1/4", stray=None)
+    @example(epsilon="0", weight="1/00", stray=None)
+    @example(epsilon="0", weight="1/4", stray="zz")
+    @given(
+        epsilon=RATIONALS,
+        weight=st.one_of(st.just("1/4"), st.just("02/8"), RATIONALS),
+        stray=st.one_of(st.none(), st.sampled_from(["zz", "4", "00"])),
+    )
+    def test_r_epsilon_rationals(self, tmp_path_factory, epsilon, weight, stray):
+        # a stray weight key names no point of the system
+        weights = {**R_EPSILON["system"]["weights"], "0": weight}
+        if stray is not None:
+            weights[stray] = "5"
+        system = {**R_EPSILON["system"], "weights": weights}
         payload = {**R_EPSILON, "system": system, "epsilon": epsilon}
         path = scenario_file(tmp_path_factory.mktemp("fuzz") / "re.json", "r-epsilon", payload)
         code, _out, err = run_in_process("run", str(path), "--jobs", "1")
         assert code in (0, 1, 2) and "Traceback" not in err
         if re.search(r"/0+$", epsilon) or re.search(r"/0+$", weight):
             assert code == 2 and "does not match" in err
+        elif stray is not None:
+            assert code == 2
 
     @FUZZ
     @given(

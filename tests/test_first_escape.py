@@ -17,7 +17,13 @@ from itertools import product
 
 import pytest
 
-from conftest import product_system, random_binpoly, random_fullrank_lattice, smith_form
+from conftest import (
+    product_system,
+    random_binpoly,
+    random_fullrank_lattice,
+    smith_form,
+    verify_certificate,
+)
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
@@ -258,7 +264,7 @@ class TestFirstEscape:
 
 
 class TestCallSitesAgreeWithSweeps:
-    def test_value_membership_and_key_certificates(self):
+    def test_value_membership_and_key_certificates(self, tmp_path):
         rng = random.Random(157)
         failures = 0
         for _ in range(INSTANCES):
@@ -275,16 +281,24 @@ class TestCallSitesAgreeWithSweeps:
             failures += expected is not None
             if offset == list(v.evaluate([0] * n)):
                 doc = {
+                    "certificate_kind": "key-lemma",
                     "v": ip.polytuple_to_json(v),
                     "V": lat.to_json(V),
                     "witness": lat.to_json(witness),
                 }
-                got = outcome(ke.verify_key_certificate_json, doc)
-                if expected is None:
-                    assert got == ("returned", None)
+                got = verify_certificate(tmp_path / "kl.cert.json", doc)
+                if witness.rank < n:
+                    # verify-certificate refuses an infinite index first
+                    message = (
+                        f"certificate witness has rank {witness.rank} in Z^{n}, "
+                        "so its index is infinite"
+                    )
+                    assert got == (1, "", f"verification failed: {message}\n")
+                elif expected is None:
+                    assert got == (0, "certificate verified: key-lemma\n", "")
                 else:
                     message = f"certificate lattice fails membership at {expected}"
-                    assert got == ("VerificationFailed", expected, message)
+                    assert got == (1, "", f"verification failed: {message}\n")
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
 
     def test_key_lemma_hypothesis(self):

@@ -19,29 +19,29 @@ def brute_subset_sums(gens):
 
 class TestFsExpand:
     def test_distinct_sums(self):
-        assert ips.fs_expand(ips.FiniteIP((1, 2, 4))) == frozenset(range(1, 8))
+        assert ips.fs_expand((1, 2, 4)) == frozenset(range(1, 8))
 
     def test_singleton(self):
-        assert ips.fs_expand(ips.FiniteIP((9,))) == frozenset({9})
+        assert ips.fs_expand((9,)) == frozenset({9})
 
     def test_collapsing(self):
-        assert ips.fs_expand(ips.FiniteIP((1, 1))) == frozenset({1, 2})
+        assert ips.fs_expand((1, 1)) == frozenset({1, 2})
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            ips.fs_expand(ips.FiniteIP((1,) * 21))
+            ips.fs_expand((1,) * 21)
 
     @pytest.mark.parametrize("gens", [(), (0, 1)])
     def test_generators_must_be_positive(self, gens):
         with pytest.raises(ArityMismatch):
-            ips.fs_expand(ips.FiniteIP(gens))
+            ips.fs_expand(gens)
 
     def test_against_brute_force(self):
         rng = random.Random(73)
         for _ in range(40):
             k = rng.randint(1, 10)
             gens = tuple(rng.randint(1, 12) for _ in range(k))
-            got = ips.fs_expand(ips.FiniteIP(gens))
+            got = ips.fs_expand(gens)
             assert got == frozenset(brute_subset_sums(gens))
             assert len(got) <= 2**k - 1
             if len(set(brute_subset_sums(gens))) == 2**k - 1:
@@ -52,16 +52,16 @@ class TestMonochromaticSearch:
     def test_parity_example(self):
         coloring = {n: n % 2 for n in range(1, 7)}
         out = ips.find_monochromatic_fs(coloring, 2)
-        assert out.generators == (2, 4)
+        assert out == (2, 4)
         assert ips.fs_expand(out) == frozenset({2, 4, 6})
 
     def test_constant_coloring(self):
         coloring = {n: "c" for n in range(1, 7)}
-        assert ips.find_monochromatic_fs(coloring, 2).generators == (1, 2)
+        assert ips.find_monochromatic_fs(coloring, 2) == (1, 2)
 
     def test_k_one(self):
         coloring = {n: n % 3 for n in range(1, 7)}
-        assert ips.find_monochromatic_fs(coloring, 1).generators == (1,)
+        assert ips.find_monochromatic_fs(coloring, 1) == (1,)
 
     def test_none_verified_by_exhaustion(self):
         rng = random.Random(89)
@@ -78,7 +78,7 @@ class TestMonochromaticSearch:
             if out is None:
                 assert not witnesses
             else:
-                assert out.generators == min(witnesses)
+                assert out == min(witnesses)
                 sums = ips.fs_expand(out)
                 assert max(sums) <= w
                 assert len({coloring[s] for s in sums}) == 1

@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 from sympy import factorint, nextprime, primefactors
 
-from conftest import random_binpoly, random_fullrank_lattice, sympy_saturation
+from conftest import random_binpoly, random_fullrank_lattice, sympy_saturation, verify_certificate
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
 from polyrec import lattice as lat
@@ -22,6 +22,18 @@ from polyrec.errors import (
     SweepCapExceeded,
 )
 from polyrec.numutil import lcm_upto
+
+
+def rank_certificate(v, cert):
+    """The stable-rank certificate document of v and cert."""
+    return {
+        "certificate_kind": "stable-rank",
+        "v": ip.polytuple_to_json(v),
+        "r": cert.r,
+        "samples": [list(pt) for pt in cert.samples],
+        "V": lat.to_json(cert.V),
+        "saturation_window": cert.saturation_window,
+    }
 
 
 def vanishing_lattice(fs, q):
@@ -436,7 +448,7 @@ class TestStableRank:
         cert = ke.stable_rank_subgroup(v, 12)
         assert cert.r == 4 and len(evaluated) <= 25
 
-    def test_verification_evaluates_only_the_samples(self, evaluated, monkeypatch):
+    def test_verification_evaluates_only_the_samples(self, evaluated, monkeypatch, tmp_path):
         payload = json.loads(
             resources.files("polyrec").joinpath("scenarios/stable-rank-parabola.json").read_text()
         )["payload"]
@@ -448,7 +460,10 @@ class TestStableRank:
 
         monkeypatch.setattr(ke, "window_points", no_sweep)
         evaluated.clear()
-        ke.verify_rank_certificate_json(ke.rank_certificate_json(v, cert))
+        doc = rank_certificate(v, cert)
+        assert verify_certificate(tmp_path / "sr.cert.json", doc) == (
+            0, "certificate verified: stable-rank\n", ""
+        )
         assert evaluated == list(cert.samples)
 
     def test_window_cap(self):
@@ -470,18 +485,27 @@ class TestStableRank:
 
 
 class TestCertificateJson:
-    def test_key_round_trip(self):
+    def test_key_round_trip(self, tmp_path):
         v = ip.polytuple(
             [ip.binpoly(1, {(1,): 1}), ip.from_monomial_coeffs(1, {(2,): 1})]
         )
         inst = ke.key_instance(v, lat.scaled(2, 2))
         out = ke.key_lemma_lattice(inst, lat.full_lattice(1))
-        doc = ke.key_certificate_json(inst, out)
-        ke.verify_key_certificate_json(doc)
+        doc = {
+            "certificate_kind": "key-lemma",
+            "v": ip.polytuple_to_json(v),
+            "V": lat.to_json(inst.V),
+            "witness": lat.to_json(out),
+        }
+        assert verify_certificate(tmp_path / "kl.cert.json", doc) == (
+            0, "certificate verified: key-lemma\n", ""
+        )
 
-    def test_rank_round_trip(self):
+    def test_rank_round_trip(self, tmp_path):
         v = ip.polytuple(
             [ip.binpoly(1, {(1,): 1}), ip.from_monomial_coeffs(1, {(2,): 1})]
         )
         cert = ke.stable_rank_subgroup(v, 3)
-        ke.verify_rank_certificate_json(ke.rank_certificate_json(v, cert))
+        assert verify_certificate(tmp_path / "sr.cert.json", rank_certificate(v, cert)) == (
+            0, "certificate verified: stable-rank\n", ""
+        )

@@ -175,9 +175,71 @@ class TestSmallestMultiple:
             n = lat.smallest_multiple(l, v)
             assert n is not None and idx % n == 0
 
-    def test_rational_input(self):
-        l = lat.scaled(1, 3)
-        assert lat.smallest_multiple(l, [Fraction(1, 2)]) == 6
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 2.0])
+    def test_non_integer_entry_raises(self, entry):
+        l = lat.scaled(2, 3)
+        for walk in (lat.smallest_multiple, lat.contains):
+            with pytest.raises(TypeError):
+                walk(l, [1, entry])
+
+
+def fraction_walk(L, v):
+    """The least N >= 1 with N * v in L, or None, by the rational solve that
+    lattice.py used before its integer walk: basis @ x = v over Q down the
+    pivot rows, N the lcm of the denominators of x."""
+    residual = [Fraction(e) for e in v]
+    multiple = 1
+    for r, col in zip(L.pivot_rows, L.basis):
+        c = residual[r] / col[r]
+        if c:
+            multiple = math.lcm(multiple, c.denominator)
+            for i in range(r, L.ambient):
+                residual[i] -= c * col[i]
+    return None if any(residual) else multiple
+
+
+def seeded_lattice(rng, shape):
+    """A lattice in Z^1 to Z^5 of the given shape, from generators that are
+    not in Hermite form and have negative entries."""
+    k = rng.randint(1, 5)
+    if shape == "zero":
+        return lat.hnf_from_generators(k, [[0] * k] * rng.randint(0, 2))
+    if shape == "deficient":
+        k = max(k, 2)
+        basis = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(rng.randint(1, k - 1))]
+        combos = [[sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(k)] for _ in basis]
+        return lat.hnf_from_generators(k, basis + combos)
+    gens = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k + rng.randint(0, 2))]
+    return lat.hnf_from_generators(k, gens)
+
+
+class TestIntegerWalk:
+    """smallest_multiple and contains against the rational solve they replace."""
+
+    def test_matches_fraction_walk(self):
+        rng = random.Random(61)
+        orders = set()
+        for _ in range(400):
+            shape = rng.choice(["zero", "full", "full", "deficient"])
+            L = seeded_lattice(rng, shape)
+            for _ in range(6):
+                # now and then the origin or a lattice vector divided by a
+                # small integer, otherwise any vector with negative entries
+                pick = rng.random()
+                if pick < 0.1:
+                    v = [0] * L.ambient
+                elif L.rank and pick < 0.55:
+                    point = ke.lattice_point(L, [rng.randint(-4, 4) for _ in L.basis])
+                    g = math.gcd(*point, rng.randint(1, 12)) or 1
+                    v = [e // g for e in point]
+                else:
+                    v = [rng.randint(-30, 30) for _ in range(L.ambient)]
+                expected = fraction_walk(L, v)
+                assert lat.smallest_multiple(L, v) == expected, (L, v)
+                assert lat.contains(L, v) == (expected == 1), (L, v)
+                orders.add((shape, expected if expected in (None, 1) else "more"))
+        assert {("zero", None), ("zero", 1), ("full", 1), ("full", "more")} <= orders
+        assert {("deficient", None), ("deficient", 1), ("deficient", "more")} <= orders
 
 
 def random_lattice(rng):
@@ -199,7 +261,7 @@ def random_vector(rng, V):
 
 
 class TestRationalSpan:
-    """The rational solve against a saturation from sympy's Smith form."""
+    """The span test of smallest_multiple against a saturation from sympy's Smith form."""
 
     def test_smallest_multiple_matches_saturation(self):
         rng = random.Random(57)

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_binpoly, random_fullrank_lattice
 from polyrec import intpoly as ip
+from polyrec import keyengine as ke
+from polyrec import lattice as lat
 from polyrec import spectral as sp
 from polyrec.errors import (
     ArityMismatch,
@@ -80,6 +83,68 @@ class TestLimitProjection:
             qa = ip.binpoly(2, {(0, 1): a[0], (1, 0): a[1]})  # a1*z2 + a2*z1
             qa_desc = sp.limit_projection(u, [qa])
             assert qa_desc.fixed == frozenset(range(3))
+
+
+def all_rows_phase_polys(u, fs):
+    """One phase polynomial per eigenvector, equal rows repeated: the path
+    spectral took before it kept the distinct rows only."""
+    q = sp.phase_lcm(u)
+    polys = []
+    for row in u.phases:
+        acc = {}
+        for f, p in zip(fs, row):
+            for idx, coef in f.terms:
+                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
+        polys.append(ip.binpoly(fs[0].nvars, acc))
+    return polys
+
+
+def all_rows_certificate(u, fs):
+    target = lat.scaled(u.dim, sp.phase_lcm(u))
+    return lat.diagonal(ke.least_periods(all_rows_phase_polys(u, fs), target))
+
+
+def all_rows_escape(u, fs, cert):
+    """The point at which cert leaves a nonzero phase, or None."""
+    combos = all_rows_phase_polys(u, ke.restrict(fs, cert))
+    a = ke.first_escape(combos, lat.scaled(u.dim, sp.phase_lcm(u)))
+    return None if a is None else ke.lattice_point(cert, a)
+
+
+class TestDistinctRows:
+    """Spectral-limit decided on the distinct phase rows against all D rows."""
+
+    def test_matches_all_rows(self):
+        rng = random.Random(211)
+        repeated = several = failures = 0
+        for _ in range(300):
+            n, ops = rng.randint(1, 2), rng.randint(1, 2)
+            dens = rng.choice([(2,), (2, 3), (3, 4), (2, 3, 4)])
+            rows = [
+                [Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=ops)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            u = sp.phase_unitary([rng.choice(rows) for _ in range(rng.randint(1, 8))])
+            fs = [random_binpoly(rng, n, rng.randint(1, 3), bound=4) for _ in range(ops)]
+            fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
+            distinct = len(set(u.phases))
+            repeated += distinct < u.dim
+            several += distinct > 1
+            cert = sp.limit_projection(u, fs).certificate
+            assert cert == all_rows_certificate(u, fs), (u, fs)
+            tampered = rng.choice(
+                [lat.full_lattice(n), random_fullrank_lattice(rng, n, pivot_max=4)]
+            )
+            expected = all_rows_escape(u, fs, tampered)
+            try:
+                sp.verify_limit_certificate(u, fs, tampered)
+                got = None
+            except VerificationFailed as exc:
+                assert str(exc) == f"certificate lattice leaves a nonzero phase at {exc.witness}"
+                got = exc.witness
+            assert got == expected, (u, fs, tampered)
+            failures += expected is not None
+        assert repeated > 150 and several > 100 and 50 < failures < 250, (repeated, several, failures)
 
 
 class TestOrbitFixed:

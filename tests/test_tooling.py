@@ -186,3 +186,14 @@ def test_every_definition_is_reached_from_the_cli():
         f"{mod}.{name}" for mod, names in TEST_ONLY.items() for name in names if (mod, name) in reached
     )
     assert not stale, f"TEST_ONLY names that a command reaches after all: {stale}"
+
+
+def test_certificate_documents_have_one_writer_and_one_reader():
+    # the runners write each certificate document and verify-certificate in
+    # cli reads it; no domain module knows the layout
+    found = sorted(
+        path.name
+        for path in SRC.rglob("*.py")
+        if '"certificate_kind"' in path.read_text()
+    )
+    assert found == ["cli.py", "runners.py"], found

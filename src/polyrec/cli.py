@@ -306,13 +306,9 @@ _TYPES = {
 
 
 def _equal(a, b) -> bool:
-    """JSON equality as jsonschema decides it: true is not 1, 1.0 is 1."""
+    """Equality with a scalar as jsonschema decides it: true is not 1, 1.0 is 1."""
     if isinstance(a, str) or isinstance(b, str):
         return a == b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     return a == b
@@ -355,14 +351,17 @@ KEYWORDS = {
 
 def _checker(schema):
     """The test x -> whether x is valid under schema, built once.  A keyword
-    outside KEYWORDS raises here, before any document is checked, so a
-    schema edit cannot be silently ignored."""
+    outside KEYWORDS or a container ``const`` or ``enum`` raises here, before
+    any document is checked, so a schema edit cannot be silently ignored."""
     if isinstance(schema, bool):
         return lambda x: schema
     tests = []
     for key, arg in schema.items():
         if key not in KEYWORDS:
             raise ValueError(f"schema keyword {key!r} is not interpreted")
+        values = [arg] if key == "const" else arg if key == "enum" else []
+        if any(isinstance(v, (list, dict)) for v in values):
+            raise ValueError(f"schema keyword {key!r} with a container value is not interpreted")
         if key == "properties":
             arg = [(name, _checker(sub)) for name, sub in arg.items()]
         elif key in ("additionalProperties", "items", "not"):
@@ -454,12 +453,16 @@ def _writing(path):
         raise InputError(f"{path}: {exc}") from None
 
 
+def _compact(value) -> str:
+    """value as compact, key-sorted JSON: no space after "," or ":"."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _write(path: Path, doc) -> None:
-    """Write doc as one line of compact, key-sorted JSON (no space after
-    "," or ":"), which ``json`` encodes in C; a path that cannot be written
-    is an :class:`InputError`."""
+    """Write doc as one line of :func:`_compact` JSON, which ``json`` encodes
+    in C; a path that cannot be written is an :class:`InputError`."""
     with _writing(path):
-        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        path.write_text(_compact(doc) + "\n")
 
 
 def _bundled_entries():
@@ -529,7 +532,7 @@ def _format_text(report: dict) -> str:
     for key in sorted(details):
         if key == "table":
             continue
-        lines.append(f"   {key}: {json.dumps(details[key], sort_keys=True, separators=(',', ':'))}")
+        lines.append(f"   {key}: {_compact(details[key])}")
     if table:
         lines.append("   " + table.replace("\n", "\n   "))
     return "\n".join(lines)
@@ -618,10 +621,9 @@ def cmd_verify_certificate(args) -> int:
         else:
             u = spectral.from_json(doc["unitary"])
             fs = [intpoly.from_json(f) for f in doc["fs"]]
-            spectral.check_budget(u, fs, SWEEP_CAP)
             cert = lattice.from_json(doc["lattice"])
             _require_finite_index(cert, "lattice")
-            spectral.verify_limit_certificate(u, fs, cert)
+            spectral.verify_limit_certificate(u, fs, cert, cap=SWEEP_CAP)
     except (InputError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from None
     print(f"certificate verified: {kind}")
@@ -670,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=SWEEP_CAP,
         help="budget of the r-epsilon and ip-star sweeps (grid points plus |A| * m steps per "
         "exponent key), the stable-rank window, delta-check difference expansions (rows) and "
-        "spectral-limit certificates (D^2 per binomial index)",
+        "spectral-limit certificates (distinct phase rows squared per binomial index)",
     )
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     run_p.add_argument(

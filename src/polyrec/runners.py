@@ -118,8 +118,7 @@ def _run_stable_rank(payload, cap, seed):
 def _run_spectral_limit(payload, cap, seed):
     u = spectral.from_json(payload["unitary"])
     fs = [intpoly.from_json(p) for p in payload["fs"]]
-    spectral.check_budget(u, fs, cap)
-    desc = spectral.limit_projection(u, fs)
+    desc = spectral.limit_projection(u, fs, cap=cap)
     details = {
         "fixed": sorted(desc.fixed),
         "is_identity": len(desc.fixed) == u.dim,

@@ -21,6 +21,7 @@ from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tu
 
 from . import intpoly, keyengine, lattice
 from .errors import (
+    SWEEP_CAP,
     ArityMismatch,
     CapExceeded,
     DimMismatch,
@@ -222,23 +223,24 @@ def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
     return combos
 
 
-def check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
+def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
     """Refuse a family whose certificate would cost more than ``cap``.
 
-    The charge is D^2 times the number of distinct binomial indices of
-    ``fs``, checked before any lattice is built.  It is what
+    The charge is the number of distinct phase rows squared times the
+    number of distinct binomial indices of ``fs``: what
     :func:`keyengine.least_periods` and :func:`keyengine.first_escape` cost
-    against q * Z^D, so it bounds their cost against q * Z^k, k the number
-    of distinct phase rows, on which they run.
+    against q * Z^k, k the number of distinct rows.  :func:`limit_projection`
+    and :func:`verify_limit_certificate` charge it before any lattice is built.
     """
+    rows = len(dict.fromkeys(u.phases))
     indices = len({idx for f in fs for idx, _ in f.terms})
-    charge = u.dim * u.dim * indices
+    charge = rows * rows * indices
     if charge > cap:
-        raise SweepCapExceeded(f"{u.dim} eigenvectors and {indices} binomial indices "
+        raise SweepCapExceeded(f"{rows} distinct phase rows and {indices} binomial indices "
                                f"charge {charge}, cap is {cap}")
 
 
-def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
+def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CAP) -> ProjectionDesc:
     """Long-run projection of the powered family, with a lattice certificate.
 
     For exponent polynomials vanishing at the origin, the powered product
@@ -248,17 +250,18 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly]) -> ProjectionDesc:
     certificate lattice is checked with :func:`verify_limit_certificate`
     before being returned, so the identity claim is checked, not assumed.
     """
+    _check_budget(u, fs, cap)
     _check_exponents(u, fs)
     intpoly.exponent_tuple(fs)
     combos = _phase_polys(u, fs)
     target = lattice.scaled(len(combos), phase_lcm(u))
     cert = lattice.diagonal(keyengine.least_periods(combos, target))
-    verify_limit_certificate(u, fs, cert)
+    verify_limit_certificate(u, fs, cert, cap=cap)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
 
 def verify_limit_certificate(
-    u: PhaseUnitary, fs: Sequence[BinPoly], cert: Lattice
+    u: PhaseUnitary, fs: Sequence[BinPoly], cert: Lattice, cap: int = SWEEP_CAP
 ) -> None:
     """Decide that all eigen-phases vanish on the whole certificate lattice.
 
@@ -268,6 +271,7 @@ def verify_limit_certificate(
     :class:`VerificationFailed` with the bad point whose lattice
     coordinates are lexicographically least among the non-negative ones.
     """
+    _check_budget(u, fs, cap)
     n = _check_exponents(u, fs)
     if cert.ambient != n:
         raise ArityMismatch(

@@ -22,7 +22,8 @@ from conftest import child_env, run_in_process
 from polyrec import cli
 from polyrec import intpoly as ip
 from polyrec import lattice as lat
-from polyrec.errors import InputError
+from polyrec import spectral as sp
+from polyrec.errors import InputError, SweepCapExceeded
 from polyrec.numutil import lcm_upto
 
 GOLDEN = Path(__file__).parent / "golden" / "bundled_reports.json"
@@ -160,6 +161,27 @@ class TestWriter:
                 path.write_text(text + "\n")
                 code, out, err = run_in_process("verify-certificate", str(path))
                 assert code == 0 and out.startswith("certificate verified"), (path.name, err)
+
+    def test_reports_and_text_encode_through_the_module_json(self, monkeypatch, tmp_path):
+        # looked up at call time, so a stand-in for cli.json sees every dump
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                return getattr(json, name)
+
+            @staticmethod
+            def dumps(obj, **kwargs):
+                calls.append(kwargs)
+                return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli, "json", Recorder())
+        cli._write(tmp_path / "r.json", {"b": [1, 2], "a": {"x": "y"}})
+        report = {"id": "i", "kind": "k", "verdict": "holds", "details": {"d": {"b": 1, "a": [2]}}}
+        text = cli._format_text(report)
+        assert (tmp_path / "r.json").read_text() == '{"a":{"x":"y"},"b":[1,2]}\n'
+        assert text == '== i [k] HOLDS\n   d: {"a":[2],"b":1}'
+        assert calls == [{"sort_keys": True, "separators": (",", ":")}] * 2
 
     def test_schemas(self):
         for kind, schema in cli.PAYLOAD_SCHEMAS.items():
@@ -545,46 +567,80 @@ def spectral_payload(dim, fs):
 
 
 class TestSpectralCap:
-    # two binomial indices, (1, 0) and (1, 1): 7^2 * 2 = 98
+    # phases k/4 give 4 distinct rows; two binomial indices, (1, 0) and
+    # (1, 1): 4^2 * 2 = 32 (7^2 * 2 = 98 would charge every eigenvector)
     FS = [{"nvars": 2, "terms": [{"idx": [1, 0], "coef": "1"}, {"idx": [1, 1], "coef": "3"}]}]
+    Z = {"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}
+    # 1 000 distinct rows over two operators, f = (z, C(z, 2)): 1000^2 * 2
+    ROWS = [[f"{e % 40}/40", f"{e // 40}/25"] for e in range(1000)]
+    PAIR = [Z, {"nvars": 1, "terms": [{"idx": [2], "coef": "1"}]}]
 
-    def test_charge_is_eigenvectors_squared_times_indices(self, tmp_path):
+    @staticmethod
+    def child_cpu(*args):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_cli(*args, timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+    def test_charge_is_distinct_rows_squared_times_indices(self, tmp_path):
         path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(7, self.FS))
-        code, out, err = run_in_process("run", str(path), "--cap", "97")
+        code, out, err = run_in_process("run", str(path), "--cap", "31")
         assert code == 2 and out == ""
-        assert "7 eigenvectors and 2 binomial indices charge 98, cap is 97" in err
-        code, out, err = run_in_process("run", str(path), "--cap", "98")
+        assert "4 distinct phase rows and 2 binomial indices charge 32, cap is 31" in err
+        code, out, err = run_in_process("run", str(path), "--cap", "32")
         assert code == 0 and "HOLDS" in out, err
 
-    def test_large_family_is_refused_quickly(self, tmp_path):
-        # 1 001^2 * 1 is just over the default cap of 10^6
-        z = [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}]
-        path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(1001, z))
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = run_cli("run", str(path), timeout=60)
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-        assert proc.returncode == 2 and "charge 1002001, cap is 1000000" in proc.stderr, proc.stderr
-        assert cpu < 2.0, cpu
+    def test_repeated_rows_decide_at_the_default_cap(self, tmp_path):
+        certs = {}
+        for dim in (1001, 4):
+            payload = spectral_payload(dim, [self.Z])
+            path = scenario_file(tmp_path / f"sl{dim}.json", "spectral-limit", payload)
+            proc, cpu = self.child_cpu("run", str(path), "--emit-certificates", str(tmp_path))
+            assert proc.returncode == 0 and "HOLDS" in proc.stdout, proc.stderr
+            assert cpu < 2.0, cpu
+            certs[dim] = json.loads((tmp_path / f"sl{dim}.cert.json").read_text())
+        assert certs[1001]["lattice"] == certs[4]["lattice"]
 
-    def test_verify_certificate_refuses_an_over_cap_family(self, tmp_path):
-        # a certificate the run emitted under a raised --cap
-        z = [{"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}]
-        path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(1001, z))
-        code, _out, err = run_in_process(
-            "run", str(path), "--cap", "1002001", "--emit-certificates", str(tmp_path / "certs")
-        )
-        assert code == 0, err
-        cert = tmp_path / "certs" / "sl.cert.json"
+    def test_distinct_rows_over_the_cap_are_refused_quickly(self, tmp_path):
+        unitary = {"phases": self.ROWS}
+        payload = {"unitary": unitary, "fs": self.PAIR}
+        path = scenario_file(tmp_path / "sl.json", "spectral-limit", payload)
+        cert = tmp_path / "sl.cert.json"
+        full = {"ambient": 1, "basis": [[1000]]}
+        cert.write_text(json.dumps({"schema_version": 1, "certificate_kind": "spectral-limit",
+                                    "unitary": unitary, "fs": self.PAIR, "lattice": full}))
+        charge = "1000 distinct phase rows and 2 binomial indices charge 2000000, cap is 1000000"
+        for args in (("run", str(path)), ("verify-certificate", str(cert))):
+            proc, cpu = self.child_cpu(*args)
+            assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+            assert charge in proc.stderr, proc.stderr
+            assert cpu < 2.0, cpu
+
+    def test_finite_index_is_checked_before_the_charge(self, tmp_path):
+        cert = tmp_path / "sl.cert.json"
+        # over the cap and of infinite index: the index is checked first
+        cert.write_text(json.dumps({"schema_version": 1, "certificate_kind": "spectral-limit",
+                                    "unitary": {"phases": self.ROWS}, "fs": self.PAIR,
+                                    "lattice": {"ambient": 1, "basis": [[0]]}}))
         code, out, err = run_in_process("verify-certificate", str(cert))
-        assert code == 2 and out == ""
-        assert "charge 1002001, cap is 1000000" in err
+        assert code == 1 and out == ""
+        assert "index is infinite" in err
+
+    def test_direct_calls_charge_the_cap(self):
+        u = sp.phase_unitary(spectral_payload(7, self.FS)["unitary"]["phases"])
+        fs = [ip.from_json(f) for f in self.FS]
+        cert = sp.limit_projection(u, fs, cap=32).certificate
+        sp.verify_limit_certificate(u, fs, cert, cap=32)
+        with pytest.raises(SweepCapExceeded, match="charge 32, cap is 31"):
+            sp.limit_projection(u, fs, cap=31)
+        with pytest.raises(SweepCapExceeded, match="charge 32, cap is 31"):
+            sp.verify_limit_certificate(u, fs, cert, cap=31)
 
 
 def test_every_scale_harness_case_is_schema_valid(tmp_path):
     # the cases are written and loaded, not run: some take seconds
     harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
-    assert len(harness["CASES"]) == 12
+    assert len(harness["CASES"]) == 13
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -1398,6 +1454,12 @@ class TestSchemaChecker:
         schema = {"type": "object", "properties": {"never": {"anyOf": []}}}
         with pytest.raises(ValueError, match="'anyOf' is not interpreted"):
             cli._checker(schema)
+
+    @pytest.mark.parametrize("schema", [{"const": [1]}, {"const": {}}, {"enum": [1, [1]]}, {"enum": [{}]}])
+    def test_container_const_or_enum_raises_when_the_checker_is_built(self, schema):
+        key = next(iter(schema))
+        with pytest.raises(ValueError, match=f"'{key}' with a container value is not interpreted"):
+            cli._checker({"properties": {"never": schema}})
 
     def test_check_builds_each_checker_once(self, monkeypatch):
         scenarios, certificates = bundled_documents()

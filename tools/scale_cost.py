@@ -14,11 +14,13 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   first n/2 points, so the grid has n points and n keys of n/2 steps each;
   n = 500, 1 000 and 2 000 at the default cap (2 000 + 2 000 * 1 000 is over
   it, so it is refused), and n = 2 000 and 4 000 under ``--cap 100000000``.
-- spectral: spectral-limit on D eigenvectors of one operator with phases
-  (e mod 12)/12, at the default cap; f = z at D = 500, 1 000 and 2 000
-  (charges D^2 = 2.5 * 10^5, 10^6 and 4 * 10^6), and f = the sum of all 14
-  binomial coordinates C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and
-  500 (charges 8.75 * 10^5 and 3.5 * 10^6).
+- spectral: spectral-limit at the default cap, which charges the distinct
+  phase rows squared per binomial index.  D eigenvectors of one operator
+  with phases (e mod 12)/12 have 12 distinct rows: f = z at D = 500, 1 000
+  and 2 000 (charge 144), and f = the sum of all 14 binomial coordinates
+  C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and 500 (charge 2 016).
+  1 000 distinct rows (e mod 40)/40, floor(e / 40)/25 of two operators with
+  f = (z, C(z, 2)) charge 2 * 10^6, so they are refused.
 
 Each case runs ``python -m polyrec.cli run FILE --json REPORT`` in a child
 with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
@@ -62,6 +64,10 @@ def spectral(name: str, dim: int, f: dict) -> dict:
 CAPEDGE = cycle_payload(97, 40, poly(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]))
 Z = poly(1, [(1,)])
 DEGREE_4 = poly(2, [(a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4])
+ROWS_1000 = {
+    "unitary": {"phases": [[f"{e % 40}/40", f"{e // 40}/25"] for e in range(1000)]},
+    "fs": [Z, poly(1, [(2,)])],
+}
 CASES = [
     ("capedge-r-epsilon", scenario("capedge-r-epsilon", "r-epsilon", CAPEDGE), None),
     ("capedge-ip-star", scenario("capedge-ip-star", "ip-star", {**CAPEDGE, "k": 2, "W": 12}), None),
@@ -69,6 +75,7 @@ CASES = [
       for n, cap in [(500, None), (1000, None), (2000, None), (2000, 10**8), (4000, 10**8)]),
     *((f"spectral-z-{d}", spectral(f"spectral-z-{d}", d, Z), None) for d in (500, 1000, 2000)),
     *((f"spectral-deg4-{d}", spectral(f"spectral-deg4-{d}", d, DEGREE_4), None) for d in (250, 500)),
+    ("spectral-rows-1000", scenario("spectral-rows-1000", "spectral-limit", ROWS_1000), None),
 ]
 
 

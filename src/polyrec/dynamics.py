@@ -28,6 +28,7 @@ module.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, cycle, islice, product, starmap
@@ -139,8 +140,9 @@ def build_system(
             perm = tuple(pos[str(img)] for img in images)
         except KeyError as exc:
             raise UnknownPoint(f"map {mi} sends a point to unknown {exc.args[0]!r}") from None
-        if sorted(perm) != list(range(len(pts))):
-            dup = next(p for p in perm if perm.count(p) > 1)
+        if len(set(perm)) != len(perm):
+            counts = Counter(perm)
+            dup = next(p for p in perm if counts[p] > 1)
             raise NotBijective(f"map {mi} is not a bijection: {pts[dup]!r} hit twice")
         for x in range(len(pts)):
             if wts[perm[x]] != wts[x]:
@@ -368,7 +370,9 @@ class WindowStructure(NamedTuple):
     horizon: int
 
 
-def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStructure:
+def ip_star_verdict(
+    verdict: ResidueVerdict, k: int, window: int, cap: int = SWEEP_CAP
+) -> WindowStructure:
     """Window check of the residue set: meets every subset-sum family, gaps.
 
     The residue classes are lifted to the explicit positive values
@@ -378,10 +382,13 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     lcm(N), so the window holds at least two of its periods.  No member set
     is built: t's verdict is read through its grid index, the sum over j of
     (t mod N_j) * N_{j+1} ... N_n, in ``keys`` and then ``holds``, and each
-    term of that sum cycles with period N_j.  The caps of
-    :func:`ipstruct.is_ip_star_window` are checked before the lift is built.
+    term of that sum cycles with period N_j.  The window search is charged
+    against ``cap`` (:func:`ipstruct.charge_search`) before the lift is
+    built; that charge is at least W * k, and the sweep that made ``verdict``
+    was charged at least lcm(N) grid points, so the lift needs no charge of
+    its own.
     """
-    ipstruct.check_window(k, window)
+    ipstruct.charge_search(k, window, cap, repeated=True)
     period = verdict.period
     horizon = max(window * k, 2 * math.lcm(*period))
     strides = [math.prod(period[j + 1:]) for j in range(len(period))]
@@ -389,7 +396,7 @@ def ip_star_verdict(verdict: ResidueVerdict, k: int, window: int) -> WindowStruc
     index = reduce(partial(map, int.__add__), terms)
     held = map(verdict.holds.__getitem__, map(verdict.keys.__getitem__, index))
     values = set(compress(range(1, horizon + 1), held))
-    ip = ipstruct.is_ip_star_window(values, k, window)
+    ip = ipstruct.is_ip_star_window(values, k, window, cap=cap)
     gap = ipstruct.syndetic_gap(values, 1, horizon)
     return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
 

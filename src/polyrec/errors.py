@@ -37,17 +37,12 @@ class CapExceeded(InputError):
 
 
 class SweepCapExceeded(CapExceeded):
-    """A request would pass the ``--cap`` work budget: an r-epsilon or ip-star
-    grid (points plus |A| * m steps per exponent key), a stable-rank window,
-    delta-check expansion rows, or the spectral-limit distinct phase rows
-    squared per binomial index."""
+    """A request would pass ``--cap``, the work budget of every sweep and
+    search (README)."""
 
 
-# Default ``--cap``: r-epsilon and ip-star grid points plus |A| * m steps per
-# exponent key (m maps), the stable-rank window, delta-check expansion rows and
-# spectral-limit's distinct phase rows squared per binomial index, which
-# verify-certificate charges too; larger instances are refused loudly rather
-# than silently truncated.
+# Default ``--cap``, the work budget of every sweep and search (README); larger
+# instances are refused loudly rather than silently truncated.
 SWEEP_CAP = 10**6
 
 

@@ -3,20 +3,18 @@
 Finite generator families and their subset sums, monochromatic subset-sum
 search on a bounded window, and exhaustive window verdicts for the "meets
 every subset-sum family" property together with gap bounds.  Generator
-values are positive integers.
+values are positive integers.  Both searches charge the ``--cap`` work
+budget (:func:`charge_search`) before they visit a tuple.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import ArityMismatch, CapExceeded
-
-MAX_GENERATORS = 20  # subset-sum expansion bound (2^k sums)
-MAX_WINDOW = 12  # exhaustive window searches
-MAX_TUPLE_LEN = 4  # generator-tuple length in exhaustive sweeps
+from .errors import SWEEP_CAP, ArityMismatch, SweepCapExceeded
 
 
 def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
@@ -26,9 +24,6 @@ def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
         raise ArityMismatch("need at least one generator")
     if any(g < 1 for g in generators):
         raise ArityMismatch(f"generators must be positive: {generators}")
-    k = len(generators)
-    if k > MAX_GENERATORS:
-        raise CapExceeded(f"{k} generators exceed the expansion cap {MAX_GENERATORS}")
     sums = {0}
     for g in generators:
         sums |= {s + g for s in sums}
@@ -36,39 +31,42 @@ def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
     return frozenset(sums)
 
 
-def find_monochromatic_fs(coloring: Mapping[int, object], k: int) -> Optional[Tuple[int, ...]]:
+def charge_search(k: int, window: int, cap: int, repeated: bool) -> None:
+    """Charge a search over k-tuples from 1..W: the C(W, k) strictly increasing
+    tuples, or with ``repeated`` the C(W + k - 1, k) non-decreasing ones,
+    times the 2^k subset sums each expands.  Over ``cap`` it raises
+    :class:`SweepCapExceeded`, before either factor is computed when there
+    is a tuple and 2^k alone is over the cap."""
+    if k < 1 or window < 1:
+        raise ArityMismatch(f"need k >= 1 and W >= 1, got k = {k}, W = {window}")
+    tuples = f"{'non-decreasing' if repeated else 'increasing'} {k}-tuples in 1..{window}"
+    if k >= cap.bit_length() and (repeated or k <= window):
+        raise SweepCapExceeded(f"{tuples} and 2^{k} subset sums each charge more than cap {cap}")
+    count = math.comb(window + k - 1 if repeated else window, k)
+    if count << k > cap:
+        raise SweepCapExceeded(f"{count} {tuples} and 2^{k} subset sums each charge "
+                               f"{count << k}, cap is {cap}")
+
+
+def find_monochromatic_fs(
+    coloring: Mapping[int, object], k: int, cap: int = SWEEP_CAP
+) -> Optional[Tuple[int, ...]]:
     """Least strictly increasing generators with a one-color subset-sum set.
 
     ``coloring`` maps 1..W to colors.  The search runs over strictly
     increasing tuples (s_1 < ... < s_k) in lexicographic order and returns
     the first whose full subset-sum set stays inside 1..W and is
-    monochromatic; None when the window has no witness.
+    monochromatic; None when the window has no witness.  A tuple's total is
+    its largest subset sum, so a tuple totalling more than W is not expanded.
     """
-    w = _coloring_window(coloring)
-    check_window(k, w)
+    w = len(coloring)
+    if set(coloring) != set(range(1, w + 1)):
+        raise ArityMismatch("coloring must cover exactly 1..W")
+    charge_search(k, w, cap, repeated=False)
     for gens in combinations(range(1, w + 1), k):
-        sums = fs_expand(gens)
-        if max(sums) > w:
-            continue
-        colors = {coloring[s] for s in sums}
-        if len(colors) == 1:
+        if sum(gens) <= w and len({coloring[s] for s in fs_expand(gens)}) == 1:
             return gens
     return None
-
-
-def _coloring_window(coloring: Mapping[int, object]) -> int:
-    w = len(coloring)
-    if w < 1 or set(coloring) != set(range(1, w + 1)):
-        raise ArityMismatch("coloring must cover exactly 1..W")
-    return w
-
-
-def check_window(k: int, window: int) -> None:
-    """Refuse a window or tuple length beyond the exhaustive-search caps."""
-    if window < 1 or window > MAX_WINDOW:
-        raise CapExceeded(f"window {window} outside 1..{MAX_WINDOW}")
-    if k < 1 or k > MAX_TUPLE_LEN:
-        raise CapExceeded(f"tuple length {k} outside 1..{MAX_TUPLE_LEN}")
 
 
 class IpStarVerdict(NamedTuple):
@@ -76,7 +74,7 @@ class IpStarVerdict(NamedTuple):
     witness: Optional[Tuple[int, ...]]
 
 
-def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
+def is_ip_star_window(s: Iterable[int], k: int, window: int, cap: int = SWEEP_CAP) -> IpStarVerdict:
     """Does S meet the subset sums of *every* generator tuple in {1..W}^k?
 
     Repeated generators are allowed.  Fails with the lexicographically
@@ -85,7 +83,7 @@ def is_ip_star_window(s: Iterable[int], k: int, window: int) -> IpStarVerdict:
     raise it lexicographically, so the least counterexample is
     non-decreasing and only non-decreasing tuples are visited.
     """
-    check_window(k, window)
+    charge_search(k, window, cap, repeated=True)
     members = frozenset(int(x) for x in s)
     for tup in combinations_with_replacement(range(1, window + 1), k):
         if not (fs_expand(tup) & members):

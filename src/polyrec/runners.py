@@ -65,9 +65,11 @@ def _run_r_epsilon(payload, cap, seed):
 
 def _run_ip_star(payload, cap, seed):
     sys_, query = _recurrence_input(payload)
-    verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     k, w = int(payload["k"]), int(payload["W"])
-    window = dynamics.ip_star_verdict(verdict, k, w)
+    # a window over the cap is refused before the sweep
+    ipstruct.charge_search(k, w, cap, repeated=True)
+    verdict = dynamics.r_epsilon(sys_, query, cap=cap)
+    window = dynamics.ip_star_verdict(verdict, k, w, cap=cap)
     details = _residue_details(verdict)
     details.update(
         {
@@ -230,7 +232,7 @@ def _run_delta_check(payload, cap, seed):
 
 def _run_hindman_search(payload, cap, seed):
     coloring = ipstruct.coloring_from_json(payload["coloring"])
-    witness = ipstruct.find_monochromatic_fs(coloring, int(payload["k"]))
+    witness = ipstruct.find_monochromatic_fs(coloring, int(payload["k"]), cap=cap)
     # the search returns a tuple only once its sums pass the one-color test,
     # and None only after it has visited every tuple
     if witness is None:

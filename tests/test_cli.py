@@ -360,14 +360,45 @@ class TestExitCodes:
         assert "so its index is infinite" in proc.stderr
 
     def test_ip_star_caps_are_checked_before_the_lift(self, tmp_path):
-        # the lift spans 1..max(W * k, 2 lcm N), so a huge W or k used to
-        # build it for ever before the window search refused the caps
-        for key, message in (("W", "window"), ("k", "tuple length")):
+        # the lift spans 1..max(W * k, 2 lcm N), so a huge W or k would build
+        # it for ever; the window charge refuses both first, and 2^(10^9) is
+        # never computed
+        charges = {
+            "W": "500000000500000000 non-decreasing 2-tuples in 1..1000000000 and 2^2 subset "
+            "sums each charge 2000000002000000000, cap is 1000000",
+            "k": "non-decreasing 1000000000-tuples in 1..8 and 2^1000000000 subset sums each "
+            "charge more than cap 1000000",
+        }
+        for key, charge in charges.items():
             payload = {**R_EPSILON, "k": 2, "W": 8, key: 10**9}
             path = scenario_file(tmp_path / f"big-{key}.json", "ip-star", payload)
-            proc = run_cli("run", str(path), timeout=30)
-            assert proc.returncode == 2 and "Traceback" not in proc.stderr, key
-            assert f"{message} 1000000000 outside 1.." in proc.stderr
+            proc, cpu = TestSpectralCap.child_cpu("run", str(path))
+            assert proc.returncode == 2 and proc.stdout == "", key
+            assert proc.stderr == f"error: {path}: {charge}\n"
+            assert cpu < 2.0, (key, cpu)
+
+    def test_ip_star_window_is_charged_before_the_sweep(self, tmp_path):
+        # the 2 000-cycle's grid and measures are over the cap too, but the
+        # window is refused first: C(708, 2) * 4 = 1 001 112
+        payload = {**ncycle_payload(2000, 1000), "k": 2, "W": 707}
+        path = scenario_file(tmp_path / "c2000.json", "ip-star", payload)
+        code, out, err = run_in_process("run", str(path))
+        assert code == 2 and out == ""
+        assert "250278 non-decreasing 2-tuples in 1..707 and 2^2 subset sums each charge 1001112" in err
+
+    @pytest.mark.parametrize("kind", ["ip-star", "hindman-search"])
+    def test_windows_past_the_old_constants_decide(self, tmp_path, kind):
+        # W = 13 and k = 5 were refused while the window had a constant bound
+        # of 12 and the tuple length one of 4
+        if kind == "ip-star":
+            payloads = [{**R_EPSILON, "k": 2, "W": 13}, {**R_EPSILON, "k": 5, "W": 3}]
+        else:
+            payloads = [{"coloring": {"W": w, "colors": [n % 3 for n in range(w)]}, "k": k}
+                        for w, k in ((13, 2), (20, 5))]
+        for i, payload in enumerate(payloads):
+            path = scenario_file(tmp_path / f"{kind}-{i}.json", kind, payload)
+            code, out, err = run_in_process("run", str(path))
+            assert code in (0, 1) and out.startswith(f"== {kind}-{i} [{kind}]"), err
 
     def test_spectral_limit_mixed_variable_counts_is_input_error(self, tmp_path):
         fs = [
@@ -498,6 +529,43 @@ class TestExitCodes:
             assert pattern.match(good), good
         for bad in ("1/0", "1/00", "-2/000", "1/", "/2", "1.5", "1/-2"):
             assert not pattern.match(bad), bad
+
+
+class TestDigitLimit:
+    """Integers past CPython's int/str digit limit (4 300 by default) are
+    input errors that name their file, read or printed; the limit stays."""
+
+    LONG = "7" * 5001
+    LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
+
+    def check(self, path, *argv):
+        code, out, err = run_in_process(*argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {self.LIMIT}"), err
+
+    def test_read(self, tmp_path):
+        poly = {"nvars": 1, "terms": [{"idx": [1], "coef": self.LONG}]}
+        self.check(scenario_file(tmp_path / "coef.json", "delta-check", {"poly": poly}), "run")
+        payload = {**R_EPSILON, "epsilon": f"1/{self.LONG}"}
+        self.check(scenario_file(tmp_path / "eps.json", "r-epsilon", payload), "run")
+        cert = {"schema_version": 1, "certificate_kind": "key-lemma", "v": [poly],
+                "V": {"ambient": 1, "basis": [[1]]}, "witness": {"ambient": 1, "basis": [[1]]}}
+        path = tmp_path / "kl.cert.json"
+        path.write_text(json.dumps(cert))
+        self.check(path, "verify-certificate")
+
+    @pytest.mark.parametrize("kind", ["khintchine", "r-epsilon"])
+    def test_print(self, tmp_path, kind):
+        # each weight fits the limit, but mu(A) = 1/(2 d1) + 1/(2 d2) has a
+        # denominator of about 5 000 digits
+        d1, d2 = 10**2500 + 1, 10**2500 + 3
+        weights = {"0": f"1/{2 * d1}", "1": f"{d1 - 1}/{2 * d1}",
+                   "2": f"1/{2 * d2}", "3": f"{d2 - 1}/{2 * d2}"}
+        system = {"points": list("0123"), "weights": weights, "maps": [list("0123")]}
+        payload = {"system": system, "A": ["0", "2"], "fs": R_EPSILON["fs"]}
+        if kind == "r-epsilon":
+            payload["epsilon"] = "0"
+        self.check(scenario_file(tmp_path / "mu.json", kind, payload), "run")
 
 
 class TestDeltaCheckCap:
@@ -640,7 +708,7 @@ class TestSpectralCap:
 def test_every_scale_harness_case_is_schema_valid(tmp_path):
     # the cases are written and loaded, not run: some take seconds
     harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
-    assert len(harness["CASES"]) == 13
+    assert len(harness["CASES"]) == 16
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -828,11 +896,12 @@ HALF_TURN = {"unitary": {"phases": [["1/2"]]}, "fs": Z}
 
 @st.composite
 def hindman_payloads(draw):
-    """Windows and tuple lengths up to one past their caps; colors drawn
-    from two or three of 1, true, 1.0, 0, false, "1" and null, some of which
-    Python compares equal although their JSON texts differ; now and then a
-    color list of the wrong length."""
-    w = draw(st.integers(1, 13))
+    """Windows up to 20 and tuple lengths up to 5, all within the default
+    cap (C(20, 5) * 2^5 = 496 128); colors drawn from two or three of 1,
+    true, 1.0, 0, false, "1" and null, some of which Python compares equal
+    although their JSON texts differ; now and then a color list of the
+    wrong length."""
+    w = draw(st.integers(1, 20))
     size = draw(now_and_then(w + 1, w))
     palette = st.sampled_from([1, True, 1.0, 0, False, "1", None])
     palette = draw(st.lists(palette, min_size=2, max_size=3))
@@ -990,7 +1059,7 @@ class TestFrontDoorFuzz:
         assert code in (0, 2) and "Traceback" not in err
         w, colors, k = payload["coloring"]["W"], payload["coloring"]["colors"], payload["k"]
         if code == 2:
-            assert w > 12 or k > 4 or len(colors) != w
+            assert len(colors) != w
             return
         (report,) = json.loads((tmp / "out.json").read_text())["reports"]
         found = first_monochromatic(colors, w, k)

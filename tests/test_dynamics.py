@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -65,6 +66,20 @@ class TestBuildSystem:
             dy.build_system(
                 ["a", "b"], {"a": "1/2", "b": "1/2"}, [["a", "a"]]
             )
+
+    def test_duplicate_witness_is_the_first_repeated_image(self):
+        # images 1, 2, 2, 1: "1" is the first image in map order hit twice
+        with pytest.raises(NotBijective, match="map 0 is not a bijection: '1' hit twice"):
+            dy.build_system(["0", "1", "2", "3"], {p: "1/4" for p in "0123"}, [["1", "2", "2", "1"]])
+
+    def test_duplicate_is_found_in_one_pass(self):
+        # images shifted by one with the last repeated; counting each image
+        # per point took seconds at this size
+        pts = [str(i) for i in range(20000)]
+        start = time.perf_counter()
+        with pytest.raises(NotBijective, match="'19999' hit twice"):
+            dy.build_system(pts, {p: "1/20000" for p in pts}, [pts[1:] + [pts[-1]]])
+        assert time.perf_counter() - start < 0.5
 
     def test_not_measure_preserving(self):
         with pytest.raises(NotMeasurePreserving):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from polyrec import ipstruct as ips
-from polyrec.errors import ArityMismatch, CapExceeded
+from polyrec.errors import ArityMismatch, SweepCapExceeded
 
 
 def brute_subset_sums(gens):
@@ -27,9 +27,9 @@ class TestFsExpand:
     def test_collapsing(self):
         assert ips.fs_expand((1, 1)) == frozenset({1, 2})
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            ips.fs_expand((1,) * 21)
+    def test_no_generator_cap(self):
+        # the searches charge the cap; the expansion itself is not bounded
+        assert ips.fs_expand((1,) * 21) == frozenset(range(1, 22))
 
     @pytest.mark.parametrize("gens", [(), (0, 1)])
     def test_generators_must_be_positive(self, gens):
@@ -83,6 +83,57 @@ class TestMonochromaticSearch:
                 assert max(sums) <= w
                 assert len({coloring[s] for s in sums}) == 1
 
+    def test_charge(self):
+        # C(13, 2) increasing pairs of 2^2 sums each: 312; W = 13 was over
+        # the old window constant
+        coloring = {n: n % 2 for n in range(1, 14)}
+        charge = "78 increasing 2-tuples in 1..13 and 2.2 subset sums each charge 312, cap is 311"
+        with pytest.raises(SweepCapExceeded, match=charge):
+            ips.find_monochromatic_fs(coloring, 2, cap=311)
+        assert ips.find_monochromatic_fs(coloring, 2, cap=312) == (2, 4)
+
+    def test_pairs_over_the_window_are_not_expanded(self, monkeypatch):
+        expanded = []
+        real = ips.fs_expand
+        monkeypatch.setattr(ips, "fs_expand", lambda gens: expanded.append(gens) or real(gens))
+        assert ips.find_monochromatic_fs({n: n for n in range(1, 7)}, 2) is None
+        assert expanded == [g for g in itertools.combinations(range(1, 7), 2) if sum(g) <= 6]
+
+    def test_more_generators_than_the_window_charge_nothing(self):
+        # no increasing 30-tuple fits in 1..5, so even 2^30 sums each is free
+        assert ips.find_monochromatic_fs({n: 0 for n in range(1, 6)}, 30, cap=0) is None
+
+
+class TestSearchCharge:
+    @pytest.mark.parametrize("cap", [0, 1, 10**6, 2**40])
+    def test_two_to_the_k_over_the_cap_is_refused_before_counting(self, cap, monkeypatch):
+        k = max(cap.bit_length(), 1)
+        monkeypatch.setattr(ips.math, "comb", None)  # not reached
+        with pytest.raises(SweepCapExceeded, match=f"2\\^{k} subset sums each charge more than cap {cap}"):
+            ips.charge_search(k, 10**9, cap, repeated=True)
+        with pytest.raises(SweepCapExceeded):
+            ips.charge_search(k, k, cap, repeated=False)
+
+    def test_huge_tuple_length_is_refused_at_once(self):
+        with pytest.raises(SweepCapExceeded, match="2\\^1000000000 subset sums"):
+            ips.is_ip_star_window(set(), 10**9, 8)
+
+    def test_charge_against_brute_count(self):
+        for repeated in (False, True):
+            tuples = itertools.combinations_with_replacement if repeated else itertools.combinations
+            for w in range(1, 7):
+                for k in range(1, 6):
+                    charge = sum(1 for _ in tuples(range(1, w + 1), k)) * 2**k
+                    ips.charge_search(k, w, charge, repeated)
+                    if charge:
+                        with pytest.raises(SweepCapExceeded):
+                            ips.charge_search(k, w, charge - 1, repeated)
+
+    @pytest.mark.parametrize("k, w", [(0, 3), (2, 0), (-1, 4)])
+    def test_shape(self, k, w):
+        with pytest.raises(ArityMismatch):
+            ips.charge_search(k, w, 10**6, repeated=True)
+
 
 class TestIpStarWindow:
     def test_evens_hold(self):
@@ -116,11 +167,13 @@ class TestIpStarWindow:
             assert verdict.holds == (brute is None)
             assert verdict.witness == brute
 
-    def test_caps(self):
-        with pytest.raises(CapExceeded):
-            ips.is_ip_star_window(set(), 2, 50)
-        with pytest.raises(CapExceeded):
-            ips.is_ip_star_window(set(), 9, 5)
+    def test_charge(self):
+        # C(14, 2) non-decreasing pairs of 2^2 sums each: 364
+        evens = set(range(2, 27, 2))
+        charge = "91 non-decreasing 2-tuples in 1..13 and 2.2 subset sums each charge 364, cap is 363"
+        with pytest.raises(SweepCapExceeded, match=charge):
+            ips.is_ip_star_window(evens, 2, 13, cap=363)
+        assert ips.is_ip_star_window(evens, 2, 13, cap=364).holds
 
 
 class TestSyndeticGap:

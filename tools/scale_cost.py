@@ -21,12 +21,20 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and 500 (charge 2 016).
   1 000 distinct rows (e mod 40)/40, floor(e / 40)/25 of two operators with
   f = (z, C(z, 2)) charge 2 * 10^6, so they are refused.
+- window: the subset-sum searches at the default cap, which charges the
+  tuples they visit times the 2^k subset sums of each.  ip-star with k = 2
+  on a 4-cycle whose A is every point, so each key holds and the whole
+  window is searched: W = 706 charges C(707, 2) * 4 = 998 284 and decides,
+  W = 707 charges 1 001 112 and is refused.  hindman-search with k = 2 on
+  706 distinct colors, which has no witness, so every pair is visited:
+  C(706, 2) * 4 = 995 460.
 
 Each case runs ``python -m polyrec.cli run FILE --json REPORT`` in a child
 with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
 JSON line: the case, the cap, the exit code, the child's CPU seconds (user +
 system, from ``os.wait4``), its ``ru_maxrss`` in kB, and the bytes of the
-report and of standard output.
+report and of standard output.  The report is counted without its
+``wall_time_ms`` fields, whose digits vary from run to run.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,6 +77,8 @@ ROWS_1000 = {
     "unitary": {"phases": [[f"{e % 40}/40", f"{e // 40}/25"] for e in range(1000)]},
     "fs": [Z, poly(1, [(2,)])],
 }
+WHOLE_4 = cycle_payload(4, 4, Z)
+DISTINCT_706 = {"coloring": {"W": 706, "colors": list(range(706))}, "k": 2}
 CASES = [
     ("capedge-r-epsilon", scenario("capedge-r-epsilon", "r-epsilon", CAPEDGE), None),
     ("capedge-ip-star", scenario("capedge-ip-star", "ip-star", {**CAPEDGE, "k": 2, "W": 12}), None),
@@ -76,7 +87,22 @@ CASES = [
     *((f"spectral-z-{d}", spectral(f"spectral-z-{d}", d, Z), None) for d in (500, 1000, 2000)),
     *((f"spectral-deg4-{d}", spectral(f"spectral-deg4-{d}", d, DEGREE_4), None) for d in (250, 500)),
     ("spectral-rows-1000", scenario("spectral-rows-1000", "spectral-limit", ROWS_1000), None),
+    *((f"ip-star-window-{w}", scenario(f"ip-star-window-{w}", "ip-star", {**WHOLE_4, "k": 2, "W": w}), None)
+      for w in (706, 707)),
+    ("hindman-706", scenario("hindman-706", "hindman-search", DISTINCT_706), None),
 ]
+WALL_TIME = re.compile(rb',"wall_time_ms":[^,}]*')
+
+
+def report_bytes(path: Path) -> int:
+    """The bytes of a case's report without its ``wall_time_ms`` field.  The
+    report holds one scenario, and that field is its last key, so the field
+    lies in the file's last 128 bytes; only those are read, since a child
+    forked later inherits this process's peak RSS as the start of its own."""
+    size = path.stat().st_size
+    with path.open("rb") as f:
+        f.seek(max(size - 128, 0))
+        return size - sum(map(len, WALL_TIME.findall(f.read())))
 
 
 def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
@@ -95,7 +121,7 @@ def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
         "exit": os.waitstatus_to_exitcode(status),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
         "maxrss_kb": usage.ru_maxrss,
-        "report_bytes": report.stat().st_size if report.exists() else 0,
+        "report_bytes": report_bytes(report) if report.exists() else 0,
         "stdout_bytes": stdout.stat().st_size,
     }
     for p in (path, report, stdout):

@@ -41,9 +41,9 @@ from .errors import (
     NotCommuting,
     NotMeasurePreserving,
     SWEEP_CAP,
-    SweepCapExceeded,
     UnknownPoint,
     WeightsNotNormalized,
+    charge,
 )
 from .intpoly import BinPoly
 
@@ -299,8 +299,7 @@ def r_epsilon(
     """
     period = system_period(sys, query.fs)
     points = math.prod(period)
-    if points > cap:
-        raise SweepCapExceeded(f"period grid needs {points} points, cap is {cap}")
+    charge(points, cap, f"period grid needs {points} points")
     orders = map_orders(sys)
     A = sorted(query.A)
     mu_a = sys.measure(A)
@@ -315,9 +314,8 @@ def r_epsilon(
             if key not in index:
                 index[key] = len(index)
                 steps = len(index) * len(A) * len(orders)
-                if points + steps > cap:
-                    raise SweepCapExceeded(f"period grid needs {points} points and its return "
-                                           f"measures {steps} steps so far, cap is {cap}")
+                charge(points + steps, cap, f"period grid needs {points} points and its "
+                       f"return measures {steps} steps so far")
                 values.append(return_measure(sys, A, key))
                 holds.append(values[-1] >= threshold)
         keys += map(index.__getitem__, line)

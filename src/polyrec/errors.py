@@ -3,8 +3,8 @@
 ``InputError`` covers malformed or out-of-bounds inputs; the CLI maps these
 to exit code 2.  ``CheckFailed`` covers verifications that ran to completion
 and failed, carrying a concrete witness; the CLI reports these as failing
-verdicts (exit code 1).  ``SWEEP_CAP`` is the default budget past which
-``SweepCapExceeded`` is raised.
+verdicts (exit code 1).  ``SWEEP_CAP`` is the default ``--cap``, and
+:func:`charge` is the one place that raises ``SweepCapExceeded`` past it.
 """
 
 
@@ -38,12 +38,20 @@ class CapExceeded(InputError):
 
 class SweepCapExceeded(CapExceeded):
     """A request would pass ``--cap``, the work budget of every sweep and
-    search (README)."""
+    search (README); raised by :func:`charge` only."""
 
 
 # Default ``--cap``, the work budget of every sweep and search (README); larger
 # instances are refused loudly rather than silently truncated.
 SWEEP_CAP = 10**6
+
+
+def charge(amount: int, cap: int, what: str) -> None:
+    """Refuse work of ``amount`` units over ``cap``: raises
+    :class:`SweepCapExceeded` reading "WHAT, cap is CAP".  Each site charges
+    its own work; charges are not summed."""
+    if amount > cap:
+        raise SweepCapExceeded(f"{what}, cap is {cap}")
 
 
 class WeightsNotNormalized(InputError):

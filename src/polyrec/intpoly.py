@@ -34,7 +34,6 @@ recursion, as an independent check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -394,6 +393,8 @@ def from_monomial_coeffs(
     least index, if any resulting coordinate is not an integer, i.e. the
     polynomial takes a non-integer value somewhere on the integer lattice.
     """
+    from fractions import Fraction
+
     if nvars < 1:
         raise ArityMismatch(f"nvars must be positive, got {nvars}")
     if nvars > MAX_NVARS:

@@ -14,7 +14,7 @@ import math
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import SWEEP_CAP, ArityMismatch, SweepCapExceeded
+from .errors import SWEEP_CAP, ArityMismatch, charge
 
 
 def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
@@ -34,18 +34,17 @@ def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
 def charge_search(k: int, window: int, cap: int, repeated: bool) -> None:
     """Charge a search over k-tuples from 1..W: the C(W, k) strictly increasing
     tuples, or with ``repeated`` the C(W + k - 1, k) non-decreasing ones,
-    times the 2^k subset sums each expands.  Over ``cap`` it raises
-    :class:`SweepCapExceeded`, before either factor is computed when there
-    is a tuple and 2^k alone is over the cap."""
+    times the 2^k subset sums each expands (:func:`errors.charge`).  When
+    there is a tuple and 2^k alone is over the cap, the lower bound
+    2^cap.bit_length() is charged before either factor is computed."""
     if k < 1 or window < 1:
         raise ArityMismatch(f"need k >= 1 and W >= 1, got k = {k}, W = {window}")
     tuples = f"{'non-decreasing' if repeated else 'increasing'} {k}-tuples in 1..{window}"
-    if k >= cap.bit_length() and (repeated or k <= window):
-        raise SweepCapExceeded(f"{tuples} and 2^{k} subset sums each charge more than cap {cap}")
+    bits = cap.bit_length()
+    if k >= bits and (repeated or k <= window):
+        charge(1 << bits, cap, f"{tuples} and 2^{k} subset sums each charge at least 2^{bits}")
     count = math.comb(window + k - 1 if repeated else window, k)
-    if count << k > cap:
-        raise SweepCapExceeded(f"{count} {tuples} and 2^{k} subset sums each charge "
-                               f"{count << k}, cap is {cap}")
+    charge(count << k, cap, f"{count} {tuples} and 2^{k} subset sums each charge {count << k}")
 
 
 def find_monochromatic_fs(

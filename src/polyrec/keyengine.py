@@ -34,8 +34,8 @@ from .errors import (
     RankDeficientBasis,
     SWEEP_CAP,
     SaturationFailed,
-    SweepCapExceeded,
     VerificationFailed,
+    charge,
 )
 from .intpoly import BinPoly, MultiIndex, PolyTuple
 from .lattice import Lattice
@@ -281,14 +281,6 @@ def window_points(n: int, window: int):
                 yield pt
 
 
-def _check_window(n: int, radius: int, cap: int) -> None:
-    """Refuse a search that may visit more than ``cap`` points of [-radius, radius]^n."""
-    if (2 * radius + 1) ** n > cap:
-        raise SweepCapExceeded(
-            f"window sweep needs {(2 * radius + 1) ** n} points, cap is {cap}"
-        )
-
-
 def _check_saturation(v: PolyTuple, V: Lattice) -> None:
     """Decide that v(z) lies in the rational span of V for every z in Z^n,
     from the binomial coordinates of v (:func:`first_escape` with ``span``)."""
@@ -320,7 +312,8 @@ def stable_rank_subgroup(
     if window < 1:
         raise ArityMismatch(f"window must be positive, got {window}")
     n = v.nvars
-    _check_window(n, min(window, v.degree), cap)
+    points = (2 * min(window, v.degree) + 1) ** n
+    charge(points, cap, f"window sweep needs {points} points")
     target = lattice.hnf_from_generators(
         v.arity, list(_binomial_coordinates(v.components).values())
     ).rank

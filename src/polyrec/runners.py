@@ -18,7 +18,7 @@ import random
 from typing import Tuple
 
 from . import dynamics, intpoly, ipstruct, keyengine, lattice, spectral
-from .errors import SweepCapExceeded
+from .errors import charge
 
 
 def _recurrence_input(payload):
@@ -197,8 +197,7 @@ def _run_delta_check(payload, cap, seed):
         # in at most 3 variables of degree at most 4.
         rows = intpoly.delta_rows(f, 2)
         rows += 2 * sum(intpoly.delta_rows(f, s) for s in range(2, max_s + 1))
-        if rows > cap:
-            raise SweepCapExceeded(f"delta-check expands {rows} rows, cap is {cap}")
+        charge(rows, cap, f"delta-check expands {rows} rows")
         good, info = _delta_identities(f)
         ok &= good
         details["poly"] = info

@@ -25,8 +25,8 @@ from .errors import (
     ArityMismatch,
     CapExceeded,
     DimMismatch,
-    SweepCapExceeded,
     VerificationFailed,
+    charge,
 )
 from .intpoly import BinPoly
 from .lattice import Lattice
@@ -234,10 +234,9 @@ def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
     """
     rows = len(dict.fromkeys(u.phases))
     indices = len({idx for f in fs for idx, _ in f.terms})
-    charge = rows * rows * indices
-    if charge > cap:
-        raise SweepCapExceeded(f"{rows} distinct phase rows and {indices} binomial indices "
-                               f"charge {charge}, cap is {cap}")
+    amount = rows * rows * indices
+    charge(amount, cap, f"{rows} distinct phase rows and {indices} binomial indices "
+           f"charge {amount}")
 
 
 def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CAP) -> ProjectionDesc:

@@ -367,7 +367,7 @@ class TestExitCodes:
             "W": "500000000500000000 non-decreasing 2-tuples in 1..1000000000 and 2^2 subset "
             "sums each charge 2000000002000000000, cap is 1000000",
             "k": "non-decreasing 1000000000-tuples in 1..8 and 2^1000000000 subset sums each "
-            "charge more than cap 1000000",
+            "charge at least 2^20, cap is 1000000",
         }
         for key, charge in charges.items():
             payload = {**R_EPSILON, "k": 2, "W": 8, key: 10**9}
@@ -714,6 +714,29 @@ def test_every_scale_harness_case_is_schema_valid(tmp_path):
         path.write_text(json.dumps(doc))
         [(_source, loaded)] = cli.load_scenarios([path], bundled=False)
         assert loaded == doc and (cap is None or cap > 0), name
+
+
+def test_scale_harness_reads_the_peak_of_the_polyrec_child(tmp_path):
+    # a child's ru_maxrss starts at the peak of the process it is forked
+    # from; a harness holding 200 MB must still read a small child's own
+    child = "\n".join(
+        [
+            "import json, runpy, sys",
+            "from pathlib import Path",
+            "harness = runpy.run_path(sys.argv[1])",
+            "held = b'x' * (200 << 20)",
+            "[case] = [c for c in harness['CASES'] if c[0] == 'spectral-z-500']",
+            "print(json.dumps(harness['run_case'](Path(sys.argv[2]), Path(sys.argv[3]), *case)))",
+        ]
+    )
+    root = Path(__file__).resolve().parent.parent
+    argv = [str(root / "tools" / "scale_cost.py"), str(root / "src"), str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0 and result["maxrss_kb"] < 100 * 1024, result
 
 
 @st.composite
@@ -1660,6 +1683,29 @@ class TestProcessStart:
         code, ran, stdlib = self.executed("cli.main(sys.argv[1:])", "verify-certificate", path)
         assert code == 0 and ran & RUNNER_MODULES == {"intpoly", "keyengine", "lattice"}, ran
         assert "dataclasses" not in stdlib
+
+    def test_algebra_certificates_never_import_fractions(self, cert_dir):
+        # intpoly builds a Fraction only in from_monomial_coeffs, which no
+        # command reaches, so the integer-only kinds skip the import
+        child = "\n".join(
+            [
+                "import sys",
+                "from polyrec import cli",
+                "codes = [cli.main(['verify-certificate', p]) for p in sys.argv[1:]]",
+                "numeric = ('decimal', 'fractions', 'numbers')",
+                "print(codes, sorted(m for m in numeric if m in sys.modules))",
+            ]
+        )
+        names = ["key-lemma-parabola", "stable-rank-parabola"]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", child, *(str(cert_dir / f"{n}.cert.json") for n in names)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
     @pytest.mark.parametrize(
         "name", ["key-lemma-parabola", "stable-rank-parabola", "spectral-limit-bilinear"]

@@ -197,3 +197,24 @@ def test_certificate_documents_have_one_writer_and_one_reader():
         if '"certificate_kind"' in path.read_text()
     )
     assert found == ["cli.py", "runners.py"], found
+
+
+def test_sweep_cap_exceeded_is_raised_by_charge_only():
+    # every --cap refusal is decided and worded by errors.charge, so no
+    # other code constructs or raises SweepCapExceeded
+    def sites(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            target = child.func if isinstance(child, ast.Call) else getattr(child, "exc", None)
+            if isinstance(child, (ast.Call, ast.Raise)) and target is not None:
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name == "SweepCapExceeded":
+                    yield where
+            yield from sites(child, inner)
+
+    found = sorted(
+        f"{path.name}:{where}"
+        for path in SRC.rglob("*.py")
+        for where in sites(ast.parse(path.read_text(), filename=str(path)), None)
+    )
+    assert found == ["errors.py:charge"], found

@@ -34,7 +34,10 @@ with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
 JSON line: the case, the cap, the exit code, the child's CPU seconds (user +
 system, from ``os.wait4``), its ``ru_maxrss`` in kB, and the bytes of the
 report and of standard output.  The report is counted without its
-``wall_time_ms`` fields, whose digits vary from run to run.
+``wall_time_ms`` fields, whose digits vary from run to run.  A child's
+``ru_maxrss`` starts at the peak of the process it is forked from, so each
+child is started, waited for and measured by a small launcher (``LAUNCHER``),
+not by this process.
 """
 
 from __future__ import annotations
@@ -91,14 +94,23 @@ CASES = [
       for w in (706, 707)),
     ("hindman-706", scenario("hindman-706", "hindman-search", DISTINCT_706), None),
 ]
+# Run as ``python -S -c LAUNCHER STDOUT ARGV...``: it holds only itself when it
+# starts the child, and prints the child's exit code, CPU seconds and ru_maxrss.
+LAUNCHER = """
+import os, sys
+out, argv = sys.argv[1], sys.argv[2:]
+files = [(os.POSIX_SPAWN_OPEN, 1, out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644),
+         (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)]
+_, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=files), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+"""
 WALL_TIME = re.compile(rb',"wall_time_ms":[^,}]*')
 
 
 def report_bytes(path: Path) -> int:
     """The bytes of a case's report without its ``wall_time_ms`` field.  The
     report holds one scenario, and that field is its last key, so the field
-    lies in the file's last 128 bytes; only those are read, since a child
-    forked later inherits this process's peak RSS as the start of its own."""
+    lies in the file's last 128 bytes, and only those are read."""
     size = path.stat().st_size
     with path.open("rb") as f:
         f.seek(max(size - 128, 0))
@@ -112,15 +124,15 @@ def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
     if cap is not None:
         argv += ["--cap", str(cap)]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    with stdout.open("wb") as out:
-        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
+    launcher = [sys.executable, "-S", "-c", LAUNCHER, str(stdout), *argv]
+    measured = subprocess.run(launcher, env=env, stdout=subprocess.PIPE, check=True)
+    code, cpu, maxrss = measured.stdout.split()
     result = {
         "case": name,
         "cap": cap,
-        "exit": os.waitstatus_to_exitcode(status),
-        "cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
-        "maxrss_kb": usage.ru_maxrss,
+        "exit": int(code),
+        "cpu_s": round(float(cpu), 2),
+        "maxrss_kb": int(maxrss),
         "report_bytes": report_bytes(report) if report.exists() else 0,
         "stdout_bytes": stdout.stat().st_size,
     }

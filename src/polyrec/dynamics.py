@@ -30,8 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, compress, cycle, islice, product, starmap
+from itertools import accumulate, compress, product, starmap
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import intpoly, ipstruct, keyengine, lattice
@@ -371,32 +370,24 @@ class WindowStructure(NamedTuple):
 def ip_star_verdict(
     verdict: ResidueVerdict, k: int, window: int, cap: int = SWEEP_CAP
 ) -> WindowStructure:
-    """Window check of the residue set: meets every subset-sum family, gaps.
+    """Window check of the residue set on the diagonal: meets every
+    subset-sum family, gaps.
 
-    The residue classes are lifted to the explicit positive values
-    {t in [1, horizon] : (t mod N_1, ..., t mod N_n) in members} (the
-    diagonal embedding; for one variable this is just the set itself), with
-    horizon = max(window * k, 2 * lcm(N_1, ..., N_n)): the lift has period
-    lcm(N), so the window holds at least two of its periods.  No member set
-    is built: t's verdict is read through its grid index, the sum over j of
-    (t mod N_j) * N_{j+1} ... N_n, in ``keys`` and then ``holds``, and each
-    term of that sum cycles with period N_j.  The window search is charged
-    against ``cap`` (:func:`ipstruct.charge_search`) before the lift is
-    built; that charge is at least W * k, and the sweep that made ``verdict``
-    was charged at least lcm(N) grid points, so the lift needs no charge of
-    its own.
+    The diagonal {t : (t mod N_1, ..., t mod N_n) in members} is periodic
+    mod L = lcm(N), so it is read as R, the t in 0..L-1 whose grid index
+    (the sum over j of (t mod N_j) * N_{j+1} ... N_n) holds; the sweep was
+    charged at least L points, so R is not charged.  The window is searched
+    in Z/L (:func:`ipstruct.is_ip_star_window`), and the gap is taken over
+    1..max(window * k, 2L) (:func:`ipstruct.syndetic_gap`).
     """
-    ipstruct.charge_search(k, window, cap, repeated=True)
     period = verdict.period
-    horizon = max(window * k, 2 * math.lcm(*period))
+    modulus = math.lcm(*period)
     strides = [math.prod(period[j + 1:]) for j in range(len(period))]
-    terms = (islice(cycle(range(0, n * s, s)), 1, None) for n, s in zip(period, strides))
-    index = reduce(partial(map, int.__add__), terms)
-    held = map(verdict.holds.__getitem__, map(verdict.keys.__getitem__, index))
-    values = set(compress(range(1, horizon + 1), held))
-    ip = ipstruct.is_ip_star_window(values, k, window, cap=cap)
-    gap = ipstruct.syndetic_gap(values, 1, horizon)
-    return WindowStructure(ip_star=ip, gap=gap, horizon=horizon)
+    residues = [t for t in range(modulus)
+                if verdict.holds[verdict.keys[sum(t % n * s for n, s in zip(period, strides))]]]
+    horizon = max(window * k, 2 * modulus)
+    ip = ipstruct.is_ip_star_window(residues, modulus, k, window, cap=cap)
+    return WindowStructure(ip, ipstruct.syndetic_gap(residues, modulus, horizon), horizon)
 
 
 def _commas(n: int):

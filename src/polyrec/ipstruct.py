@@ -1,18 +1,16 @@
 """Finite combinatorics of subset sums.
 
-Finite generator families and their subset sums, monochromatic subset-sum
-search on a bounded window, and exhaustive window verdicts for the "meets
-every subset-sum family" property together with gap bounds.  Generator
-values are positive integers.  Both searches charge the ``--cap`` work
-budget (:func:`charge_search`) before they visit a tuple.
+Subset sums of finite generator families (positive integers), and two
+searches on a bounded window that are one least-tuple walk
+(:func:`_least_tuple`), charged with the sums it forms: the monochromatic
+subset-sum search, and the verdict and gap of a periodic set meeting every
+subset-sum family.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from itertools import combinations, combinations_with_replacement
-from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Set, Tuple
 
 from .errors import SWEEP_CAP, ArityMismatch, charge
 
@@ -31,41 +29,55 @@ def fs_expand(generators: Tuple[int, ...]) -> FrozenSet[int]:
     return frozenset(sums)
 
 
-def charge_search(k: int, window: int, cap: int, repeated: bool) -> None:
-    """Charge a search over k-tuples from 1..W: the C(W, k) strictly increasing
-    tuples, or with ``repeated`` the C(W + k - 1, k) non-decreasing ones,
-    times the 2^k subset sums each expands (:func:`errors.charge`).  When
-    there is a tuple and 2^k alone is over the cap, the lower bound
-    2^cap.bit_length() is charged before either factor is computed."""
-    if k < 1 or window < 1:
-        raise ArityMismatch(f"need k >= 1 and W >= 1, got k = {k}, W = {window}")
-    tuples = f"{'non-decreasing' if repeated else 'increasing'} {k}-tuples in 1..{window}"
-    bits = cap.bit_length()
-    if k >= bits and (repeated or k <= window):
-        charge(1 << bits, cap, f"{tuples} and 2^{k} subset sums each charge at least 2^{bits}")
-    count = math.comb(window + k - 1 if repeated else window, k)
-    charge(count << k, cap, f"{count} {tuples} and 2^{k} subset sums each charge {count << k}")
+def _least_tuple(k: int, top: int, repeated: bool, modulus: int, allowed, cap: int):
+    """The lexicographically least k-tuple (s_1, ...) from 1..top,
+    non-decreasing if ``repeated``, else strictly increasing, whose subset
+    sums mod ``modulus`` all lie in the set ``allowed(s_1)``; or None.
 
-
-def find_monochromatic_fs(
-    coloring: Mapping[int, object], k: int, cap: int = SWEEP_CAP
-) -> Optional[Tuple[int, ...]]:
-    """Least strictly increasing generators with a one-color subset-sum set.
-
-    ``coloring`` maps 1..W to colors.  The search runs over strictly
-    increasing tuples (s_1 < ... < s_k) in lexicographic order and returns
-    the first whose full subset-sum set stays inside 1..W and is
-    monochromatic; None when the window has no witness.  A tuple's total is
-    its largest subset sum, so a tuple totalling more than W is not expanded.
+    An iterative depth-first walk (k may be huge) that carries each
+    prefix's sums and drops a prefix once they leave the set.  Extending a
+    prefix by g forms g and g plus each of its sums; the sums formed so far
+    are charged before each extension (:func:`errors.charge`).  An
+    increasing prefix leaves at least as many values as slots after it.
     """
+    if k < 1 or top < 1:
+        raise ArityMismatch(f"need k >= 1 and W >= 1, got k = {k}, W = {top}")
+    order = "non-decreasing" if repeated else "increasing"
+    tup, stack, formed, g = [], [frozenset()], 0, 1
+    while True:
+        if g > top - (0 if repeated else k - 1 - len(tup)):
+            if not tup:
+                return None
+            stack.pop()
+            g = tup.pop() + 1
+            continue
+        formed += len(stack[-1]) + 1
+        if formed > cap:  # the phrase is built for the refusal only
+            charge(formed, cap, f"{order} {k}-tuples in 1..{top} form {formed} subset sums so far")
+        sums = {g % modulus, *((s + g) % modulus for s in stack[-1])}
+        if not sums <= allowed(tup[0] if tup else g):
+            g += 1
+        elif len(tup) == k - 1:
+            return (*tup, g)
+        else:
+            tup.append(g)
+            stack.append(stack[-1] | sums)
+            g += not repeated
+
+
+def find_monochromatic_fs(coloring: Mapping[int, object], k: int,
+                          cap: int = SWEEP_CAP) -> Optional[Tuple[int, ...]]:
+    """The lexicographically least s_1 < ... < s_k whose subset sums all lie
+    in s_1's color class of ``coloring`` (1..W -> colors), or None
+    (:func:`_least_tuple`; the sum of two values in 1..W is its own residue
+    mod 2W + 1)."""
     w = len(coloring)
     if set(coloring) != set(range(1, w + 1)):
         raise ArityMismatch("coloring must cover exactly 1..W")
-    charge_search(k, w, cap, repeated=False)
-    for gens in combinations(range(1, w + 1), k):
-        if sum(gens) <= w and len({coloring[s] for s in fs_expand(gens)}) == 1:
-            return gens
-    return None
+    classes: Dict[object, Set[int]] = {}
+    for s, color in coloring.items():
+        classes.setdefault(color, set()).add(s)
+    return _least_tuple(k, w, False, 2 * w + 1, lambda g: classes[coloring[g]], cap)
 
 
 class IpStarVerdict(NamedTuple):
@@ -73,35 +85,32 @@ class IpStarVerdict(NamedTuple):
     witness: Optional[Tuple[int, ...]]
 
 
-def is_ip_star_window(s: Iterable[int], k: int, window: int, cap: int = SWEEP_CAP) -> IpStarVerdict:
-    """Does S meet the subset sums of *every* generator tuple in {1..W}^k?
-
-    Repeated generators are allowed.  Fails with the lexicographically
-    least counterexample tuple.  The verdict is a statement about the
-    stated window only.  Sorting a tuple keeps its subset sums and does not
-    raise it lexicographically, so the least counterexample is
-    non-decreasing and only non-decreasing tuples are visited.
-    """
-    charge_search(k, window, cap, repeated=True)
-    members = frozenset(int(x) for x in s)
-    for tup in combinations_with_replacement(range(1, window + 1), k):
-        if not (fs_expand(tup) & members):
-            return IpStarVerdict(False, tup)
-    return IpStarVerdict(True, None)
+def is_ip_star_window(residues: Iterable[int], modulus: int, k: int, window: int,
+                      cap: int = SWEEP_CAP) -> IpStarVerdict:
+    """Does {t : t mod L in R} meet the subset sums of *every* tuple in
+    {1..W}^k?  R = ``residues``, L = ``modulus``.  Fails with the
+    lexicographically least counterexample.  Sorting a tuple, or trading an
+    entry above L for the one of its residue in 1..L, keeps its sums mod L
+    and does not raise it, so only non-decreasing tuples in 1..min(W, L)
+    are visited (:func:`_least_tuple`)."""
+    free = set(range(modulus)).difference(residues)
+    witness = _least_tuple(k, min(window, modulus), True, modulus, lambda g: free, cap)
+    return IpStarVerdict(witness is None, witness)
 
 
-def syndetic_gap(s: Iterable[int], lo: int, hi: int) -> Optional[int]:
-    """Largest gap of S inside [lo, hi], counting the distance in from both
-    ends; None when S misses the interval entirely."""
-    if lo >= hi:
-        raise ArityMismatch(f"need lo < hi, got [{lo}, {hi}]")
-    elems = sorted(x for x in set(s) if lo <= x <= hi)
+def syndetic_gap(residues: Iterable[int], modulus: int, horizon: int) -> Optional[int]:
+    """Largest gap of {t in 1..horizon : t mod L in R} (L = ``modulus``, R =
+    ``residues`` in 0..L-1), counting the distance in from both ends; None
+    when R is empty.  Every cyclic gap of R lies inside 1..horizon >= 2L."""
+    if horizon < 2 * modulus:
+        raise ArityMismatch(f"need horizon >= 2 * {modulus}, got {horizon}")
+    elems = sorted(set(residues))
     if not elems:
         return None
-    gaps = [elems[0] - lo]
-    gaps.extend(b - a for a, b in zip(elems, elems[1:]))
-    gaps.append(hi - elems[-1])
-    return max(gaps)
+    first = next(filter(None, elems), modulus)
+    last = max(horizon - (horizon - r) % modulus for r in elems)
+    cyclic = (b - a for a, b in zip(elems, elems[1:] + [elems[0] + modulus]))
+    return max(first - 1, *cyclic, horizon - last)
 
 
 def coloring_from_json(obj: Mapping) -> Dict[int, str]:

@@ -66,8 +66,6 @@ def _run_r_epsilon(payload, cap, seed):
 def _run_ip_star(payload, cap, seed):
     sys_, query = _recurrence_input(payload)
     k, w = int(payload["k"]), int(payload["W"])
-    # a window over the cap is refused before the sweep
-    ipstruct.charge_search(k, w, cap, repeated=True)
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     window = dynamics.ip_star_verdict(verdict, k, w, cap=cap)
     details = _residue_details(verdict)

@@ -17,6 +17,7 @@ from sympy.matrices.normalforms import smith_normal_decomp
 from polyrec import cli
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
+from polyrec import ipstruct as ips
 from polyrec import lattice as lat
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -127,3 +128,37 @@ def product_system(sizes):
             image.append(",".join(map(str, moved)))
         maps.append(image)
     return dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, maps)
+
+
+# Set-based oracles of the subset-sum searches: every tuple is expanded in
+# full and checked against the explicit set, with no pruning and no residues.
+
+
+def lift_ip_star(values, k: int, window: int):
+    """The least non-decreasing k-tuple in 1..window none of whose subset
+    sums lies in ``values``, or None."""
+    values = frozenset(values)
+    for tup in itertools.combinations_with_replacement(range(1, window + 1), k):
+        if not (ips.fs_expand(tup) & values):
+            return tup
+    return None
+
+
+def lift_gap(values, lo: int, hi: int):
+    """Largest gap of ``values`` inside [lo, hi], counting the distance in
+    from both ends; None when no value lies inside."""
+    elems = sorted(x for x in set(values) if lo <= x <= hi)
+    if not elems:
+        return None
+    marks = [lo, *elems, hi]
+    return max(b - a for a, b in zip(marks, marks[1:]))
+
+
+def lift_monochromatic(coloring, k: int):
+    """The least increasing k-tuple in 1..W whose subset sums all lie in
+    1..W and share one color, or None."""
+    w = len(coloring)
+    for gens in itertools.combinations(range(1, w + 1), k):
+        if sum(gens) <= w and len({coloring[s] for s in ips.fs_expand(gens)}) == 1:
+            return gens
+    return None

@@ -360,31 +360,36 @@ class TestExitCodes:
         assert "so its index is infinite" in proc.stderr
 
     def test_ip_star_caps_are_checked_before_the_lift(self, tmp_path):
-        # the lift spans 1..max(W * k, 2 lcm N), so a huge W or k would build
-        # it for ever; the window charge refuses both first, and 2^(10^9) is
-        # never computed
-        charges = {
-            "W": "500000000500000000 non-decreasing 2-tuples in 1..1000000000 and 2^2 subset "
-            "sums each charge 2000000002000000000, cap is 1000000",
-            "k": "non-decreasing 1000000000-tuples in 1..8 and 2^1000000000 subset sums each "
-            "charge at least 2^20, cap is 1000000",
-        }
-        for key, charge in charges.items():
+        # the window is searched mod L = 2, so a huge W or k decides at once:
+        # no set of max(W * k, 2 L) values is built, and no tuple of 1..W
+        # is visited past L
+        for key, horizon in (("W", 2 * 10**9), ("k", 8 * 10**9)):
             payload = {**R_EPSILON, "k": 2, "W": 8, key: 10**9}
             path = scenario_file(tmp_path / f"big-{key}.json", "ip-star", payload)
             proc, cpu = TestSpectralCap.child_cpu("run", str(path))
-            assert proc.returncode == 2 and proc.stdout == "", key
-            assert proc.stderr == f"error: {path}: {charge}\n"
+            assert proc.returncode == 0 and proc.stderr == "", key
+            assert proc.stdout.startswith(f"== big-{key} [ip-star] HOLDS\n")
+            assert f"   horizon: {horizon}\n" in proc.stdout
+            assert '   ip_star: {"holds":true,"witness":null}\n' in proc.stdout
             assert cpu < 2.0, (key, cpu)
 
     def test_ip_star_window_is_charged_before_the_sweep(self, tmp_path):
-        # the 2 000-cycle's grid and measures are over the cap too, but the
-        # window is refused first: C(708, 2) * 4 = 1 001 112
+        # the window charges only the sums its search forms, after the
+        # sweep; the 2 000-cycle's grid and measures are over the cap first
         payload = {**ncycle_payload(2000, 1000), "k": 2, "W": 707}
         path = scenario_file(tmp_path / "c2000.json", "ip-star", payload)
         code, out, err = run_in_process("run", str(path))
         assert code == 2 and out == ""
-        assert "250278 non-decreasing 2-tuples in 1..707 and 2^2 subset sums each charge 1001112" in err
+        assert err == (f"error: {path}: period grid needs 2000 points and its return measures "
+                       "999000 steps so far, cap is 1000000\n")
+
+    def test_ip_star_window_past_the_old_tuple_charge_decides(self, tmp_path):
+        # all four residues of a 4-cycle hold: W = 707 forms 4 sums, where
+        # C(708, 2) * 2^2 = 1 001 112 was once charged up front
+        payload = {**ncycle_payload(4, 4), "k": 2, "W": 707}
+        path = scenario_file(tmp_path / "w707.json", "ip-star", payload)
+        code, out, err = run_in_process("run", str(path))
+        assert code == 0 and err == "" and '   ip_star: {"holds":true,"witness":null}\n' in out
 
     @pytest.mark.parametrize("kind", ["ip-star", "hindman-search"])
     def test_windows_past_the_old_constants_decide(self, tmp_path, kind):
@@ -708,7 +713,7 @@ class TestSpectralCap:
 def test_every_scale_harness_case_is_schema_valid(tmp_path):
     # the cases are written and loaded, not run: some take seconds
     harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
-    assert len(harness["CASES"]) == 16
+    assert len(harness["CASES"]) == 17
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))

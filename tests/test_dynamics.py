@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from sympy import primefactors
 
-from conftest import product_system, random_binpoly
+from conftest import lift_gap, lift_ip_star, product_system, random_binpoly
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
 from polyrec import runners
@@ -441,25 +441,16 @@ class TestOnePass:
                 assert cells[0] == ",".join(map(str, z))
                 assert cells[1] == ",".join(str(f.evaluate(z)) for f in query.fs)
 
-    def test_ip_star_lift_matches_the_member_set_lift(self, monkeypatch):
-        ipstruct = dy.ipstruct
-        real_gap = ipstruct.syndetic_gap
-
+    def test_ip_star_lift_matches_the_member_set_lift(self):
         def member_set_lift(verdict, k, window):
             """The lift as once built: the member set, and a residue tuple per t."""
             horizon = max(window * k, 2 * math.lcm(*verdict.period))
             members = verdict.members
             values = {t for t in range(1, horizon + 1) if tuple(t % p for p in verdict.period) in members}
-            ip_star = ipstruct.is_ip_star_window(values, k, window)
-            return values, dy.WindowStructure(ip_star, real_gap(values, 1, horizon), horizon)
+            witness = lift_ip_star(values, k, window)
+            ip_star = dy.ipstruct.IpStarVerdict(witness is None, witness)
+            return dy.WindowStructure(ip_star, lift_gap(values, 1, horizon), horizon)
 
-        lifts = []
-
-        def recorded(values, lo, hi):
-            lifts.append(set(values))
-            return real_gap(values, lo, hi)
-
-        monkeypatch.setattr(ipstruct, "syndetic_gap", recorded)
         rng = random.Random(191)
         cases = []
         for _ in range(30):
@@ -472,9 +463,7 @@ class TestOnePass:
             # periods with at least two coordinates above 1
             multi += sum(p > 1 for p in verdict.period) > 1
             k, window = rng.randint(1, 3), rng.randint(1, 12)
-            values, expected = member_set_lift(verdict, k, window)
-            assert dy.ip_star_verdict(verdict, k, window) == expected
-            assert lifts.pop() == values
+            assert dy.ip_star_verdict(verdict, k, window) == member_set_lift(verdict, k, window)
         assert multi >= 5
 
     def test_one_threshold_comparison_per_exponent_residue(self, monkeypatch):

@@ -1,10 +1,12 @@
 """Unit tests for finite subset-sum combinatorics."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from conftest import lift_gap, lift_ip_star, lift_monochromatic
 from polyrec import ipstruct as ips
 from polyrec.errors import ArityMismatch, SweepCapExceeded
 
@@ -48,6 +50,50 @@ class TestFsExpand:
                 assert len(got) == 2**k - 1
 
 
+def periodic_cases(seed, count):
+    """Seeded (R, L, k, W): R a subset of 0..L-1 with L <= 14, k <= 6 (past
+    L for small L) and W <= 18, kept where the lift oracle has at most
+    5 000 tuples to expand."""
+    rng = random.Random(seed)
+    while count:
+        modulus, k, w = rng.randint(1, 14), rng.randint(1, 6), rng.randint(1, 18)
+        if math.comb(w + k - 1, k) > 5000:
+            continue
+        residues = {t for t in range(modulus) if rng.random() < rng.choice([0.2, 0.5, 0.8])}
+        if rng.random() < 0.7:
+            residues.add(0)
+        count -= 1
+        yield residues, modulus, k, w
+
+
+def colorings(seed, count):
+    """Seeded (coloring of 1..W, k) with W <= 16 and k <= 8, k past W for
+    small W, in two or three colors, or in a single one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        w, k = rng.randint(1, 16), rng.randint(1, 8)
+        palette = rng.choice([1, 2, 3, 3])
+        yield {n: rng.randrange(palette) for n in range(1, w + 1)}, k
+
+
+def lift(residues, modulus, horizon):
+    return {t for t in range(1, horizon + 1) if t % modulus in residues}
+
+
+def formed_sums(candidates, sums, kept, answer):
+    """The sums a least-tuple search forms, over ``candidates`` listed
+    shorter ones first: a candidate is visited when its parent is the empty
+    tuple or a visited tuple that is ``kept``, and it does not come after
+    ``answer`` (a prefix comes before its extensions).  A visit forms the
+    distinct subset ``sums`` of its parent, plus one for the new generator."""
+    live, total = {(): True}, 0
+    for tup in candidates:
+        if live.get(tup[:-1]) and (answer is None or tup <= answer):
+            total += len(sums(tup[:-1])) + 1
+            live[tup] = kept(tup)
+    return total
+
+
 class TestMonochromaticSearch:
     def test_parity_example(self):
         coloring = {n: n % 2 for n in range(1, 7)}
@@ -83,21 +129,28 @@ class TestMonochromaticSearch:
                 assert max(sums) <= w
                 assert len({coloring[s] for s in sums}) == 1
 
-    def test_charge(self):
-        # C(13, 2) increasing pairs of 2^2 sums each: 312; W = 13 was over
-        # the old window constant
-        coloring = {n: n % 2 for n in range(1, 14)}
-        charge = "78 increasing 2-tuples in 1..13 and 2.2 subset sums each charge 312, cap is 311"
-        with pytest.raises(SweepCapExceeded, match=charge):
-            ips.find_monochromatic_fs(coloring, 2, cap=311)
-        assert ips.find_monochromatic_fs(coloring, 2, cap=312) == (2, 4)
+    def test_against_the_lift_oracle(self):
+        for coloring, k in colorings(101, 600):
+            assert ips.find_monochromatic_fs(coloring, k) == lift_monochromatic(coloring, k)
 
-    def test_pairs_over_the_window_are_not_expanded(self, monkeypatch):
-        expanded = []
-        real = ips.fs_expand
-        monkeypatch.setattr(ips, "fs_expand", lambda gens: expanded.append(gens) or real(gens))
-        assert ips.find_monochromatic_fs({n: n for n in range(1, 7)}, 2) is None
-        assert expanded == [g for g in itertools.combinations(range(1, 7), 2) if sum(g) <= 6]
+    def test_charge(self):
+        # W = 13, k = 2, colored by parity: the least witness is (2, 4); the
+        # walk forms 1 sum for each of 1 and 2, and 2 for each pair (1, h),
+        # h = 2 .. 13, and (2, 3), (2, 4): 2 + 2 * 14 = 30
+        coloring = {n: n % 2 for n in range(1, 14)}
+        charge = "increasing 2-tuples in 1..13 form 30 subset sums so far, cap is 29"
+        with pytest.raises(SweepCapExceeded, match=charge):
+            ips.find_monochromatic_fs(coloring, 2, cap=29)
+        assert ips.find_monochromatic_fs(coloring, 2, cap=30) == (2, 4)
+
+    def test_pairs_over_the_window_are_not_extended(self):
+        # one color on 1..5, k = 3: no triple fits.  The pairs (1, 2), (1, 3),
+        # (1, 4), (2, 3) are kept and each extension of one forms 3 + 1 sums:
+        # 3 + 2 * 6 + 4 * 8 = 47.  (2, 4) and (3, 4) total 6 > 5, so their
+        # extension by 5 is never formed; it would charge 8 more.
+        with pytest.raises(SweepCapExceeded, match="form 47 subset sums so far, cap is 46"):
+            ips.find_monochromatic_fs({n: 0 for n in range(1, 6)}, 3, cap=46)
+        assert ips.find_monochromatic_fs({n: 0 for n in range(1, 6)}, 3, cap=47) is None
 
     def test_more_generators_than_the_window_charge_nothing(self):
         # no increasing 30-tuple fits in 1..5, so even 2^30 sums each is free
@@ -105,91 +158,121 @@ class TestMonochromaticSearch:
 
 
 class TestSearchCharge:
-    @pytest.mark.parametrize("cap", [0, 1, 10**6, 2**40])
-    def test_two_to_the_k_over_the_cap_is_refused_before_counting(self, cap, monkeypatch):
-        k = max(cap.bit_length(), 1)
-        monkeypatch.setattr(ips.math, "comb", None)  # not reached
-        match = f"2\\^{k} subset sums each charge at least 2\\^{cap.bit_length()}, cap is {cap}$"
-        with pytest.raises(SweepCapExceeded, match=match):
-            ips.charge_search(k, 10**9, cap, repeated=True)
-        with pytest.raises(SweepCapExceeded):
-            ips.charge_search(k, k, cap, repeated=False)
-
-    def test_huge_tuple_length_is_refused_at_once(self):
-        with pytest.raises(SweepCapExceeded, match="2\\^1000000000 subset sums"):
-            ips.is_ip_star_window(set(), 10**9, 8)
+    """The charge of each search is the number of subset sums it forms:
+    one visit forms the distinct sums of its prefix, plus one."""
 
     def test_charge_against_brute_count(self):
-        for repeated in (False, True):
-            tuples = itertools.combinations_with_replacement if repeated else itertools.combinations
-            for w in range(1, 7):
-                for k in range(1, 6):
-                    charge = sum(1 for _ in tuples(range(1, w + 1), k)) * 2**k
-                    ips.charge_search(k, w, charge, repeated)
-                    if charge:
-                        with pytest.raises(SweepCapExceeded):
-                            ips.charge_search(k, w, charge - 1, repeated)
+        for residues, modulus, k, w in periodic_cases(103, 500):
+            top = min(w, modulus)
+
+            def sums(tup):
+                return {s % modulus for s in brute_subset_sums(tup)}
+
+            answer = ips.is_ip_star_window(residues, modulus, k, w).witness
+            candidates = [t for d in range(1, k + 1)
+                          for t in itertools.combinations_with_replacement(range(1, top + 1), d)]
+            count = formed_sums(candidates, sums, lambda t: not (sums(t) & residues), answer)
+            assert count <= math.comb(w + k - 1, k) * 2**k
+            assert ips.is_ip_star_window(residues, modulus, k, w, cap=count).witness == answer
+            with pytest.raises(SweepCapExceeded, match=f"form {count} subset sums so far, cap is {count - 1}$"):
+                ips.is_ip_star_window(residues, modulus, k, w, cap=count - 1)
+
+        for coloring, k in colorings(107, 500):
+            w = len(coloring)
+
+            def kept(tup):
+                formed = brute_subset_sums(tup)
+                return max(formed) <= w and len({coloring[s] for s in formed}) == 1
+
+            answer = ips.find_monochromatic_fs(coloring, k)
+            # a strictly increasing d-prefix leaves room for k - d larger values
+            candidates = [t for d in range(1, k + 1) for t in itertools.combinations(range(1, w + 1), d)
+                          if t[-1] <= w - k + d]
+            count = formed_sums(candidates, brute_subset_sums, kept, answer)
+            assert count <= math.comb(w, k) * 2**k
+            assert ips.find_monochromatic_fs(coloring, k, cap=count) == answer
+            if count:
+                with pytest.raises(SweepCapExceeded, match=f"form {count} subset sums so far, cap is {count - 1}$"):
+                    ips.find_monochromatic_fs(coloring, k, cap=count - 1)
+
+    def test_huge_tuple_lengths_are_bounded_by_the_cap(self):
+        # 0 is held, so the sums of a kept prefix reach one more residue
+        # with each generator: no tuple longer than L - 1 is kept
+        assert ips.is_ip_star_window({0}, 2, 10**9, 10**9) == (True, None)
+        # with L = 1 000 the walk is deep and wide, and the cap ends it
+        charge = "non-decreasing 1000000000-tuples in 1..1000 form 1000500 subset sums so far, cap is 1000000$"
+        with pytest.raises(SweepCapExceeded, match=charge):
+            ips.is_ip_star_window({0}, 1000, 10**9, 10**9)
+        assert ips.find_monochromatic_fs({n: 0 for n in range(1, 9)}, 10**9, cap=0) is None
 
     @pytest.mark.parametrize("k, w", [(0, 3), (2, 0), (-1, 4)])
     def test_shape(self, k, w):
         with pytest.raises(ArityMismatch):
-            ips.charge_search(k, w, 10**6, repeated=True)
+            ips.is_ip_star_window({0}, 4, k, w)
+        with pytest.raises(ArityMismatch):
+            ips.find_monochromatic_fs({n: 0 for n in range(1, w + 1)}, k)
 
 
 class TestIpStarWindow:
     def test_evens_hold(self):
-        evens = set(range(2, 21, 2))
-        assert ips.is_ip_star_window(evens, 2, 8).holds
+        assert ips.is_ip_star_window({0}, 2, 2, 8).holds
 
     def test_multiples_of_four_fail(self):
-        verdict = ips.is_ip_star_window({4, 8}, 2, 2)
+        verdict = ips.is_ip_star_window({0}, 4, 2, 2)
         assert not verdict.holds and verdict.witness == (1, 1)
 
     def test_everything_holds(self):
-        assert ips.is_ip_star_window(set(range(1, 17)), 2, 8).holds
+        assert ips.is_ip_star_window(range(8), 8, 2, 8).holds
+
+    def test_least_witness_may_be_the_modulus(self):
+        # 0 is not held, so the generator L is the counterexample
+        assert ips.is_ip_star_window({1, 2}, 3, 1, 5) == (False, (3,))
 
     def test_against_brute_force(self):
-        # the search visits non-decreasing tuples only; the oracle visits
-        # every tuple in product order, so both must stop at the same one
-        rng = random.Random(97)
-        for case in range(80):
-            k = rng.randint(1, 4)
-            w = rng.randint(2, {1: 12, 2: 12, 3: 9, 4: 6}[k])
-            if case % 2:
-                s = {n for n in range(1, w * k + 1) if rng.random() < rng.choice([0.3, 0.6, 0.9])}
-            else:
-                s = set(range(rng.randint(2, 5), w * k + 1, rng.randint(2, 5)))
-            verdict = ips.is_ip_star_window(s, k, w)
-            brute = None
-            for tup in itertools.product(range(1, w + 1), repeat=k):
-                if not (brute_subset_sums(tup) & s):
-                    brute = tup
-                    break
-            assert verdict.holds == (brute is None)
-            assert verdict.witness == brute
+        # the oracle expands every non-decreasing tuple in 1..W against the
+        # lift; the search stops at min(W, L) and works mod L
+        for residues, modulus, k, w in periodic_cases(97, 600):
+            values = lift(residues, modulus, max(w * k, 2 * modulus))
+            verdict = ips.is_ip_star_window(residues, modulus, k, w)
+            expected = lift_ip_star(values, k, w)
+            assert verdict == (expected is None, expected), (residues, modulus, k, w)
 
     def test_charge(self):
-        # C(14, 2) non-decreasing pairs of 2^2 sums each: 364
-        evens = set(range(2, 27, 2))
-        charge = "91 non-decreasing 2-tuples in 1..13 and 2.2 subset sums each charge 364, cap is 363"
+        # evens, W = 13: 1 forms {1}, (1, 1) forms {1, 0} and meets 0 mod 2,
+        # (1, 2) forms {2, 3}, and 2 forms {0}: 1 + 2 + 2 + 1 = 6
+        charge = "non-decreasing 2-tuples in 1..2 form 6 subset sums so far, cap is 5"
         with pytest.raises(SweepCapExceeded, match=charge):
-            ips.is_ip_star_window(evens, 2, 13, cap=363)
-        assert ips.is_ip_star_window(evens, 2, 13, cap=364).holds
+            ips.is_ip_star_window({0}, 2, 2, 13, cap=5)
+        assert ips.is_ip_star_window({0}, 2, 2, 13, cap=6).holds
 
 
 class TestSyndeticGap:
     def test_evens(self):
-        assert ips.syndetic_gap(range(2, 101, 2), 1, 100) == 2
+        assert ips.syndetic_gap({0}, 2, 100) == 2
 
     def test_squares(self):
-        assert ips.syndetic_gap([i * i for i in range(1, 11)], 1, 100) == 19
+        # the squares mod 16 are 0, 1, 4 and 9, so the widest cyclic gap is 9 to 16
+        assert ips.syndetic_gap({0, 1, 4, 9}, 16, 100) == 7
 
     def test_empty(self):
-        assert ips.syndetic_gap([], 1, 100) is None
+        assert ips.syndetic_gap([], 4, 100) is None
+
+    def test_wrap_around(self):
+        # 1, 2, 11, 12 in 1..20: the widest gap runs from 2 to 11, across a period
+        assert ips.syndetic_gap({1, 2}, 10, 20) == 9
 
     def test_bad_interval(self):
         with pytest.raises(ArityMismatch):
-            ips.syndetic_gap([1], 5, 5)
+            ips.syndetic_gap([1], 5, 9)
+
+    def test_against_the_lift(self):
+        rng = random.Random(109)
+        for _ in range(3000):
+            modulus = rng.randint(1, 14)
+            residues = {t for t in range(modulus) if rng.random() < rng.choice([0.1, 0.5, 0.9])}
+            horizon = rng.randint(2 * modulus, 5 * modulus + 3)
+            values = lift(residues, modulus, horizon)
+            assert ips.syndetic_gap(residues, modulus, horizon) == lift_gap(values, 1, horizon)
 
 
 class TestColoringJson:

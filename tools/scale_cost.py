@@ -22,12 +22,12 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   1 000 distinct rows (e mod 40)/40, floor(e / 40)/25 of two operators with
   f = (z, C(z, 2)) charge 2 * 10^6, so they are refused.
 - window: the subset-sum searches at the default cap, which charges the
-  tuples they visit times the 2^k subset sums of each.  ip-star with k = 2
-  on a 4-cycle whose A is every point, so each key holds and the whole
-  window is searched: W = 706 charges C(707, 2) * 4 = 998 284 and decides,
-  W = 707 charges 1 001 112 and is refused.  hindman-search with k = 2 on
-  706 distinct colors, which has no witness, so every pair is visited:
-  C(706, 2) * 4 = 995 460.
+  subset sums they form.  ip-star with k = 2 on a 4-cycle whose A is every
+  point, so each residue holds: the window is searched mod 4 and forms 4
+  sums whatever W is; W = 706, 707 and 10^9 (the first two charged
+  C(W + 1, 2) * 4 up front, so 707 was refused).  hindman-search with k = 2
+  on 706 distinct colors, which has no witness, so every pair is visited:
+  705 first generators and C(706, 2) pairs of 2 sums each form 498 435.
 
 Each case runs ``python -m polyrec.cli run FILE --json REPORT`` in a child
 with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
@@ -92,6 +92,7 @@ CASES = [
     ("spectral-rows-1000", scenario("spectral-rows-1000", "spectral-limit", ROWS_1000), None),
     *((f"ip-star-window-{w}", scenario(f"ip-star-window-{w}", "ip-star", {**WHOLE_4, "k": 2, "W": w}), None)
       for w in (706, 707)),
+    ("ip-star-window-1e9", scenario("ip-star-window-1e9", "ip-star", {**WHOLE_4, "k": 2, "W": 10**9}), None),
     ("hindman-706", scenario("hindman-706", "hindman-search", DISTINCT_706), None),
 ]
 # Run as ``python -S -c LAUNCHER STDOUT ARGV...``: it holds only itself when it

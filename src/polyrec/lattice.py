@@ -93,12 +93,7 @@ def zero_lattice(ambient: int) -> Lattice:
 
 
 def full_lattice(ambient: int) -> Lattice:
-    return scaled(ambient, 1)
-
-
-def scaled(ambient: int, factor: int) -> Lattice:
-    """The lattice factor * Z^ambient."""
-    return diagonal([factor] * ambient)
+    return diagonal([1] * ambient)
 
 
 def diagonal(steps: Sequence[int]) -> Lattice:

@@ -6,9 +6,9 @@ rational phases: eigenvector e is scaled by exp(2*pi*i*theta[e][i]) under
 U_i.  For such families the long-run behaviour of products
 U_1^{f_1(z)} ... U_m^{f_m(z)} along any sufficiently invariant set of z is
 computable exactly: the product is the identity on the diagonal lattice of
-the least periods of the phase combinations (:func:`keyengine.least_periods`),
-which is returned as a certificate verified from their binomial
-coordinates (:func:`keyengine.first_escape`).
+the lcm of the least periods modulo q * Z of the phase polynomials, one per
+distinct row (:func:`keyengine.least_periods`), which is returned as a
+certificate verified row by row (:func:`keyengine.first_escape`).
 Projection predicates and the quadratic averaging expansion are checked in
 exact Gaussian-rational arithmetic.
 """
@@ -209,7 +209,7 @@ def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
 
     Eigenvector e's phase at z vanishes exactly when q divides g_e(z), and
     equal rows give equal polynomials, so the distinct rows decide every
-    claim about the target q * Z^D.
+    eigenvector.
     """
     q = phase_lcm(u)
     combos = []
@@ -226,15 +226,15 @@ def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
 def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
     """Refuse a family whose certificate would cost more than ``cap``.
 
-    The charge is the number of distinct phase rows squared times the
-    number of distinct binomial indices of ``fs``: what
-    :func:`keyengine.least_periods` and :func:`keyengine.first_escape` cost
-    against q * Z^k, k the number of distinct rows.  :func:`limit_projection`
-    and :func:`verify_limit_certificate` charge it before any lattice is built.
+    The charge is the number of distinct phase rows times the number of
+    distinct binomial indices of ``fs``: each row is decided on its own
+    against q * Z by :func:`keyengine.least_periods` and
+    :func:`keyengine.first_escape`.  :func:`limit_projection` and
+    :func:`verify_limit_certificate` charge it before any lattice is built.
     """
     rows = len(dict.fromkeys(u.phases))
     indices = len({idx for f in fs for idx, _ in f.terms})
-    amount = rows * rows * indices
+    amount = rows * indices
     charge(amount, cap, f"{rows} distinct phase rows and {indices} binomial indices "
            f"charge {amount}")
 
@@ -242,19 +242,19 @@ def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
 def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CAP) -> ProjectionDesc:
     """Long-run projection of the powered family, with a lattice certificate.
 
-    For exponent polynomials vanishing at the origin, the powered product
-    is the identity on the diagonal lattice of the least periods of the
-    phase polynomials modulo q * Z^k (:func:`keyengine.least_periods`), q
-    the common order of the phases and k the number of distinct rows.  The
-    certificate lattice is checked with :func:`verify_limit_certificate`
+    For exponent polynomials vanishing at the origin, coordinate j's periods
+    of each phase polynomial modulo q * Z, q the common order of the phases,
+    are N_j(e) * Z (:func:`keyengine.least_periods`), so the powered product
+    is the identity on the diagonal lattice of the lcm over the rows of the
+    N_j(e).  The certificate is checked with :func:`verify_limit_certificate`
     before being returned, so the identity claim is checked, not assumed.
     """
     _check_budget(u, fs, cap)
     _check_exponents(u, fs)
     intpoly.exponent_tuple(fs)
-    combos = _phase_polys(u, fs)
-    target = lattice.scaled(len(combos), phase_lcm(u))
-    cert = lattice.diagonal(keyengine.least_periods(combos, target))
+    target = lattice.diagonal([phase_lcm(u)])
+    periods = [keyengine.least_periods([g], target) for g in _phase_polys(u, fs)]
+    cert = lattice.diagonal([math.lcm(*steps) for steps in zip(*periods)])
     verify_limit_certificate(u, fs, cert, cap=cap)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
@@ -264,11 +264,12 @@ def verify_limit_certificate(
 ) -> None:
     """Decide that all eigen-phases vanish on the whole certificate lattice.
 
-    The claim is that the phase polynomials (:func:`_phase_polys`) land in
-    q * Z^k on the lattice; :func:`keyengine.first_escape` decides it on
-    the lattice's Hermite coordinates (:func:`keyengine.restrict`).  Raises
-    :class:`VerificationFailed` with the bad point whose lattice
-    coordinates are lexicographically least among the non-negative ones.
+    The claim is that each phase polynomial (:func:`_phase_polys`) lands in
+    q * Z on the lattice; :func:`keyengine.first_escape` decides it row by
+    row on the lattice's Hermite coordinates (:func:`keyengine.restrict`).
+    Raises :class:`VerificationFailed` at the least escaping index over the
+    rows, which is the bad point whose lattice coordinates are
+    lexicographically least among the non-negative ones.
     """
     _check_budget(u, fs, cap)
     n = _check_exponents(u, fs)
@@ -277,11 +278,12 @@ def verify_limit_certificate(
             f"certificate lattice lives in Z^{cert.ambient}, polynomials take {n} variables"
         )
     # restriction is linear, so restrict the m polynomials f_i once and
-    # combine them into the k phase polynomials after
-    combos = _phase_polys(u, keyengine.restrict(fs, cert))
-    a = keyengine.first_escape(combos, lattice.scaled(len(combos), phase_lcm(u)))
-    if a is not None:
-        point = keyengine.lattice_point(cert, a)
+    # combine them into the phase polynomials after
+    target = lattice.diagonal([phase_lcm(u)])
+    rows = _phase_polys(u, keyengine.restrict(fs, cert))
+    escapes = [a for a in (keyengine.first_escape([g], target) for g in rows) if a is not None]
+    if escapes:
+        point = keyengine.lattice_point(cert, min(escapes))
         raise VerificationFailed(
             witness=point,
             message=f"certificate lattice leaves a nonzero phase at {point}",

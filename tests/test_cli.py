@@ -359,7 +359,7 @@ class TestExitCodes:
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
         assert "so its index is infinite" in proc.stderr
 
-    def test_ip_star_caps_are_checked_before_the_lift(self, tmp_path):
+    def test_ip_star_huge_windows_decide(self, tmp_path):
         # the window is searched mod L = 2, so a huge W or k decides at once:
         # no set of max(W * k, 2 L) values is built, and no tuple of 1..W
         # is visited past L
@@ -373,7 +373,7 @@ class TestExitCodes:
             assert '   ip_star: {"holds":true,"witness":null}\n' in proc.stdout
             assert cpu < 2.0, (key, cpu)
 
-    def test_ip_star_window_is_charged_before_the_sweep(self, tmp_path):
+    def test_ip_star_grid_refusal_comes_before_the_window(self, tmp_path):
         # the window charges only the sums its search forms, after the
         # sweep; the 2 000-cycle's grid and measures are over the cap first
         payload = {**ncycle_payload(2000, 1000), "k": 2, "W": 707}
@@ -641,12 +641,18 @@ def spectral_payload(dim, fs):
 
 class TestSpectralCap:
     # phases k/4 give 4 distinct rows; two binomial indices, (1, 0) and
-    # (1, 1): 4^2 * 2 = 32 (7^2 * 2 = 98 would charge every eigenvector)
+    # (1, 1): 4 * 2 = 8 (7 * 2 = 14 would charge every eigenvector)
     FS = [{"nvars": 2, "terms": [{"idx": [1, 0], "coef": "1"}, {"idx": [1, 1], "coef": "3"}]}]
     Z = {"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}
-    # 1 000 distinct rows over two operators, f = (z, C(z, 2)): 1000^2 * 2
+    # 1 000 distinct rows over two operators, f = (z, C(z, 2))
     ROWS = [[f"{e % 40}/40", f"{e // 40}/25"] for e in range(1000)]
     PAIR = [Z, {"nvars": 1, "terms": [{"idx": [2], "coef": "1"}]}]
+    # the 2 142 phases of order at most 83, one operator, against a dense
+    # degree-8 f in 4 variables: 2142 * 494 = 1 058 148
+    FAREY = [[f"{a}/{b}"] for b in range(1, 84) for a in range(b) if math.gcd(a, b) == 1]
+    DENSE = {"nvars": 4, "terms": [{"idx": list(idx), "coef": "1"}
+                                   for idx in itertools.product(range(9), repeat=4)
+                                   if 1 <= sum(idx) <= 8]}
 
     @staticmethod
     def child_cpu(*args):
@@ -655,12 +661,12 @@ class TestSpectralCap:
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
 
-    def test_charge_is_distinct_rows_squared_times_indices(self, tmp_path):
+    def test_charge_is_distinct_rows_times_indices(self, tmp_path):
         path = scenario_file(tmp_path / "sl.json", "spectral-limit", spectral_payload(7, self.FS))
-        code, out, err = run_in_process("run", str(path), "--cap", "31")
+        code, out, err = run_in_process("run", str(path), "--cap", "7")
         assert code == 2 and out == ""
-        assert "4 distinct phase rows and 2 binomial indices charge 32, cap is 31" in err
-        code, out, err = run_in_process("run", str(path), "--cap", "32")
+        assert "4 distinct phase rows and 2 binomial indices charge 8, cap is 7" in err
+        code, out, err = run_in_process("run", str(path), "--cap", "8")
         assert code == 0 and "HOLDS" in out, err
 
     def test_repeated_rows_decide_at_the_default_cap(self, tmp_path):
@@ -675,14 +681,14 @@ class TestSpectralCap:
         assert certs[1001]["lattice"] == certs[4]["lattice"]
 
     def test_distinct_rows_over_the_cap_are_refused_quickly(self, tmp_path):
-        unitary = {"phases": self.ROWS}
-        payload = {"unitary": unitary, "fs": self.PAIR}
+        unitary = {"phases": self.FAREY}
+        payload = {"unitary": unitary, "fs": [self.DENSE]}
         path = scenario_file(tmp_path / "sl.json", "spectral-limit", payload)
         cert = tmp_path / "sl.cert.json"
-        full = {"ambient": 1, "basis": [[1000]]}
+        full = {"ambient": 4, "basis": [[int(i == j) for i in range(4)] for j in range(4)]}
         cert.write_text(json.dumps({"schema_version": 1, "certificate_kind": "spectral-limit",
-                                    "unitary": unitary, "fs": self.PAIR, "lattice": full}))
-        charge = "1000 distinct phase rows and 2 binomial indices charge 2000000, cap is 1000000"
+                                    "unitary": unitary, "fs": [self.DENSE], "lattice": full}))
+        charge = "2142 distinct phase rows and 494 binomial indices charge 1058148, cap is 1000000"
         for args in (("run", str(path)), ("verify-certificate", str(cert))):
             proc, cpu = self.child_cpu(*args)
             assert proc.returncode == 2 and proc.stdout == "", proc.stderr
@@ -702,18 +708,28 @@ class TestSpectralCap:
     def test_direct_calls_charge_the_cap(self):
         u = sp.phase_unitary(spectral_payload(7, self.FS)["unitary"]["phases"])
         fs = [ip.from_json(f) for f in self.FS]
-        cert = sp.limit_projection(u, fs, cap=32).certificate
-        sp.verify_limit_certificate(u, fs, cert, cap=32)
-        with pytest.raises(SweepCapExceeded, match="charge 32, cap is 31"):
-            sp.limit_projection(u, fs, cap=31)
-        with pytest.raises(SweepCapExceeded, match="charge 32, cap is 31"):
-            sp.verify_limit_certificate(u, fs, cert, cap=31)
+        cert = sp.limit_projection(u, fs, cap=8).certificate
+        sp.verify_limit_certificate(u, fs, cert, cap=8)
+        with pytest.raises(SweepCapExceeded, match="charge 8, cap is 7"):
+            sp.limit_projection(u, fs, cap=7)
+        with pytest.raises(SweepCapExceeded, match="charge 8, cap is 7"):
+            sp.verify_limit_certificate(u, fs, cert, cap=7)
+
+    @pytest.mark.parametrize("case", ["spectral-rows-1000", "spectral-rows-10000"])
+    def test_distinct_rows_of_the_scale_harness_decide(self, tmp_path, case):
+        # rows x indices charge 2 000 and 20 000
+        root = Path(__file__).resolve().parent.parent
+        harness = runpy.run_path(str(root / "tools" / "scale_cost.py"))
+        [(name, doc, cap)] = [c for c in harness["CASES"] if c[0] == case]
+        assert cap is None
+        result = harness["run_case"](root / "src", tmp_path, name, doc, cap)
+        assert result["exit"] == 0 and result["cpu_s"] < 2.0, result
 
 
 def test_every_scale_harness_case_is_schema_valid(tmp_path):
     # the cases are written and loaded, not run: some take seconds
     harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
-    assert len(harness["CASES"]) == 17
+    assert len(harness["CASES"]) == 18
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))

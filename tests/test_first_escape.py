@@ -142,7 +142,7 @@ def sweep_periodicity(fs, orders, starts, degree):
 def sweep_khintchine(sys_, query):
     period = dy.system_period(sys_, query.fs)
     q = math.lcm(*dy.map_orders(sys_))
-    sub = lat.scaled(query.fs[0].nvars, q * lcm_upto(max(f.degree for f in query.fs)))
+    sub = lat.diagonal([q * lcm_upto(max(f.degree for f in query.fs))] * query.fs[0].nvars)
     mu_a = sys_.measure(sorted(query.A))
     best, witness = None, (0,) * query.fs[0].nvars
     for z in product(*(range(p) for p in period)):
@@ -209,7 +209,7 @@ def random_lattice(rng, n, good_step):
     if pick < 0.1:
         return lat.zero_lattice(n)
     if pick < 0.35:
-        return lat.scaled(n, good_step)
+        return lat.diagonal([good_step] * n)
     if pick < 0.55:
         return lat.full_lattice(n)
     if pick < 0.75 and n > 1:
@@ -231,7 +231,7 @@ class TestFirstEscape:
     def test_index_is_least_failing_point(self):
         # u(z) = C(z, 2): u(0) = u(1) = 0, u(2) = 1
         u = ip.binpoly(1, {(2,): 1})
-        assert ke.first_escape([u], lat.scaled(1, 2)) == (2,)
+        assert ke.first_escape([u], lat.diagonal([2])) == (2,)
         assert ke.first_escape([u], lat.full_lattice(1)) is None
 
     def test_zero_tuple_lands_everywhere(self):
@@ -239,8 +239,8 @@ class TestFirstEscape:
 
     def test_rank_zero_lattice_is_the_origin(self):
         v = [ip.binpoly(2, {(0, 0): 3, (1, 1): 1})]
-        assert ke.first_escape_point(v, lat.scaled(1, 3), lat.zero_lattice(2)) is None
-        assert ke.first_escape_point(v, lat.scaled(1, 2), lat.zero_lattice(2)) == (0, 0)
+        assert ke.first_escape_point(v, lat.diagonal([3]), lat.zero_lattice(2)) is None
+        assert ke.first_escape_point(v, lat.diagonal([2]), lat.zero_lattice(2)) == (0, 0)
 
     def test_index_agrees_with_least_failing_value(self):
         rng = random.Random(151)
@@ -458,7 +458,7 @@ def combine_then_pullback(u, fs, cert):
             for idx, coef in f.terms:
                 acc[idx] = acc.get(idx, 0) + int(q * p) * coef
         combos.append(ip.binpoly(fs[0].nvars, acc))
-    return pullback_escape_point(combos, lat.scaled(u.dim, q), cert)
+    return pullback_escape_point(combos, lat.diagonal([q] * u.dim), cert)
 
 
 class TestRestrictionRoutes:
@@ -487,7 +487,7 @@ class TestRestrictionRoutes:
         calls = []
         pullback = ip.pullback
         monkeypatch.setattr(ip, "pullback", lambda f, rows: calls.append(rows) or pullback(f, rows))
-        assert ke.key_lemma_lattice(ke.key_instance(v, V), lat.full_lattice(1)) == lat.scaled(1, 4)
+        assert ke.key_lemma_lattice(ke.key_instance(v, V), lat.full_lattice(1)) == lat.diagonal([4])
         assert calls == [[[4]], [[4]]]
 
     def test_limit_certificate_restricts_each_polynomial_once(self, monkeypatch):

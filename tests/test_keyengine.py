@@ -39,7 +39,7 @@ def rank_certificate(v, cert):
 def vanishing_lattice(fs, q):
     """The least diagonal lattice on which every f_i is divisible by q, the
     way the spectral-limit certificate takes it."""
-    return lat.diagonal(ke.least_periods(fs, lat.scaled(len(fs), q)))
+    return lat.diagonal(ke.least_periods(fs, lat.diagonal([q] * len(fs))))
 
 
 class TestVanishingLattice:
@@ -203,19 +203,19 @@ class TestLeastPeriods:
 class TestMembershipVerifier:
     def test_counterexample_found(self):
         v = ip.polytuple([ip.binpoly(1, {(1,): 1})])
-        bad = ke.verify_value_membership(v, [0], lat.scaled(1, 2), lat.full_lattice(1))
+        bad = ke.verify_value_membership(v, [0], lat.diagonal([2]), lat.full_lattice(1))
         assert bad == (1,)
 
     def test_holds_on_correct_lattice(self):
         v = ip.polytuple([ip.binpoly(1, {(1,): 1})])
-        assert ke.verify_value_membership(v, [0], lat.scaled(1, 2), lat.scaled(1, 2)) is None
+        assert ke.verify_value_membership(v, [0], lat.diagonal([2]), lat.diagonal([2])) is None
 
     def test_decides_beyond_old_sweep_cap(self):
         # the period grid of this claim has 194^2 points, far more than the
         # 10-point budget that used to refuse it
         v = ip.polytuple([ip.binpoly(2, {(1, 1): 1})])
-        assert ke.verify_value_membership(v, [0], lat.scaled(1, 97), lat.full_lattice(2)) == (1, 1)
-        assert ke.verify_value_membership(v, [0], lat.scaled(1, 97), lat.scaled(2, 97)) is None
+        assert ke.verify_value_membership(v, [0], lat.diagonal([97]), lat.full_lattice(2)) == (1, 1)
+        assert ke.verify_value_membership(v, [0], lat.diagonal([97]), lat.diagonal([97] * 2)) is None
 
     def test_decision_procedure_agrees_with_wide_scan(self):
         # the sweep claims to *decide* the for-all statement; cross-check it
@@ -248,7 +248,7 @@ class TestKeyLemma:
         v = ip.polytuple(
             [ip.binpoly(1, {(1,): 1}), ip.from_monomial_coeffs(1, {(2,): 1})]
         )
-        inst = ke.key_instance(v, lat.scaled(2, 2))
+        inst = ke.key_instance(v, lat.diagonal([2] * 2))
         out = ke.key_lemma_lattice(inst, lat.full_lattice(1))
         assert out.rank == 1
         step = out.basis[0][0]
@@ -266,7 +266,7 @@ class TestKeyLemma:
 
     def test_zero_map_returns_everything(self):
         v = ip.polytuple([ip.binpoly(2, {})])
-        inst = ke.key_instance(v, lat.scaled(1, 7))
+        inst = ke.key_instance(v, lat.diagonal([7]))
         assert ke.key_lemma_lattice(inst, lat.full_lattice(2)) == lat.full_lattice(2)
 
     def test_hypothesis_failure_reports_witness(self):
@@ -323,7 +323,7 @@ class TestKeyLemma:
                 ip.from_monomial_coeffs(1, {(2,): 1, (0,): -2}),
             ]
         )
-        inst = ke.key_instance(v, lat.scaled(2, 3))
+        inst = ke.key_instance(v, lat.diagonal([3] * 2))
         out = ke.key_lemma_lattice(inst, lat.full_lattice(1))
         step = out.basis[0][0]
         for k in range(-5, 6):
@@ -489,7 +489,7 @@ class TestCertificateJson:
         v = ip.polytuple(
             [ip.binpoly(1, {(1,): 1}), ip.from_monomial_coeffs(1, {(2,): 1})]
         )
-        inst = ke.key_instance(v, lat.scaled(2, 2))
+        inst = ke.key_instance(v, lat.diagonal([2] * 2))
         out = ke.key_lemma_lattice(inst, lat.full_lattice(1))
         doc = {
             "certificate_kind": "key-lemma",

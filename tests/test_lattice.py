@@ -177,7 +177,7 @@ class TestSmallestMultiple:
 
     @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 2.0])
     def test_non_integer_entry_raises(self, entry):
-        l = lat.scaled(2, 3)
+        l = lat.diagonal([3] * 2)
         for walk in (lat.smallest_multiple, lat.contains):
             with pytest.raises(TypeError):
                 walk(l, [1, entry])
@@ -298,9 +298,9 @@ class TestRationalSpan:
 
 class TestScaledAndJson:
     def test_scaled_examples(self):
-        assert lat.scaled(2, 1) == lat.full_lattice(2)
-        assert lat.scaled(1, 6).basis == ((6,),)
-        assert lat.index(lat.scaled(2, 4)) == 16
+        assert lat.diagonal([1] * 2) == lat.full_lattice(2)
+        assert lat.diagonal([6]).basis == ((6,),)
+        assert lat.index(lat.diagonal([4] * 2)) == 16
 
     def test_diagonal_is_canonical(self):
         steps = (4, 1, 6)

@@ -26,7 +26,7 @@ RECORDS = {
     ),
     "Lattice": (
         lambda: lat.hnf_from_generators(2, [[2, 4], [0, 6]]),
-        lambda: lat.scaled(2, 2),
+        lambda: lat.diagonal([2] * 2),
         "basis",
     ),
     "PolyTuple": (

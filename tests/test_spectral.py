@@ -68,7 +68,7 @@ class TestLimitProjection:
         from polyrec import lattice as lat
 
         with pytest.raises(VerificationFailed):
-            sp.verify_limit_certificate(u, [ZSQ], lat.scaled(1, 3))
+            sp.verify_limit_certificate(u, [ZSQ], lat.diagonal([3]))
 
     def test_section_fixture_all_identity(self):
         # bilinear exponent, its shifted two-block version, and single shifts
@@ -100,14 +100,14 @@ def all_rows_phase_polys(u, fs):
 
 
 def all_rows_certificate(u, fs):
-    target = lat.scaled(u.dim, sp.phase_lcm(u))
+    target = lat.diagonal([sp.phase_lcm(u)] * u.dim)
     return lat.diagonal(ke.least_periods(all_rows_phase_polys(u, fs), target))
 
 
 def all_rows_escape(u, fs, cert):
     """The point at which cert leaves a nonzero phase, or None."""
     combos = all_rows_phase_polys(u, ke.restrict(fs, cert))
-    a = ke.first_escape(combos, lat.scaled(u.dim, sp.phase_lcm(u)))
+    a = ke.first_escape(combos, lat.diagonal([sp.phase_lcm(u)] * u.dim))
     return None if a is None else ke.lattice_point(cert, a)
 
 
@@ -145,6 +145,90 @@ class TestDistinctRows:
             assert got == expected, (u, fs, tampered)
             failures += expected is not None
         assert repeated > 150 and several > 100 and 50 < failures < 250, (repeated, several, failures)
+
+
+def joint_target(u, fs):
+    """The distinct rows' phase polynomials and q * Z^k, k of them: the one
+    target that spectral decided all the rows against before it took them
+    one by one."""
+    combos = sp._phase_polys(u, fs)
+    return combos, lat.diagonal([sp.phase_lcm(u)] * len(combos))
+
+
+def joint_certificate(u, fs):
+    return lat.diagonal(ke.least_periods(*joint_target(u, fs)))
+
+
+def joint_escape(u, fs, cert):
+    a = ke.first_escape(*joint_target(u, ke.restrict(fs, cert)))
+    return None if a is None else ke.lattice_point(cert, a)
+
+
+def random_family(rng):
+    """A phase table of 1..40 distinct rows over 1..3 operators, with
+    denominators in 1..12 and 720, and exponent polynomials in 1..3
+    variables that vanish at the origin."""
+    n, ops = rng.randint(1, 3), rng.randint(1, 3)
+    dens = rng.sample([*range(1, 13), 720], rng.randint(1, 3))
+    rows = [
+        [Fraction(rng.randrange(d), d) for d in rng.choices(dens, k=ops)]
+        for _ in range(rng.randint(1, 40))
+    ]
+    fs = [random_binpoly(rng, n, rng.randint(1, 3), bound=6) for _ in range(ops)]
+    return sp.phase_unitary(rows), [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
+
+
+class TestRowByRow:
+    """Each distinct row decided against q * Z, against all of them at once
+    against q * Z^k, kept as the oracle."""
+
+    def test_matches_the_joint_target(self):
+        rng = random.Random(283)
+        wide = by_max = tampered = failures = 0
+        for _ in range(150):
+            u, fs = random_family(rng)
+            wide += len(set(u.phases)) > 10
+            cert = sp.limit_projection(u, fs).certificate
+            joint = joint_certificate(u, fs)
+            assert cert == joint, (u, fs)
+            # the oracle tells the rows' periods combined by max from their lcm
+            q = lat.diagonal([sp.phase_lcm(u)])
+            periods = [ke.least_periods([g], q) for g in sp._phase_polys(u, fs)]
+            by_max += lat.diagonal([max(s) for s in zip(*periods)]) != joint
+            steps = [col[j] for j, col in enumerate(cert.basis)]
+            coarse = [j for j, s in enumerate(steps) if s > 1]
+            if not coarse:
+                continue
+            j = rng.choice(coarse)
+            steps[j] = rng.choice([d for d in range(1, steps[j]) if steps[j] % d == 0])
+            bad = lat.diagonal(steps)
+            expected = joint_escape(u, fs, bad)
+            try:
+                sp.verify_limit_certificate(u, fs, bad)
+                got = None
+            except VerificationFailed as exc:
+                got = exc.witness
+            assert got == expected, (u, fs, bad)
+            tampered += 1
+            failures += expected is not None
+        assert wide > 50 and by_max > 20, (wide, by_max)
+        assert tampered > 100 and failures > 80, (tampered, failures)
+
+    def test_no_target_is_wider_than_the_polynomials(self, monkeypatch):
+        widths = []
+        diagonal = lat.diagonal
+
+        def recorded(steps):
+            widths.append(len(steps))
+            return diagonal(steps)
+
+        monkeypatch.setattr(lat, "diagonal", recorded)
+        rows = [[f"{e % 40}/40", f"{e // 40}/25"] for e in range(1000)]
+        fs = [ip.binpoly(1, {(1,): 1}), ip.binpoly(1, {(2,): 1})]
+        # the raised cap keeps this a check of the widths, whatever the charge
+        desc = sp.limit_projection(sp.phase_unitary(rows), fs, cap=10**7)
+        assert desc.certificate == diagonal([200])
+        assert widths and max(widths) == 1, max(widths)
 
 
 class TestOrbitFixed:

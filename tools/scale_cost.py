@@ -15,12 +15,14 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   n = 500, 1 000 and 2 000 at the default cap (2 000 + 2 000 * 1 000 is over
   it, so it is refused), and n = 2 000 and 4 000 under ``--cap 100000000``.
 - spectral: spectral-limit at the default cap, which charges the distinct
-  phase rows squared per binomial index.  D eigenvectors of one operator
+  phase rows times the binomial indices.  D eigenvectors of one operator
   with phases (e mod 12)/12 have 12 distinct rows: f = z at D = 500, 1 000
-  and 2 000 (charge 144), and f = the sum of all 14 binomial coordinates
-  C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and 500 (charge 2 016).
-  1 000 distinct rows (e mod 40)/40, floor(e / 40)/25 of two operators with
-  f = (z, C(z, 2)) charge 2 * 10^6, so they are refused.
+  and 2 000 (charge 12), and f = the sum of all 14 binomial coordinates
+  C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and 500 (charge 168).
+  Two operators with f = (z, C(z, 2)): 1 000 distinct rows (e mod 40)/40,
+  floor(e / 40)/25 charge 2 000 and decide (charged rows squared, they were
+  refused), and 10 000 distinct rows (e mod 100)/100, floor(e / 100)/100
+  charge 2 * 10^4.
 - window: the subset-sum searches at the default cap, which charges the
   subset sums they form.  ip-star with k = 2 on a 4-cycle whose A is every
   point, so each residue holds: the window is searched mod 4 and forms 4
@@ -80,6 +82,10 @@ ROWS_1000 = {
     "unitary": {"phases": [[f"{e % 40}/40", f"{e // 40}/25"] for e in range(1000)]},
     "fs": [Z, poly(1, [(2,)])],
 }
+ROWS_10000 = {
+    "unitary": {"phases": [[f"{e % 100}/100", f"{e // 100}/100"] for e in range(10000)]},
+    "fs": ROWS_1000["fs"],
+}
 WHOLE_4 = cycle_payload(4, 4, Z)
 DISTINCT_706 = {"coloring": {"W": 706, "colors": list(range(706))}, "k": 2}
 CASES = [
@@ -90,6 +96,7 @@ CASES = [
     *((f"spectral-z-{d}", spectral(f"spectral-z-{d}", d, Z), None) for d in (500, 1000, 2000)),
     *((f"spectral-deg4-{d}", spectral(f"spectral-deg4-{d}", d, DEGREE_4), None) for d in (250, 500)),
     ("spectral-rows-1000", scenario("spectral-rows-1000", "spectral-limit", ROWS_1000), None),
+    ("spectral-rows-10000", scenario("spectral-rows-10000", "spectral-limit", ROWS_10000), None),
     *((f"ip-star-window-{w}", scenario(f"ip-star-window-{w}", "ip-star", {**WHOLE_4, "k": 2, "W": w}), None)
       for w in (706, 707)),
     ("ip-star-window-1e9", scenario("ip-star-window-1e9", "ip-star", {**WHOLE_4, "k": 2, "W": 10**9}), None),

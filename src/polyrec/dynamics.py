@@ -8,8 +8,9 @@ f_i vanishing at the origin, the return measure
 
 depends only on the residues f_i(z) mod order_i, the orders of the maps.
 Those residues are periodic in each coordinate j of z, with a least period
-N_j that divides q * lcm(1..d) (q the lcm of the orders, d the max degree)
-and is decided from binomial coordinates (:func:`keyengine.least_periods`).
+N_j that divides q * lcm(1..d) (q the lcm of the orders, d the max degree):
+the lcm of the least periods of each f_i modulo its own order_i, decided
+from binomial coordinates (:func:`keyengine.cyclic_periods`).
 The sets where the return measure clears the threshold mu(A)^2 - eps are
 therefore computed *exactly* as unions of residue classes, in one pass over
 the minimal period grid that sums the exponents up from forward
@@ -30,10 +31,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, compress, product, starmap
+from itertools import accumulate, combinations, compress, product, starmap
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from . import intpoly, ipstruct, keyengine, lattice
+from . import intpoly, ipstruct, keyengine
 from .errors import (
     ArityMismatch,
     NotBijective,
@@ -103,11 +104,14 @@ def build_system(
     points: Sequence[str],
     weights: Mapping[str, Fraction | int | str],
     maps: Sequence[Sequence[str]],
+    cap: int = SWEEP_CAP,
 ) -> FiniteSystem:
     """Validate and build a system; every invariant is checked eagerly.
 
     Each map is a list of images aligned with ``points``.  Raises with a
-    concrete witness on any violation.
+    concrete witness on any violation.  Commutation is charged and checked
+    per pair of distinct maps (first occurrences), which holds the first
+    disagreeing pair of all maps.
     """
     pts = tuple(str(p) for p in points)
     if len(set(pts)) != len(pts):
@@ -132,6 +136,7 @@ def build_system(
         raise UnknownPoint(f"weight given for unknown point {stray!r}")
 
     perms: List[Tuple[int, ...]] = []
+    first: Dict[Tuple[int, ...], int] = {}
     for mi, images in enumerate(maps):
         if len(images) != len(pts):
             raise NotBijective(f"map {mi} does not assign an image to every point")
@@ -149,21 +154,19 @@ def build_system(
                     f"map {mi} moves mass at {pts[x]!r}: {wts[x]} -> {wts[perm[x]]}"
                 )
         perms.append(perm)
+        first.setdefault(perm, mi)
 
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            for x in range(len(pts)):
-                if perms[i][perms[j][x]] != perms[j][perms[i][x]]:
-                    raise NotCommuting(f"maps {i} and {j} disagree at point {pts[x]!r}")
+    pairs = len(first) * (len(first) - 1) // 2
+    charge(pairs * len(pts), cap, f"{pairs} pairs of distinct maps at {len(pts)} points "
+           f"charge {pairs * len(pts)}")
+    for (p, i), (q, j) in combinations(first.items(), 2):
+        for x in range(len(pts)):
+            if p[q[x]] != q[p[x]]:
+                raise NotCommuting(f"maps {i} and {j} disagree at point {pts[x]!r}")
     denominator = math.lcm(*(w.denominator for w in wts))
     mass = tuple(w.numerator * (denominator // w.denominator) for w in wts)
     cycles, place = zip(*map(_cycle_table, perms)) if perms else ((), ())
     return FiniteSystem(pts, tuple(perms), pos, mass, denominator, cycles, place)
-
-
-def system_from_json(obj: Mapping) -> FiniteSystem:
-    """{"points": [...], "weights": {"pt": "p/q"}, "maps": [[image list], ...]}."""
-    return build_system(obj["points"], obj["weights"], obj["maps"])
 
 
 class RecurrenceQuery(NamedTuple):
@@ -208,14 +211,14 @@ def map_orders(sys: FiniteSystem) -> Tuple[int, ...]:
 def system_period(sys: FiniteSystem, fs: Sequence[BinPoly]) -> Tuple[int, ...]:
     """Minimal per-coordinate periods (N_1, ..., N_n) of z -> (f_i(z) mod order_i)_i.
 
-    These are the least periods of the tuple (f_i) modulo the diagonal
-    lattice of the map orders (:func:`keyengine.least_periods`).
+    Each f_i is taken modulo its own map's order, once per distinct pair,
+    and N_j is the lcm of those periods (:func:`keyengine.cyclic_periods`).
     """
     fs = intpoly.exponent_tuple(fs).components
     orders = map_orders(sys)
     if len(fs) != len(orders):
         raise ArityMismatch(f"{len(fs)} polynomials for {len(orders)} maps")
-    return keyengine.least_periods(fs, lattice.diagonal(orders))
+    return keyengine.cyclic_periods(fs, orders)
 
 
 def grid(period: Sequence[int]) -> Iterator[Tuple[int, ...]]:

@@ -92,8 +92,11 @@ def is_ip_star_window(residues: Iterable[int], modulus: int, k: int, window: int
     lexicographically least counterexample.  Sorting a tuple, or trading an
     entry above L for the one of its residue in 1..L, keeps its sums mod L
     and does not raise it, so only non-decreasing tuples in 1..min(W, L)
-    are visited (:func:`_least_tuple`)."""
+    are visited (:func:`_least_tuple`); with 0 in R and k >= L none is, since
+    any L integers have a nonempty subset summing to 0 mod L (pigeonhole)."""
     free = set(range(modulus)).difference(residues)
+    if 0 not in free and k >= modulus >= 1 and window >= 1:
+        return IpStarVerdict(True, None)
     witness = _least_tuple(k, min(window, modulus), True, modulus, lambda g: free, cap)
     return IpStarVerdict(witness is None, witness)
 

@@ -16,9 +16,10 @@ least per-coordinate periods of u modulo V, found from the same
 coordinates.  Coordinate j starts from lcm(1..d) times the order modulo V
 of the first difference in z_j, and only the primes up to the degree d
 are divided out of that start, so no integer is factored.  The key-lemma
-witness, the period grid of :mod:`polyrec.dynamics` and the spectral-limit
-certificate all come from it.  Every constructor re-verifies its output
-before returning.
+witness comes from it, and through :func:`cyclic_periods` (a product of
+cyclic groups, one component at a time) the period grid of
+:mod:`polyrec.dynamics` and the spectral-limit certificate.  Every
+constructor re-verifies its output before returning.
 """
 
 from __future__ import annotations
@@ -223,6 +224,18 @@ def least_periods(us: Sequence[BinPoly], V: Lattice) -> Tuple[int, ...]:
                 step //= p
         least.append(step)
     return tuple(least)
+
+
+def cyclic_periods(us: Sequence[BinPoly], moduli: Sequence[int]) -> Tuple[int, ...]:
+    """Least per-coordinate periods of z -> (u_i(z) mod m_i)_i.
+
+    The target is the product of the cyclic groups m_i * Z, so coordinate
+    j's periods of the tuple are those its components share: N_j is the
+    lcm of the :func:`least_periods` of each distinct pair (u_i, m_i)
+    against m_i * Z alone.
+    """
+    periods = [least_periods([u], lattice.diagonal([m])) for u, m in dict.fromkeys(zip(us, moduli))]
+    return tuple(map(math.lcm, *periods))
 
 
 def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:

@@ -21,15 +21,16 @@ from . import dynamics, intpoly, ipstruct, keyengine, lattice, spectral
 from .errors import charge
 
 
-def _recurrence_input(payload):
+def _recurrence_input(payload, cap):
     """The system and the query of a recurrence payload (khintchine has no epsilon)."""
-    sys_ = dynamics.system_from_json(payload["system"])
+    system = payload["system"]
+    sys_ = dynamics.build_system(system["points"], system["weights"], system["maps"], cap=cap)
     fs = [intpoly.from_json(p) for p in payload["fs"]]
     return sys_, dynamics.recurrence_query(payload["A"], fs, payload.get("epsilon", 0))
 
 
 def _run_khintchine(payload, cap, seed):
-    rep = dynamics.verify_khintchine(*_recurrence_input(payload))
+    rep = dynamics.verify_khintchine(*_recurrence_input(payload, cap))
     details = {
         "sup": str(rep.sup_value),
         "bound": str(rep.bound),
@@ -55,7 +56,7 @@ def _residue_details(verdict: dynamics.ResidueVerdict) -> dict:
 
 
 def _run_r_epsilon(payload, cap, seed):
-    sys_, query = _recurrence_input(payload)
+    sys_, query = _recurrence_input(payload, cap)
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     details = _residue_details(verdict)
     details["table"] = dynamics.residue_table(verdict)
@@ -64,7 +65,7 @@ def _run_r_epsilon(payload, cap, seed):
 
 
 def _run_ip_star(payload, cap, seed):
-    sys_, query = _recurrence_input(payload)
+    sys_, query = _recurrence_input(payload, cap)
     k, w = int(payload["k"]), int(payload["W"])
     verdict = dynamics.r_epsilon(sys_, query, cap=cap)
     window = dynamics.ip_star_verdict(verdict, k, w, cap=cap)

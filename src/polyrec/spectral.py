@@ -7,7 +7,7 @@ U_i.  For such families the long-run behaviour of products
 U_1^{f_1(z)} ... U_m^{f_m(z)} along any sufficiently invariant set of z is
 computable exactly: the product is the identity on the diagonal lattice of
 the lcm of the least periods modulo q * Z of the phase polynomials, one per
-distinct row (:func:`keyengine.least_periods`), which is returned as a
+distinct row (:func:`keyengine.cyclic_periods`), which is returned as a
 certificate verified row by row (:func:`keyengine.first_escape`).
 Projection predicates and the quadratic averaging expansion are checked in
 exact Gaussian-rational arithmetic.
@@ -244,17 +244,17 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CA
 
     For exponent polynomials vanishing at the origin, coordinate j's periods
     of each phase polynomial modulo q * Z, q the common order of the phases,
-    are N_j(e) * Z (:func:`keyengine.least_periods`), so the powered product
-    is the identity on the diagonal lattice of the lcm over the rows of the
-    N_j(e).  The certificate is checked with :func:`verify_limit_certificate`
-    before being returned, so the identity claim is checked, not assumed.
+    are N_j(e) * Z, so the powered product is the identity on the diagonal
+    lattice of the lcm over the rows of the N_j(e)
+    (:func:`keyengine.cyclic_periods`).  The certificate is checked with
+    :func:`verify_limit_certificate` before being returned, so the identity
+    claim is checked, not assumed.
     """
     _check_budget(u, fs, cap)
     _check_exponents(u, fs)
     intpoly.exponent_tuple(fs)
-    target = lattice.diagonal([phase_lcm(u)])
-    periods = [keyengine.least_periods([g], target) for g in _phase_polys(u, fs)]
-    cert = lattice.diagonal([math.lcm(*steps) for steps in zip(*periods)])
+    rows = _phase_polys(u, fs)
+    cert = lattice.diagonal(keyengine.cyclic_periods(rows, [phase_lcm(u)] * len(rows)))
     verify_limit_certificate(u, fs, cert, cap=cap)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 

@@ -130,6 +130,26 @@ def product_system(sizes):
     return dy.build_system(pts, {p: Fraction(1, len(pts)) for p in pts}, maps)
 
 
+def first_disagreement(points, maps):
+    """The full pairwise commutation loop over every pair of maps, repeats
+    included: the text of the first disagreement, maps i < j at a point,
+    or None when all maps commute."""
+    pos = {p: i for i, p in enumerate(points)}
+    perms = [[pos[y] for y in images] for images in maps]
+    for i, j in itertools.combinations(range(len(perms)), 2):
+        for x in range(len(points)):
+            if perms[i][perms[j][x]] != perms[j][perms[i][x]]:
+                return f"maps {i} and {j} disagree at point {points[x]!r}"
+    return None
+
+
+def rotations(rng: random.Random, count: int, size: int = 60):
+    """``count`` rotations of a ``size``-cycle by seeded steps, uniform weights."""
+    pts = [str(i) for i in range(size)]
+    maps = [pts[r:] + pts[:r] for r in (rng.randrange(size) for _ in range(count))]
+    return dy.build_system(pts, {p: Fraction(1, size) for p in pts}, maps)
+
+
 # Set-based oracles of the subset-sum searches: every tuple is expanded in
 # full and checked against the explicit set, with no pruning and no residues.
 

@@ -634,6 +634,30 @@ class TestRecurrenceCap:
         assert cpu < 2.0, cpu
 
 
+class TestCommutationCap:
+    def test_distinct_maps_over_the_cap_are_refused_quickly(self, tmp_path):
+        # 1 500 distinct products of swaps of the 30 pairs (2i, 2i + 1) of
+        # 60 points commute: C(1500, 2) pairs at 60 points charge 67 455 000
+        points = [f"p{i}" for i in range(60)]
+        maps = [[points[i ^ (s >> (i // 2) & 1)] for i in range(60)] for s in range(1, 1501)]
+        system = {"points": points, "weights": {p: "1/60" for p in points}, "maps": maps}
+        z = {"nvars": 1, "terms": [{"idx": [1], "coef": "1"}]}
+        path = scenario_file(tmp_path / "inv.json", "khintchine", {"system": system, "A": points[:1], "fs": [z] * 1500})
+        proc, cpu = TestSpectralCap.child_cpu("run", str(path))
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert "1124250 pairs of distinct maps at 60 points charge 67455000, cap is 1000000" in proc.stderr
+        assert cpu < 2.0, cpu
+
+    def test_many_repeated_maps_decide(self, tmp_path):
+        # the scale harness's many-maps system with 2 000 maps: 60 distinct
+        # maps charge 106 200, and each f_i is taken modulo its own order
+        harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
+        path = scenario_file(tmp_path / "maps.json", "khintchine", harness["rotations"](2000))
+        proc, cpu = TestSpectralCap.child_cpu("run", str(path))
+        assert proc.returncode == 0 and proc.stdout.startswith("== maps [khintchine] HOLDS\n"), proc.stderr
+        assert cpu < 2.0, cpu
+
+
 def spectral_payload(dim, fs):
     """spectral-limit on dim eigenvectors of one operator, phases k/4."""
     return {"unitary": {"phases": [[f"{e % 4}/4"] for e in range(dim)]}, "fs": fs}
@@ -729,7 +753,7 @@ class TestSpectralCap:
 def test_every_scale_harness_case_is_schema_valid(tmp_path):
     # the cases are written and loaded, not run: some take seconds
     harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
-    assert len(harness["CASES"]) == 18
+    assert len(harness["CASES"]) == 19
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))

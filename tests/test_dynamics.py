@@ -9,9 +9,11 @@ from itertools import product
 import pytest
 from sympy import primefactors
 
-from conftest import lift_gap, lift_ip_star, product_system, random_binpoly
+from conftest import first_disagreement, lift_gap, lift_ip_star, product_system, random_binpoly, rotations
 from polyrec import dynamics as dy
 from polyrec import intpoly as ip
+from polyrec import keyengine as ke
+from polyrec import lattice as lat
 from polyrec import runners
 from polyrec.errors import (
     ArityMismatch,
@@ -19,6 +21,7 @@ from polyrec.errors import (
     NotBijective,
     NotCommuting,
     NotMeasurePreserving,
+    SweepCapExceeded,
     UnknownPoint,
     WeightsNotNormalized,
 )
@@ -95,6 +98,43 @@ class TestBuildSystem:
                 [["b", "c", "a"], ["b", "a", "c"]],
             )
 
+    def test_not_commuting_text_matches_the_full_pairwise_loop(self):
+        # powers of one permutation commute; a random one mostly does not,
+        # and every map may repeat, first occurrence or not
+        rng = random.Random(113)
+        failing = repeated = 0
+        for _ in range(400):
+            size = rng.randint(2, 6)
+            pts = [f"p{i}" for i in range(size)]
+            base = rng.sample(range(size), size)
+            powers = [list(range(size))]
+            for _ in range(rng.randint(1, 3)):
+                powers.append([base[x] for x in powers[-1]])
+            pool = powers + [rng.sample(range(size), size) for _ in range(rng.randint(0, 2))]
+            maps = [[pts[y] for y in rng.choice(pool)] for _ in range(rng.randint(2, 7))]
+            expected = first_disagreement(pts, maps)
+            try:
+                dy.build_system(pts, {p: Fraction(1, size) for p in pts}, maps)
+                got = None
+            except NotCommuting as exc:
+                got = str(exc)
+            assert got == expected, maps
+            failing += expected is not None
+            repeated += len(set(map(tuple, maps))) < len(maps)
+        assert 100 < failing < 300 and repeated > 200, (failing, repeated)
+
+    def test_commutation_charges_pairs_of_distinct_maps(self):
+        # 1 000 rotations of a 60-cycle are its 60 rotations, repeated:
+        # C(60, 2) pairs at 60 points
+        sys_ = rotations(random.Random(5), 1000)
+        assert len(set(sys_.maps)) == 60
+        pts = list(sys_.points)
+        maps = [[pts[y] for y in perm] for perm in sys_.maps]
+        weights = {p: Fraction(1, 60) for p in pts}
+        dy.build_system(pts, weights, maps, cap=106200)
+        with pytest.raises(SweepCapExceeded, match="^1770 pairs of distinct maps at 60 points charge 106200, cap is 106199$"):
+            dy.build_system(pts, weights, maps, cap=106199)
+
     def test_unknown_point_in_map(self):
         with pytest.raises(UnknownPoint):
             dy.build_system(["a"], {"a": "1"}, [["zz"]])
@@ -161,6 +201,21 @@ class TestSystemPeriod:
     def test_constant_term_rejected(self):
         with pytest.raises(NonzeroConstantTerm):
             dy.system_period(cyclic(2), [ip.constant(1, 1)])
+
+    def test_each_map_is_taken_modulo_its_own_order(self, monkeypatch):
+        # 1 000 maps: every target lattice has width 1, and the periods are
+        # the joint ones modulo the diagonal lattice of all orders
+        rng = random.Random(107)
+        sys_ = rotations(rng, 1000)
+        fs = [random_binpoly(rng, 2, 2, bound=5) for _ in range(1000)]
+        fs = [ip.subtract(f, ip.constant(2, f.constant_term())) for f in fs]
+        widths = []
+        diagonal = lat.diagonal
+        monkeypatch.setattr(lat, "diagonal", lambda steps: widths.append(len(steps)) or diagonal(steps))
+        period = dy.system_period(sys_, fs)
+        monkeypatch.undo()
+        assert widths and max(widths) == 1
+        assert period == ke.least_periods(fs, lat.diagonal(dy.map_orders(sys_)))
 
     def test_periodicity_soundness(self):
         rng = random.Random(103)

@@ -344,7 +344,7 @@ class TestCallSitesAgreeWithSweeps:
     def test_periodicity_recheck(self, monkeypatch):
         # least_periods starts coordinate j from P_j = lcm(1..d) * M_j, M_j
         # the order of the first difference f(z + e_j) - f(z) modulo the
-        # diagonal lattice of the orders (here read off its values on
+        # joint diagonal lattice of the orders (here read off its values on
         # [0, 4]^n, which generate the same group).  With lcm(1..d) replaced
         # by a shorter multiplier the re-check of P_j may fail; every P_j
         # stays at least d so each coordinate's box still holds its least
@@ -357,7 +357,6 @@ class TestCallSitesAgreeWithSweeps:
         for _ in range(INSTANCES):
             n = rng.randint(1, 2)
             sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
-            sys_ = product_system(sizes)
             fs = [random_binpoly(rng, n, 4 - n, bound=4) for _ in sizes]
             fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
             orders = lat.diagonal(sizes)
@@ -370,7 +369,7 @@ class TestCallSitesAgreeWithSweeps:
             multiplier[0] = rng.choice(short or [lcm_upto(d)])
             starts = [m * multiplier[0] for m in first]
             expected = outcome(sweep_periodicity, fs, sizes, starts, d)
-            assert outcome(dy.system_period, sys_, fs) == expected
+            assert outcome(ke.least_periods, fs, orders) == expected
             failures += expected[0] != "returned"
         assert INSTANCES // 5 < failures < INSTANCES * 4 // 5
 

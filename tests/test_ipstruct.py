@@ -172,10 +172,15 @@ class TestSearchCharge:
             candidates = [t for d in range(1, k + 1)
                           for t in itertools.combinations_with_replacement(range(1, top + 1), d)]
             count = formed_sums(candidates, sums, lambda t: not (sums(t) & residues), answer)
+            if k >= modulus and 0 in residues:
+                # decided by pigeonhole, without a walk
+                assert answer is None
+                count = 0
             assert count <= math.comb(w + k - 1, k) * 2**k
             assert ips.is_ip_star_window(residues, modulus, k, w, cap=count).witness == answer
-            with pytest.raises(SweepCapExceeded, match=f"form {count} subset sums so far, cap is {count - 1}$"):
-                ips.is_ip_star_window(residues, modulus, k, w, cap=count - 1)
+            if count:
+                with pytest.raises(SweepCapExceeded, match=f"form {count} subset sums so far, cap is {count - 1}$"):
+                    ips.is_ip_star_window(residues, modulus, k, w, cap=count - 1)
 
         for coloring, k in colorings(107, 500):
             w = len(coloring)
@@ -196,14 +201,36 @@ class TestSearchCharge:
                     ips.find_monochromatic_fs(coloring, k, cap=count - 1)
 
     def test_huge_tuple_lengths_are_bounded_by_the_cap(self):
-        # 0 is held, so the sums of a kept prefix reach one more residue
-        # with each generator: no tuple longer than L - 1 is kept
-        assert ips.is_ip_star_window({0}, 2, 10**9, 10**9) == (True, None)
         # with L = 1 000 the walk is deep and wide, and the cap ends it
-        charge = "non-decreasing 1000000000-tuples in 1..1000 form 1000500 subset sums so far, cap is 1000000$"
+        charge = "non-decreasing 1000000000-tuples in 1..1000 form 1000498 subset sums so far, cap is 1000000$"
         with pytest.raises(SweepCapExceeded, match=charge):
-            ips.is_ip_star_window({0}, 1000, 10**9, 10**9)
+            ips.is_ip_star_window({1}, 1000, 10**9, 10**9)
         assert ips.find_monochromatic_fs({n: 0 for n in range(1, 9)}, 10**9, cap=0) is None
+
+    def test_zero_and_k_at_least_l_hold_by_pigeonhole(self):
+        # any L integers have a nonempty subset summing to 0 mod L, so no
+        # sum is formed; one integer fewer, all ones, misses 0 mod L
+        assert ips.is_ip_star_window({0}, 2, 10**9, 10**9, cap=0) == (True, None)
+        assert ips.is_ip_star_window({0}, 1000, 10**9, 10**9, cap=0) == (True, None)
+        assert ips.is_ip_star_window({0}, 1000, 1000, 10**9, cap=0) == (True, None)
+        assert ips.is_ip_star_window({0}, 1000, 999, 10**9) == (False, (1,) * 999)
+
+    def test_k_at_least_l_agrees_with_the_walk(self):
+        # seeded cases with k >= L, against the walk the shortcut skips and
+        # the set-based lift
+        rng = random.Random(109)
+        held = 0
+        for _ in range(300):
+            modulus = rng.randint(1, 6)
+            k, w = rng.randint(modulus, 7), rng.randint(1, 8)
+            residues = {t for t in range(modulus) if rng.random() < 0.4}
+            free = set(range(modulus)) - residues
+            walked = ips._least_tuple(k, min(w, modulus), True, modulus, lambda g: free, 10**6)
+            got = ips.is_ip_star_window(residues, modulus, k, w)
+            assert got == (walked is None, walked)
+            assert got.witness == lift_ip_star(lift(residues, modulus, k * w), k, w)
+            held += 0 in residues
+        assert 100 < held < 200
 
     @pytest.mark.parametrize("k, w", [(0, 3), (2, 0), (-1, 4)])
     def test_shape(self, k, w):
@@ -238,12 +265,14 @@ class TestIpStarWindow:
             assert verdict == (expected is None, expected), (residues, modulus, k, w)
 
     def test_charge(self):
-        # evens, W = 13: 1 forms {1}, (1, 1) forms {1, 0} and meets 0 mod 2,
-        # (1, 2) forms {2, 3}, and 2 forms {0}: 1 + 2 + 2 + 1 = 6
-        charge = "non-decreasing 2-tuples in 1..2 form 6 subset sums so far, cap is 5"
+        # R = {0, 2} mod 3, W = 13 (evens with k = 2 >= L hold by pigeonhole
+        # and form nothing): 1 forms {1}, (1, 1), (1, 2) and (1, 3) form two
+        # sums each and meet R, and 2 and 3 form one each: 1 + 3 * 2 + 2 = 9
+        charge = "non-decreasing 2-tuples in 1..3 form 9 subset sums so far, cap is 8"
         with pytest.raises(SweepCapExceeded, match=charge):
-            ips.is_ip_star_window({0}, 2, 2, 13, cap=5)
-        assert ips.is_ip_star_window({0}, 2, 2, 13, cap=6).holds
+            ips.is_ip_star_window({0, 2}, 3, 2, 13, cap=8)
+        assert ips.is_ip_star_window({0, 2}, 3, 2, 13, cap=9).holds
+        assert ips.is_ip_star_window({0}, 2, 2, 13, cap=0).holds
 
 
 class TestSyndeticGap:

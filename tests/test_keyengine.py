@@ -200,6 +200,26 @@ class TestLeastPeriods:
         assert err.value.witness == (1,)
 
 
+class TestCyclicPeriods:
+    def test_against_the_joint_periods(self):
+        # the oracle is the joint least periods modulo the diagonal lattice
+        # of the moduli; pairs repeat, and the lcm of the per-pair periods
+        # often exceeds their max
+        rng = random.Random(211)
+        repeated = wider = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            pool = [(random_binpoly(rng, n, rng.randint(1, 4), bound=6), rng.randint(1, 12))
+                    for _ in range(rng.randint(1, 3))]
+            pairs = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            us, moduli = [u for u, _ in pairs], [m for _, m in pairs]
+            assert ke.cyclic_periods(us, moduli) == ke.least_periods(us, lat.diagonal(moduli)), pairs
+            repeated += len(set(pairs)) < len(pairs)
+            alone = [ke.least_periods([u], lat.diagonal([m])) for u, m in set(pairs)]
+            wider += any(math.lcm(*steps) > max(steps) for steps in zip(*alone))
+        assert repeated > 100 and wider > 30, (repeated, wider)
+
+
 class TestMembershipVerifier:
     def test_counterexample_found(self):
         v = ip.polytuple([ip.binpoly(1, {(1,): 1})])

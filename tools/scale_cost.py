@@ -30,6 +30,10 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   C(W + 1, 2) * 4 up front, so 707 was refused).  hindman-search with k = 2
   on 706 distinct colors, which has no witness, so every pair is visited:
   705 first generators and C(706, 2) pairs of 2 sums each form 498 435.
+- many maps: khintchine on 1 000 rotations of a 60-cycle by seeded steps
+  (``rotations``), with seeded two-variable f_i of degree <= 2 and A the
+  first 30 points.  Its 60 distinct maps charge C(60, 2) * 60 = 106 200
+  for the commutation check, and each f_i is taken modulo its own order.
 
 Each case runs ``python -m polyrec.cli run FILE --json REPORT`` in a child
 with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
@@ -47,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -75,6 +80,20 @@ def spectral(name: str, dim: int, f: dict) -> dict:
     return scenario(name, "spectral-limit", {"unitary": {"phases": phases}, "fs": [f]})
 
 
+def rotations(count: int) -> dict:
+    """khintchine on ``count`` rotations of a 60-cycle by seeded steps, with
+    seeded two-variable f_i of degree <= 2 and A the first 30 points."""
+    rng = random.Random(count)
+    points = [f"p{i}" for i in range(60)]
+    maps = [points[r:] + points[:r] for r in (rng.randrange(60) for _ in range(count))]
+    indices = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    fs = [{"nvars": 2, "terms": [{"idx": list(idx), "coef": str(rng.randint(1, 5))}
+                                 for idx in rng.sample(indices, rng.randint(1, 5))]}
+          for _ in range(count)]
+    system = {"points": points, "weights": {p: "1/60" for p in points}, "maps": maps}
+    return {"system": system, "A": points[:30], "fs": fs}
+
+
 CAPEDGE = cycle_payload(97, 40, poly(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]))
 Z = poly(1, [(1,)])
 DEGREE_4 = poly(2, [(a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4])
@@ -101,6 +120,7 @@ CASES = [
       for w in (706, 707)),
     ("ip-star-window-1e9", scenario("ip-star-window-1e9", "ip-star", {**WHOLE_4, "k": 2, "W": 10**9}), None),
     ("hindman-706", scenario("hindman-706", "hindman-search", DISTINCT_706), None),
+    ("many-maps-1000", scenario("many-maps-1000", "khintchine", rotations(1000)), None),
 ]
 # Run as ``python -S -c LAUNCHER STDOUT ARGV...``: it holds only itself when it
 # starts the child, and prints the child's exit code, CPU seconds and ru_maxrss.

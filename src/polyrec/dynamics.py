@@ -393,11 +393,6 @@ def ip_star_verdict(
     return WindowStructure(ip, ipstruct.syndetic_gap(residues, modulus, horizon), horizon)
 
 
-def _commas(n: int):
-    """Format n values separated by commas, as ",".join(map(str, values))."""
-    return ",".join(["{}"] * n).format
-
-
 def residue_table(verdict: ResidueVerdict) -> str:
     """Text table of the grid :func:`r_epsilon` swept, one row per point in
     grid order: residue, exponents, return measure, threshold, verdict, the
@@ -408,11 +403,14 @@ def residue_table(verdict: ResidueVerdict) -> str:
     The rows are formatted in one pass, straight into the join: the i-th
     row is the i-th grid point, its exponents and the tail of its key, each
     key's measure, threshold and verdict formatted once into the tail its
-    points share.  No column is padded, so no cell outlives its row.
+    points share, and each line's first n - 1 residues formatted once.  No
+    column is padded, so no cell outlives its row.
     """
     threshold = str(verdict.mu_a_sq - verdict.epsilon)
-    residues = starmap(_commas(len(verdict.period)), grid(verdict.period))
-    cells = _commas(len(verdict.fs))
+    *head, last = verdict.period
+    ends = list(map(str, range(last)))
+    residues = (lead + t for lead in starmap(("{}," * len(head)).format, grid(head)) for t in ends)
+    cells = ",".join(["{}"] * len(verdict.fs)).format
     exponents = (e for columns in _exponent_lines(verdict.fs, verdict.period)
                  for e in starmap(cells, zip(*columns)))
     tails = [f"{v} {threshold} {'holds' if h else 'fails'}" for v, h in zip(verdict.values, verdict.holds)]

@@ -96,8 +96,13 @@ def binpoly(nvars: int, coeffs: Mapping[MultiIndex, int]) -> BinPoly:
         coef = int(coef)
         if coef:
             cleaned[idx] = cleaned.get(idx, 0) + coef
-    items = tuple(sorted((idx, c) for idx, c in cleaned.items() if c))
-    return BinPoly(nvars, items)
+    return _normalized(nvars, cleaned)
+
+
+def _normalized(nvars: int, coeffs: Mapping[MultiIndex, int]) -> BinPoly:
+    """The :class:`BinPoly` of coordinates this module built, valid by
+    construction: zero coefficients dropped, then sorted."""
+    return BinPoly(nvars, tuple(sorted((idx, c) for idx, c in coeffs.items() if c)))
 
 
 def constant(nvars: int, value: int) -> BinPoly:
@@ -160,13 +165,23 @@ def interpolate(
     return binpoly(nvars, coords)
 
 
+def combine(fs: Sequence[BinPoly], weights: Sequence[int]) -> BinPoly:
+    """The integer linear combination sum_i weights[i] * fs[i] of at least
+    one polynomial, all in the same variables, added up coordinatewise."""
+    if len(weights) != len(fs):
+        raise ArityMismatch(f"{len(weights)} weights for {len(fs)} polynomials")
+    nvars = fs[0].nvars
+    acc: Dict[MultiIndex, int] = {}
+    for f, weight in zip(fs, weights):
+        if f.nvars != nvars:
+            raise ArityMismatch(f"variable counts differ: {nvars} vs {f.nvars}")
+        for idx, coef in f.terms:
+            acc[idx] = acc.get(idx, 0) + weight * coef
+    return _normalized(nvars, acc)
+
+
 def add(f: BinPoly, g: BinPoly) -> BinPoly:
-    if f.nvars != g.nvars:
-        raise ArityMismatch(f"variable counts differ: {f.nvars} vs {g.nvars}")
-    acc = f.term_map()
-    for idx, coef in g.terms:
-        acc[idx] = acc.get(idx, 0) + coef
-    return binpoly(f.nvars, acc)
+    return combine((f, g), (1, 1))
 
 
 def negate(f: BinPoly) -> BinPoly:
@@ -274,7 +289,7 @@ def shift_difference(f: BinPoly, j: int, step: int) -> BinPoly:
         for i in range(1, idx[j] + 1):
             key = idx[:j] + (idx[j] - i,) + idx[j + 1 :]
             acc[key] = acc.get(key, 0) + coef * column[i]
-    return BinPoly(f.nvars, tuple(sorted((idx, c) for idx, c in acc.items() if c)))
+    return _normalized(f.nvars, acc)
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +390,7 @@ def delta_recursive(f: BinPoly, s: int, prev: Optional[BinPoly] = None) -> BinPo
     for idx, coef in prev.terms:
         for key in (idx + pad, idx[:cut] + pad + idx[cut:]):
             acc[key] = acc.get(key, 0) - coef
-    return BinPoly(wide, tuple(sorted((idx, c) for idx, c in acc.items() if c)))
+    return _normalized(wide, acc)
 
 
 # ---------------------------------------------------------------------------

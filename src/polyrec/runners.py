@@ -124,7 +124,7 @@ def _run_spectral_limit(payload, cap, seed):
         "fixed": sorted(desc.fixed),
         "is_identity": len(desc.fixed) == u.dim,
         "certificate": lattice.to_json(desc.certificate),
-        "phase_order": spectral.phase_lcm(u),
+        "phase_order": u.order,
     }
     certificate = {
         "certificate_kind": "spectral-limit",

@@ -1,22 +1,24 @@
 """Finite-order commuting unitary families as exact rational phase data.
 
 A family U_1, ..., U_m of commuting unitaries that are simultaneously
-diagonal with roots-of-unity eigenvalues is stored as a D x m matrix of
-rational phases: eigenvector e is scaled by exp(2*pi*i*theta[e][i]) under
-U_i.  For such families the long-run behaviour of products
-U_1^{f_1(z)} ... U_m^{f_m(z)} along any sufficiently invariant set of z is
-computable exactly: the product is the identity on the diagonal lattice of
-the lcm of the least periods modulo q * Z of the phase polynomials, one per
-distinct row (:func:`keyengine.cyclic_periods`), which is returned as a
-certificate verified row by row (:func:`keyengine.first_escape`).
-Projection predicates and the quadratic averaging expansion are checked in
-exact Gaussian-rational arithmetic.
+diagonal with roots-of-unity eigenvalues, eigenvector e scaled by
+exp(2*pi*i*theta[e][i]) under U_i, is stored over the common order q of
+its phases as the D x m integer table q * (theta mod 1).  The long-run
+behaviour of products U_1^{f_1(z)} ... U_m^{f_m(z)} along any sufficiently
+invariant set of z is then computable exactly, in integers: the product is
+the identity on the diagonal lattice of the lcm of the least periods modulo
+q * Z of the phase polynomials, one per distinct row
+(:func:`keyengine.cyclic_periods`), which is returned as a certificate
+verified row by row (:func:`keyengine.first_escape`).  Projection
+predicates and the quadratic averaging expansion are checked in exact
+Gaussian-rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import intpoly, keyengine, lattice
@@ -136,42 +138,37 @@ def is_orthogonal_projection(m: ComplexMatrix) -> ProjectionCheck:
 class PhaseUnitary(NamedTuple):
     """Commuting unitaries, diagonal on a common eigenbasis of size ``dim``.
 
-    ``phases[e][i]`` is the rational phase (in [0, 1)) of eigenvector e
-    under operator i; commutativity is automatic.
+    Operator i scales eigenvector e by exp(2*pi*i * table[e][i] / order):
+    ``order`` is q, the lcm of the reduced phase denominators, and
+    ``table[e][i]`` is q * (theta[e][i] mod 1), an integer in 0 .. q - 1.
+    Built by :func:`phase_unitary` only; commutativity is automatic.
     """
 
     dim: int
     ops: int
-    phases: Tuple[Tuple[Fraction, ...], ...]
+    order: int
+    table: Tuple[Tuple[int, ...], ...]
 
 
 def phase_unitary(phases: Sequence[Sequence[Union[Fraction, int, str]]]) -> PhaseUnitary:
-    """Normalize a D x m rational phase table into [0, 1) and validate."""
-    rows = [[Fraction(p) for p in row] for row in phases]
-    if not rows or not rows[0]:
+    """Normalize a D x m rational phase table into [0, 1), validate it and
+    put it over its common order.  Each distinct phase is parsed once."""
+    values = {p: Fraction(p) % 1 for p in set(chain.from_iterable(phases))}
+    if not phases or not phases[0]:
         raise ArityMismatch("need at least one eigenvector and one operator")
-    ops = len(rows[0])
-    table = []
-    for row in rows:
+    ops = len(phases[0])
+    q = 1
+    for row in phases:
         if len(row) != ops:
             raise ArityMismatch("ragged phase table")
-        normalized = tuple(p - math.floor(p) for p in row)
-        for p in normalized:
-            if p.denominator > MAX_PHASE_DENOMINATOR:
-                raise CapExceeded(
-                    f"phase denominator {p.denominator} exceeds {MAX_PHASE_DENOMINATOR}"
-                )
-        table.append(normalized)
-    return PhaseUnitary(dim=len(table), ops=ops, phases=tuple(table))
-
-
-def phase_lcm(u: PhaseUnitary) -> int:
-    """lcm of all phase denominators (the common eigenvalue order)."""
-    q = 1
-    for row in u.phases:
         for p in row:
-            q = math.lcm(q, p.denominator)
-    return q
+            den = values[p].denominator
+            if den > MAX_PHASE_DENOMINATOR:
+                raise CapExceeded(f"phase denominator {den} exceeds {MAX_PHASE_DENOMINATOR}")
+            q = math.lcm(q, den)
+    scaled = {p: v.numerator * (q // v.denominator) for p, v in values.items()}
+    table = tuple(tuple(map(scaled.__getitem__, row)) for row in phases)
+    return PhaseUnitary(dim=len(table), ops=ops, order=q, table=table)
 
 
 def _check_exponents(u: PhaseUnitary, fs: Sequence[BinPoly]) -> int:
@@ -204,23 +201,14 @@ class ProjectionDesc(NamedTuple):
 
 
 def _phase_polys(u: PhaseUnitary, fs: Sequence[BinPoly]) -> List[BinPoly]:
-    """The phase polynomials g_e = sum_i (q * theta[e][i]) * f_i, q = :func:`phase_lcm`,
-    one per distinct row of the phase table, in order of first occurrence.
+    """The phase polynomials g_e = sum_i table[e][i] * f_i, one per distinct
+    row of the phase table, in order of first occurrence.
 
-    Eigenvector e's phase at z vanishes exactly when q divides g_e(z), and
-    equal rows give equal polynomials, so the distinct rows decide every
-    eigenvector.
+    Eigenvector e's phase at z vanishes exactly when q = ``u.order``
+    divides g_e(z), and equal rows give equal polynomials, so the distinct
+    rows decide every eigenvector.
     """
-    q = phase_lcm(u)
-    combos = []
-    for row in dict.fromkeys(u.phases):
-        acc = {}
-        for f, p in zip(fs, row):
-            weight = int(q * p)
-            for idx, coef in f.terms:
-                acc[idx] = acc.get(idx, 0) + weight * coef
-        combos.append(intpoly.binpoly(fs[0].nvars, acc))
-    return combos
+    return [intpoly.combine(fs, row) for row in dict.fromkeys(u.table)]
 
 
 def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
@@ -232,7 +220,7 @@ def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
     :func:`keyengine.first_escape`.  :func:`limit_projection` and
     :func:`verify_limit_certificate` charge it before any lattice is built.
     """
-    rows = len(dict.fromkeys(u.phases))
+    rows = len(set(u.table))
     indices = len({idx for f in fs for idx, _ in f.terms})
     amount = rows * indices
     charge(amount, cap, f"{rows} distinct phase rows and {indices} binomial indices "
@@ -254,7 +242,7 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CA
     _check_exponents(u, fs)
     intpoly.exponent_tuple(fs)
     rows = _phase_polys(u, fs)
-    cert = lattice.diagonal(keyengine.cyclic_periods(rows, [phase_lcm(u)] * len(rows)))
+    cert = lattice.diagonal(keyengine.cyclic_periods(rows, [u.order] * len(rows)))
     verify_limit_certificate(u, fs, cert, cap=cap)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
@@ -279,7 +267,7 @@ def verify_limit_certificate(
         )
     # restriction is linear, so restrict the m polynomials f_i once and
     # combine them into the phase polynomials after
-    target = lattice.diagonal([phase_lcm(u)])
+    target = lattice.diagonal([u.order])
     rows = _phase_polys(u, keyengine.restrict(fs, cert))
     escapes = [a for a in (keyengine.first_escape([g], target) for g in rows) if a is not None]
     if escapes:
@@ -295,22 +283,19 @@ def orbit_fixed_projection(
 ) -> ProjectionDesc:
     """Projection onto the joint fixed space of the given operator products.
 
-    Eigenvector e is fixed iff sum_i e'_i * theta[e][i] is an integer for
-    every exponent vector e' in the collection; an empty collection fixes
+    Eigenvector e is fixed iff q divides sum_i e'_i * table[e][i] for every
+    exponent vector e' in the collection; an empty collection fixes
     everything (the identity).
     """
     vecs = [tuple(int(x) for x in vec) for vec in exponents]
     for vec in vecs:
         if len(vec) != u.ops:
             raise ArityMismatch(f"exponent vector {vec} has length {len(vec)}, expected {u.ops}")
-    fixed = set()
-    for e, row in enumerate(u.phases):
-        if all(
-            sum((x * p for x, p in zip(vec, row)), Fraction(0)).denominator == 1
-            for vec in vecs
-        ):
-            fixed.add(e)
-    return ProjectionDesc(dim=u.dim, fixed=frozenset(fixed))
+    fixed = frozenset(
+        e for e, row in enumerate(u.table)
+        if all(sum(x * t for x, t in zip(vec, row)) % u.order == 0 for vec in vecs)
+    )
+    return ProjectionDesc(dim=u.dim, fixed=fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +379,7 @@ def to_json(u: PhaseUnitary) -> dict:
     return {
         "dim": u.dim,
         "ops": u.ops,
-        "phases": [[str(p) for p in row] for row in u.phases],
+        "phases": [[str(Fraction(n, u.order)) for n in row] for row in u.table],
     }
 
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -111,6 +112,23 @@ def sympy_saturation(V: lat.Lattice) -> lat.Lattice:
     _, U = smith_form(V)
     inverse = U.inv()
     return lat.hnf_from_generators(V.ambient, [list(inverse[:, j]) for j in range(V.rank)])
+
+
+def fraction_phase_polys(phases, fs):
+    """The phase polynomials formed in Fraction arithmetic from a raw phase
+    table: each phase taken into [0, 1), q the lcm of their denominators,
+    and sum_i int(q * theta_i) * f_i once per distinct row, in order of first
+    occurrence.  Returns q and the polynomials."""
+    rows = [tuple(Fraction(p) - math.floor(Fraction(p)) for p in row) for row in phases]
+    q = math.lcm(*(p.denominator for row in rows for p in row))
+    polys = []
+    for row in dict.fromkeys(rows):
+        acc = {}
+        for f, p in zip(fs, row):
+            for idx, coef in f.terms:
+                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
+        polys.append(ip.binpoly(fs[0].nvars, acc))
+    return q, polys
 
 
 def product_system(sizes):

@@ -753,12 +753,26 @@ class TestSpectralCap:
 def test_every_scale_harness_case_is_schema_valid(tmp_path):
     # the cases are written and loaded, not run: some take seconds
     harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
-    assert len(harness["CASES"]) == 19
+    assert len(harness["CASES"]) == 20
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         [(_source, loaded)] = cli.load_scenarios([path], bundled=False)
         assert loaded == doc and (cap is None or cap > 0), name
+
+
+def test_scale_harness_charges_are_the_spectral_charges():
+    # the harness prints each spectral case's charge, computed from the
+    # scenario; one below it, polyrec refuses the case with that amount
+    harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
+    payloads = [doc["payload"] for _, doc, _ in harness["CASES"] if doc["kind"] == "spectral-limit"]
+    charges = [harness["spectral_charge"](payload) for payload in payloads]
+    assert charges == [12, 12, 12, 168, 168, 2000, 20000, 200000]
+    for payload, charge in zip(payloads, charges):
+        u = sp.from_json(payload["unitary"])
+        fs = [ip.from_json(f) for f in payload["fs"]]
+        with pytest.raises(SweepCapExceeded, match=f"charge {charge}, cap is {charge - 1}$"):
+            sp.limit_projection(u, fs, cap=charge - 1)
 
 
 def test_scale_harness_reads_the_peak_of_the_polyrec_child(tmp_path):

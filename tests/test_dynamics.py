@@ -767,3 +767,18 @@ class TestReporting:
             "residue", "exponents", "return", "measure", "threshold", "verdict",
         ]
         assert len(lines) == 3  # header + 2 residues
+
+    def test_residue_column_is_each_point_joined_by_commas(self):
+        rng = random.Random(337)
+        for _ in range(60):
+            period = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
+            n = len(period)
+            fs = (random_binpoly(rng, n, 2),)
+            points = list(product(*map(range, period)))
+            verdict = dy.ResidueVerdict(
+                period, Fraction(0), Fraction(1, 2), Fraction(1, 4), fs=fs,
+                keys=(0,) * len(points), values=(Fraction(1, 2),), holds=(True,),
+            )
+            rows = dy.residue_table(verdict).splitlines()[1:]
+            assert [row.split(" ")[0] for row in rows] == [",".join(map(str, z)) for z in points]
+            assert [row.split(" ")[1] for row in rows] == [str(fs[0].evaluate(z)) for z in points]

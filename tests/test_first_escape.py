@@ -83,11 +83,11 @@ def sweep_hypothesis(v, V, hypothesis):
 def phases_at(u, fs, z):
     """The eigenvector phases of U_1^{f_1(z)} ... U_m^{f_m(z)}, each in [0, 1)."""
     exps = [f.evaluate(z) for f in fs]
-    return [sum((e * p for e, p in zip(exps, row)), Fraction(0)) % 1 for row in u.phases]
+    return [Fraction(sum(e * t for e, t in zip(exps, row)), u.order) % 1 for row in u.table]
 
 
 def sweep_limit_certificate(u, fs, cert):
-    side = sp.phase_lcm(u) * lcm_upto(max(f.degree for f in fs))
+    side = u.order * lcm_upto(max(f.degree for f in fs))
     for ks in product(range(side), repeat=cert.rank):
         point = lattice_point(cert.basis, ks, cert.ambient)
         if any(phases_at(u, fs, point)):
@@ -334,7 +334,7 @@ class TestCallSitesAgreeWithSweeps:
             fs = random_tuple(rng, n, ops)
             if rng.random() < 0.8:
                 fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
-            q = sp.phase_lcm(u)
+            q = u.order
             cert = random_lattice(rng, n, q * rng.choice([1, 2]))
             expected = outcome(sweep_limit_certificate, u, fs, cert)
             assert outcome(sp.verify_limit_certificate, u, fs, cert) == expected
@@ -449,13 +449,13 @@ def pullback_escape_point(us, V, witness):
 def combine_then_pullback(u, fs, cert):
     """The limit-certificate decision with the D phase combinations formed
     first and each of them pulled back."""
-    q = sp.phase_lcm(u)
+    q = u.order
     combos = []
-    for row in u.phases:
+    for row in u.table:
         acc = {}
-        for f, p in zip(fs, row):
+        for f, t in zip(fs, row):
             for idx, coef in f.terms:
-                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
+                acc[idx] = acc.get(idx, 0) + t * coef
         combos.append(ip.binpoly(fs[0].nvars, acc))
     return pullback_escape_point(combos, lat.diagonal([q] * u.dim), cert)
 
@@ -506,7 +506,7 @@ class TestRestrictionRoutes:
             fs = random_tuple(rng, n, ops)
             if rng.random() < 0.8:
                 fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
-            cert = random_lattice(rng, n, sp.phase_lcm(u) * rng.choice([1, 2]))
+            cert = random_lattice(rng, n, u.order * rng.choice([1, 2]))
             expected = combine_then_pullback(u, fs, cert)
             calls.clear()
             got = outcome(sp.verify_limit_certificate, u, fs, cert)

@@ -137,6 +137,33 @@ class TestGroupOps:
         with pytest.raises(ArityMismatch):
             ip.add(ip.binpoly(1, {}), ip.binpoly(2, {}))
 
+    def test_combine_agrees_with_evaluate(self):
+        rng = random.Random(331)
+        cancelled = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            fs = [random_binpoly(rng, n, rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                fs.append(ip.negate(fs[0]))
+            weights = [rng.randint(-5, 5) for _ in fs]
+            if rng.random() < 0.3:
+                weights[-1] = weights[0]
+            g = ip.combine(fs, weights)
+            # built without binpoly, yet as binpoly would build it
+            assert g == ip.binpoly(n, g.term_map())
+            for _ in range(5):
+                z = [rng.randint(-9, 9) for _ in range(n)]
+                assert g.evaluate(z) == sum(w * f.evaluate(z) for f, w in zip(fs, weights))
+            cancelled += len(g.terms) < len({idx for f in fs for idx, _ in f.terms})
+        assert cancelled > 50, cancelled
+
+    def test_combine_arity(self):
+        f, g = ip.binpoly(1, {(1,): 1}), ip.binpoly(2, {(1, 0): 1})
+        with pytest.raises(ArityMismatch, match="variable counts differ: 1 vs 2"):
+            ip.combine([f, g], [1, 1])
+        with pytest.raises(ArityMismatch, match="1 weights for 2 polynomials"):
+            ip.combine([f, f], [1])
+
 
 class TestDelta:
     def test_bilinear_example(self):

@@ -1,12 +1,13 @@
 """Unit tests for rational-phase unitary families and exact projections."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_binpoly, random_fullrank_lattice
+from conftest import fraction_phase_polys, random_binpoly, random_fullrank_lattice
 from polyrec import intpoly as ip
 from polyrec import keyengine as ke
 from polyrec import lattice as lat
@@ -25,7 +26,7 @@ Z1Z2 = ip.binpoly(2, {(1, 1): 1})
 class TestPhaseUnitary:
     def test_normalization(self):
         u = sp.phase_unitary([["3/2"], ["-1/4"]])
-        assert u.phases == ((Fraction(1, 2),), (Fraction(3, 4),))
+        assert u.order == 4 and u.table == ((2,), (3,))
 
     def test_denominator_cap(self):
         with pytest.raises(CapExceeded):
@@ -34,6 +35,87 @@ class TestPhaseUnitary:
     def test_json_round_trip(self):
         u = sp.phase_unitary([["0", "1/2"], ["1/3", "1/6"]])
         assert sp.from_json(sp.to_json(u)) == u
+
+
+def random_phase_table(rng):
+    """A raw phase table: 1..3 operators, denominators up to 720, phases in
+    [-2, 3) given as strings or Fractions, and rows drawn from a pool of up
+    to 6, so rows repeat."""
+    ops = rng.randint(1, 3)
+    dens = rng.sample([*range(1, 13), 360, 720, rng.randint(13, 720)], rng.randint(1, 3))
+    pool = [
+        [Fraction(rng.randrange(-2 * d, 3 * d), d) for d in rng.choices(dens, k=ops)]
+        for _ in range(rng.randint(1, 6))
+    ]
+    rows = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+    return [[rng.choice([str, Fraction])(p) for p in row] for row in rows]
+
+
+class TestIntegerTable:
+    """The phase table over its common order against the parsed phases,
+    which the tests take with Fraction."""
+
+    def test_order_and_table_are_the_phases_mod_1(self):
+        rng = random.Random(311)
+        negative = large = repeated = 0
+        for _ in range(400):
+            phases = random_phase_table(rng)
+            u = sp.phase_unitary(phases)
+            parsed = [[Fraction(p) for p in row] for row in phases]
+            assert u.order == math.lcm(*(p.denominator for row in parsed for p in row))
+            assert [[Fraction(t, u.order) for t in row] for row in u.table] == [
+                [p % 1 for p in row] for row in parsed
+            ]
+            assert sp.to_json(u) == {
+                "dim": len(phases),
+                "ops": len(phases[0]),
+                "phases": [[str(p - math.floor(p)) for p in row] for row in parsed],
+            }
+            negative += any(p < 0 for row in parsed for p in row)
+            large += any(p >= 1 for row in parsed for p in row)
+            repeated += len(set(u.table)) < u.dim
+        assert negative > 300 and large > 300 and repeated > 200, (negative, large, repeated)
+
+    def test_phase_polys_are_one_combine_per_distinct_row(self, monkeypatch):
+        calls = []
+        combine = ip.combine
+        monkeypatch.setattr(ip, "combine", lambda fs, row: calls.append(row) or combine(fs, row))
+        rng = random.Random(313)
+        for _ in range(300):
+            phases = random_phase_table(rng)
+            u = sp.phase_unitary(phases)
+            n = rng.randint(1, 3)
+            fs = [random_binpoly(rng, n, rng.randint(1, 3), bound=6) for _ in phases[0]]
+            calls.clear()
+            got = sp._phase_polys(u, fs)
+            assert (u.order, got) == fraction_phase_polys(phases, fs), (phases, fs)
+            assert calls == list(dict.fromkeys(u.table))
+
+    def test_orbit_fixed_projection_is_the_fraction_test(self):
+        rng = random.Random(317)
+        proper = 0
+        for _ in range(400):
+            phases = random_phase_table(rng)
+            u = sp.phase_unitary(phases)
+            # multiples of small orders, so that some rows are fixed and some not
+            vecs = [
+                tuple(rng.randint(-3, 3) * rng.choice([1, 2, 6, 12, 60]) for _ in phases[0])
+                for _ in range(rng.randint(0, 3))
+            ]
+            by_fractions = {
+                e
+                for e, row in enumerate(phases)
+                if all(sum(x * Fraction(p) for x, p in zip(vec, row)).denominator == 1 for vec in vecs)
+            }
+            by_table = {
+                e
+                for e, row in enumerate(u.table)
+                if all(sum(x * t for x, t in zip(vec, row)) % u.order == 0 for vec in vecs)
+            }
+            fixed = sp.orbit_fixed_projection(u, vecs).fixed
+            assert by_fractions == by_table == fixed, (phases, vecs)
+            proper += 0 < len(fixed) < u.dim
+        assert proper > 40, proper
 
 
 class TestLimitProjection:
@@ -88,26 +170,25 @@ class TestLimitProjection:
 def all_rows_phase_polys(u, fs):
     """One phase polynomial per eigenvector, equal rows repeated: the path
     spectral took before it kept the distinct rows only."""
-    q = sp.phase_lcm(u)
     polys = []
-    for row in u.phases:
+    for row in u.table:
         acc = {}
-        for f, p in zip(fs, row):
+        for f, t in zip(fs, row):
             for idx, coef in f.terms:
-                acc[idx] = acc.get(idx, 0) + int(q * p) * coef
+                acc[idx] = acc.get(idx, 0) + t * coef
         polys.append(ip.binpoly(fs[0].nvars, acc))
     return polys
 
 
 def all_rows_certificate(u, fs):
-    target = lat.diagonal([sp.phase_lcm(u)] * u.dim)
+    target = lat.diagonal([u.order] * u.dim)
     return lat.diagonal(ke.least_periods(all_rows_phase_polys(u, fs), target))
 
 
 def all_rows_escape(u, fs, cert):
     """The point at which cert leaves a nonzero phase, or None."""
     combos = all_rows_phase_polys(u, ke.restrict(fs, cert))
-    a = ke.first_escape(combos, lat.diagonal([sp.phase_lcm(u)] * u.dim))
+    a = ke.first_escape(combos, lat.diagonal([u.order] * u.dim))
     return None if a is None else ke.lattice_point(cert, a)
 
 
@@ -127,7 +208,7 @@ class TestDistinctRows:
             u = sp.phase_unitary([rng.choice(rows) for _ in range(rng.randint(1, 8))])
             fs = [random_binpoly(rng, n, rng.randint(1, 3), bound=4) for _ in range(ops)]
             fs = [ip.subtract(f, ip.constant(n, f.constant_term())) for f in fs]
-            distinct = len(set(u.phases))
+            distinct = len(set(u.table))
             repeated += distinct < u.dim
             several += distinct > 1
             cert = sp.limit_projection(u, fs).certificate
@@ -152,7 +233,7 @@ def joint_target(u, fs):
     target that spectral decided all the rows against before it took them
     one by one."""
     combos = sp._phase_polys(u, fs)
-    return combos, lat.diagonal([sp.phase_lcm(u)] * len(combos))
+    return combos, lat.diagonal([u.order] * len(combos))
 
 
 def joint_certificate(u, fs):
@@ -187,12 +268,12 @@ class TestRowByRow:
         wide = by_max = tampered = failures = 0
         for _ in range(150):
             u, fs = random_family(rng)
-            wide += len(set(u.phases)) > 10
+            wide += len(set(u.table)) > 10
             cert = sp.limit_projection(u, fs).certificate
             joint = joint_certificate(u, fs)
             assert cert == joint, (u, fs)
             # the oracle tells the rows' periods combined by max from their lcm
-            q = lat.diagonal([sp.phase_lcm(u)])
+            q = lat.diagonal([u.order])
             periods = [ke.least_periods([g], q) for g in sp._phase_polys(u, fs)]
             by_max += lat.diagonal([max(s) for s in zip(*periods)]) != joint
             steps = [col[j] for j, col in enumerate(cert.basis)]

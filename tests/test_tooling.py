@@ -218,3 +218,24 @@ def test_sweep_cap_exceeded_is_raised_by_charge_only():
         for where in sites(ast.parse(path.read_text(), filename=str(path)), None)
     )
     assert found == ["errors.py:charge"], found
+
+
+def test_spectral_phases_are_integers_past_the_parser():
+    # PhaseUnitary's order and table are derived from the parsed phases in
+    # one place, so they cannot drift apart; the certificate path then works
+    # in integers, with Fraction left to parsing, JSON and the matrix layer
+    def builds(node):
+        return isinstance(node, ast.Call) and "PhaseUnitary" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    functions = {node.name: node for node in trees["spectral"].body if isinstance(node, ast.FunctionDef)}
+    everywhere = sum(builds(node) for tree in trees.values() for node in ast.walk(tree))
+    assert everywhere == sum(builds(node) for node in ast.walk(functions["phase_unitary"])) == 1
+    integer_path = ["_phase_polys", "_check_budget", "limit_projection", "verify_limit_certificate"]
+    found = [
+        name
+        for name in integer_path
+        if any(isinstance(node, ast.Name) and node.id == "Fraction" for node in ast.walk(functions[name]))
+    ]
+    assert not found, found

@@ -21,8 +21,9 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   C(z1, a) C(z2, b), 1 <= a + b <= 4, at D = 250 and 500 (charge 168).
   Two operators with f = (z, C(z, 2)): 1 000 distinct rows (e mod 40)/40,
   floor(e / 40)/25 charge 2 000 and decide (charged rows squared, they were
-  refused), and 10 000 distinct rows (e mod 100)/100, floor(e / 100)/100
-  charge 2 * 10^4.
+  refused), 10 000 distinct rows (e mod 100)/100, floor(e / 100)/100
+  charge 2 * 10^4, and 100 000 distinct rows (e mod 400)/400,
+  floor(e / 400)/250 charge 2 * 10^5.
 - window: the subset-sum searches at the default cap, which charges the
   subset sums they form.  ip-star with k = 2 on a 4-cycle whose A is every
   point, so each residue holds: the window is searched mod 4 and forms 4
@@ -40,7 +41,10 @@ with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
 JSON line: the case, the cap, the exit code, the child's CPU seconds (user +
 system, from ``os.wait4``), its ``ru_maxrss`` in kB, and the bytes of the
 report and of standard output.  The report is counted without its
-``wall_time_ms`` fields, whose digits vary from run to run.  A child's
+``wall_time_ms`` fields, whose digits vary from run to run.  A
+spectral-limit case also prints its charge against ``--cap``, computed from
+the scenario (``spectral_charge``), and its child CPU per unit of that
+charge in microseconds, start-up included.  A child's
 ``ru_maxrss`` starts at the peak of the process it is forked from, so each
 child is started, waited for and measured by a small launcher (``LAUNCHER``),
 not by this process.
@@ -56,6 +60,8 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +111,10 @@ ROWS_10000 = {
     "unitary": {"phases": [[f"{e % 100}/100", f"{e // 100}/100"] for e in range(10000)]},
     "fs": ROWS_1000["fs"],
 }
+ROWS_100000 = {
+    "unitary": {"phases": [[f"{e % 400}/400", f"{e // 400}/250"] for e in range(100000)]},
+    "fs": ROWS_1000["fs"],
+}
 WHOLE_4 = cycle_payload(4, 4, Z)
 DISTINCT_706 = {"coloring": {"W": 706, "colors": list(range(706))}, "k": 2}
 CASES = [
@@ -116,6 +126,7 @@ CASES = [
     *((f"spectral-deg4-{d}", spectral(f"spectral-deg4-{d}", d, DEGREE_4), None) for d in (250, 500)),
     ("spectral-rows-1000", scenario("spectral-rows-1000", "spectral-limit", ROWS_1000), None),
     ("spectral-rows-10000", scenario("spectral-rows-10000", "spectral-limit", ROWS_10000), None),
+    ("spectral-rows-100000", scenario("spectral-rows-100000", "spectral-limit", ROWS_100000), None),
     *((f"ip-star-window-{w}", scenario(f"ip-star-window-{w}", "ip-star", {**WHOLE_4, "k": 2, "W": w}), None)
       for w in (706, 707)),
     ("ip-star-window-1e9", scenario("ip-star-window-1e9", "ip-star", {**WHOLE_4, "k": 2, "W": 10**9}), None),
@@ -145,6 +156,17 @@ def report_bytes(path: Path) -> int:
         return size - sum(map(len, WALL_TIME.findall(f.read())))
 
 
+def spectral_charge(payload: dict) -> int:
+    """What a spectral-limit payload charges against ``--cap`` (README):
+    its distinct phase rows, each phase taken mod 1, times the distinct
+    binomial indices of its ``fs`` with a nonzero coefficient."""
+    phases = payload["unitary"]["phases"]
+    values = {p: Fraction(p) % 1 for p in set(chain.from_iterable(phases))}
+    rows = {tuple(map(values.__getitem__, row)) for row in phases}
+    indices = {tuple(t["idx"]) for f in payload["fs"] for t in f["terms"] if int(t["coef"])}
+    return len(rows) * len(indices)
+
+
 def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
     path, report, stdout = (scratch / f"{name}.{ext}" for ext in ("json", "report.json", "out"))
     path.write_text(json.dumps(doc))
@@ -164,6 +186,9 @@ def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
         "report_bytes": report_bytes(report) if report.exists() else 0,
         "stdout_bytes": stdout.stat().st_size,
     }
+    if doc["kind"] == "spectral-limit":
+        result["charge"] = spectral_charge(doc["payload"])
+        result["cpu_us_per_unit"] = round(float(cpu) * 1e6 / result["charge"], 1)
     for p in (path, report, stdout):
         p.unlink(missing_ok=True)
     return result

@@ -63,12 +63,13 @@ spectral = _lazy("spectral")
 
 RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/0*[1-9][0-9]*)?$"}
 INTEGER_STRING = {"type": "string", "pattern": r"^-?[0-9]+$"}
+POSITIVE = {"type": "integer", "minimum": 1}
 
 BINPOLY_SCHEMA = {
     "type": "object",
     "required": ["nvars", "terms"],
     "properties": {
-        "nvars": {"type": "integer", "minimum": 1},
+        "nvars": POSITIVE,
         "basis": {"const": "binomial"},
         "terms": {
             "type": "array",
@@ -88,7 +89,7 @@ LATTICE_SCHEMA = {
     "type": "object",
     "required": ["ambient", "basis"],
     "properties": {
-        "ambient": {"type": "integer", "minimum": 1},
+        "ambient": POSITIVE,
         "basis": {
             "type": "array",
             "items": {"type": "array", "items": {"type": "integer"}},
@@ -114,8 +115,8 @@ UNITARY_SCHEMA = {
     "type": "object",
     "required": ["phases"],
     "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "ops": {"type": "integer", "minimum": 1},
+        "dim": POSITIVE,
+        "ops": POSITIVE,
         "phases": {
             "type": "array",
             "minItems": 1,
@@ -125,79 +126,37 @@ UNITARY_SCHEMA = {
 }
 
 POLYS = {"type": "array", "items": BINPOLY_SCHEMA, "minItems": 1}
+# the fields of khintchine, r-epsilon and ip-star
+RECURRENCE = {
+    "system": SYSTEM_SCHEMA,
+    "A": {"type": "array", "items": {"type": "string"}},
+    "fs": POLYS,
+}
+
+
+def _closed(**fields) -> dict:
+    """The schema of a payload object with exactly these fields, all required."""
+    return {
+        "schema_version": 1,
+        "type": "object",
+        "required": list(fields),
+        "additionalProperties": False,
+        "properties": fields,
+    }
+
 
 PAYLOAD_SCHEMAS: Dict[str, dict] = {
-    "khintchine": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["system", "A", "fs"],
-        "additionalProperties": False,
-        "properties": {
-            "system": SYSTEM_SCHEMA,
-            "A": {"type": "array", "items": {"type": "string"}},
-            "fs": POLYS,
-        },
-    },
-    "r-epsilon": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["system", "A", "fs", "epsilon"],
-        "additionalProperties": False,
-        "properties": {
-            "system": SYSTEM_SCHEMA,
-            "A": {"type": "array", "items": {"type": "string"}},
-            "fs": POLYS,
-            "epsilon": RATIONAL,
-        },
-    },
-    "ip-star": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["system", "A", "fs", "epsilon", "k", "W"],
-        "additionalProperties": False,
-        "properties": {
-            "system": SYSTEM_SCHEMA,
-            "A": {"type": "array", "items": {"type": "string"}},
-            "fs": POLYS,
-            "epsilon": RATIONAL,
-            "k": {"type": "integer", "minimum": 1},
-            "W": {"type": "integer", "minimum": 1},
-        },
-    },
-    "key-lemma": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["v", "V", "hypothesis"],
-        "additionalProperties": False,
-        "properties": {
-            "v": POLYS,
-            "V": LATTICE_SCHEMA,
-            "hypothesis": LATTICE_SCHEMA,
-        },
-    },
-    "stable-rank": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["v", "window"],
-        "additionalProperties": False,
-        "properties": {
-            "v": POLYS,
-            "window": {"type": "integer", "minimum": 1},
-        },
-    },
-    "spectral-limit": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["unitary", "fs"],
-        "additionalProperties": False,
-        "properties": {
-            "unitary": UNITARY_SCHEMA,
-            "fs": POLYS,
-        },
-    },
+    "khintchine": _closed(**RECURRENCE),
+    "r-epsilon": _closed(**RECURRENCE, epsilon=RATIONAL),
+    "ip-star": _closed(**RECURRENCE, epsilon=RATIONAL, k=POSITIVE, W=POSITIVE),
+    "key-lemma": _closed(v=POLYS, V=LATTICE_SCHEMA, hypothesis=LATTICE_SCHEMA),
+    "stable-rank": _closed(v=POLYS, window=POSITIVE),
+    "spectral-limit": _closed(unitary=UNITARY_SCHEMA, fs=POLYS),
+    # every field is optional, and a payload with none would check nothing
     "delta-check": {
         "schema_version": 1,
         "type": "object",
+        "minProperties": 1,
         "additionalProperties": False,
         "properties": {
             "poly": BINPOLY_SCHEMA,
@@ -216,26 +175,17 @@ PAYLOAD_SCHEMAS: Dict[str, dict] = {
             },
         },
     },
-    "hindman-search": {
-        "schema_version": 1,
-        "type": "object",
-        "required": ["coloring", "k"],
-        "additionalProperties": False,
-        "properties": {
-            "coloring": {
-                "type": "object",
-                "required": ["W", "colors"],
-                "properties": {
-                    "W": {"type": "integer", "minimum": 1},
-                    "colors": {
-                        "type": "array",
-                        "items": {"not": {"type": ["array", "object"]}},
-                    },
-                },
+    "hindman-search": _closed(
+        coloring={
+            "type": "object",
+            "required": ["W", "colors"],
+            "properties": {
+                "W": POSITIVE,
+                "colors": {"type": "array", "items": {"not": {"type": ["array", "object"]}}},
             },
-            "k": {"type": "integer", "minimum": 1},
         },
-    },
+        k=POSITIVE,
+    ),
 }
 
 SCENARIO_SCHEMA = {
@@ -259,7 +209,7 @@ CERTIFICATE_FIELDS: Dict[str, dict] = {
         "r": {"type": "integer", "minimum": 0},
         "samples": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
         "V": LATTICE_SCHEMA,
-        "saturation_window": {"type": "integer", "minimum": 1},
+        "saturation_window": POSITIVE,
     },
     "spectral-limit": {"unitary": UNITARY_SCHEMA, "fs": POLYS, "lattice": LATTICE_SCHEMA},
 }
@@ -288,7 +238,7 @@ SCHEMAS: Dict[object, dict] = {
 
 # ---------------------------------------------------------------------------
 # Schema checking: the keywords of the schemas above, as JSON Schema 2020-12
-# defines them and jsonschema decides them
+# defines them and jsonschema 4 decides and words them
 # ---------------------------------------------------------------------------
 
 
@@ -296,13 +246,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    # true is not an integer, but 2.0 is
-    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
-}
+# the Python classes of each JSON type the schemas name
+_TYPES = {"object": dict, "array": list, "string": str, "integer": (int, float)}
 
 
 def _equal(a, b) -> bool:
@@ -314,47 +259,112 @@ def _equal(a, b) -> bool:
     return a == b
 
 
-def _fields(named, x) -> bool:
-    """Whether each field of the object x that named checks passes."""
+def _error(message: str):
+    """One error at the instance tested."""
+    return [((), message)]
+
+
+def _at(key, errors):
+    """The errors of the entry at key, as errors of the object or array
+    that holds it."""
+    return [((key, *path), message) for path, message in errors]
+
+
+def _fields(named, x):
+    """The errors of the fields of the object x that named checks."""
+    errors = ()
     for name, check in named:
-        if name in x and not check(x[name]):
-            return False
-    return True
+        if name in x and (found := check(x[name])):
+            errors = [*errors, *_at(name, found)]
+    return errors
+
+
+def _type(t, s):
+    """The factory of type, named or listed.  An int or a float is an
+    "integer" unless it is a bool or has a fractional part: true is not an
+    integer, but 2.0 is."""
+    names = [t] if isinstance(t, str) else t
+    classes = tuple(_TYPES[name] for name in names)
+    integer = "integer" in names
+    wanted = ", ".join(map(repr, names))
+    return lambda x: () if isinstance(x, classes) and not (
+        integer and (isinstance(x, bool) or isinstance(x, float) and not x.is_integer())
+    ) else _error(f"{x!r} is not of type {wanted}")
+
+
+def _additional(check, s):
+    """The factory of additionalProperties.  False refuses the fields that
+    s does not name, listed sorted; a schema checks each of them."""
+    named = s.get("properties", {})
+    closed = s["additionalProperties"] is False
+
+    def test(x):
+        if not isinstance(x, dict):
+            return ()
+        extras = x.keys() - named
+        if closed and extras:
+            listed = ", ".join(map(repr, sorted(extras)))
+            verb = "was" if len(extras) == 1 else "were"
+            return _error(f"Additional properties are not allowed ({listed} {verb} unexpected)")
+        if closed or not any(map(check, map(x.__getitem__, extras))):
+            return ()
+        return [e for k in extras for e in _at(k, check(x[k]))]
+
+    return test
+
+
+def _at_least(cls, too_few: str):
+    """The factory of minItems, minLength or minProperties."""
+    return lambda n, s: lambda x: () if not isinstance(x, cls) or len(x) >= n else _error(
+        f"{x!r} {'should be non-empty' if n == 1 else too_few}"
+    )
 
 
 # keyword -> factory(argument, enclosing schema) -> test(instance), for the
-# 14 keywords the schemas above use.  _checker hands "properties" its
-# (name, checker) pairs, "additionalProperties", "items" and "not" the
-# checker of their schema, and "pattern" its compiled search; only
-# "additionalProperties" reads the enclosing schema.  Each test but "type",
-# "const", "enum" and "not" passes instances of other types.
+# 15 keywords the schemas above use.  A test returns the empty tuple when
+# the instance passes, and otherwise its errors, (path, message) pairs with
+# the path relative to the instance, in the order jsonschema finds them and
+# worded as it words them.  _checker hands "properties" its (name, checker)
+# pairs, "additionalProperties", "items" and "not" the checker of their
+# schema, and "pattern" its compiled search; the enclosing schema gives the
+# words of a message and the fields "additionalProperties" leaves alone.
+# Each test but "type", "const", "enum" and "not" passes instances of other
+# types.
 KEYWORDS = {
-    "type": lambda t, s: _TYPES[t] if isinstance(t, str) else lambda x: any(_TYPES[n](x) for n in t),
-    "required": lambda names, s: lambda x: not isinstance(x, dict) or all(map(x.__contains__, names)),
-    "properties": lambda named, s: lambda x: not isinstance(x, dict) or _fields(named, x),
-    "additionalProperties": lambda check, s: lambda x: not isinstance(x, dict)
-    or all([check(x[k]) for k in x.keys() - s.get("properties", {})]),
-    "items": lambda check, s: lambda x: not isinstance(x, list) or all(map(check, x)),
-    "minItems": lambda n, s: lambda x: not isinstance(x, list) or len(x) >= n,
-    "minLength": lambda n, s: lambda x: not isinstance(x, str) or len(x) >= n,
-    # "not x < m" rather than "x >= m", as jsonschema compares (NaN passes)
-    "minimum": lambda m, s: lambda x: not (_is_number(x) and x < m),
-    "maximum": lambda m, s: lambda x: not (_is_number(x) and x > m),
+    "type": _type,
+    "required": lambda names, s: lambda x: () if not isinstance(x, dict) or all(
+        map(x.__contains__, names)
+    ) else [((), f"{name!r} is a required property") for name in names if name not in x],
+    "properties": lambda named, s: lambda x: () if not isinstance(x, dict) else _fields(named, x),
+    "additionalProperties": _additional,
+    "items": lambda check, s: lambda x: () if not isinstance(x, list) or not any(map(check, x))
+    else [e for i, item in enumerate(x) for e in _at(i, check(item))],
+    "minItems": _at_least(list, "is too short"),
+    "minLength": _at_least(str, "is too short"),
+    "minProperties": _at_least(dict, "does not have enough properties"),
+    # "x < m" decides, as jsonschema compares (NaN passes)
+    "minimum": lambda m, s: lambda x: _error(f"{x!r} is less than the minimum of {m!r}")
+    if _is_number(x) and x < m else (),
+    "maximum": lambda m, s: lambda x: _error(f"{x!r} is greater than the maximum of {m!r}")
+    if _is_number(x) and x > m else (),
     # a search, not a full match: "12\n" matches ^-?[0-9]+$
-    "pattern": lambda search, s: lambda x: not isinstance(x, str) or search(x) is not None,
-    "const": lambda c, s: lambda x: _equal(x, c),
-    "enum": lambda options, s: lambda x: any(_equal(x, o) for o in options),
-    "not": lambda check, s: lambda x: not check(x),
+    "pattern": lambda search, s: lambda x: () if not isinstance(x, str) or search(x) is not None
+    else _error(f"{x!r} does not match {s['pattern']!r}"),
+    "const": lambda c, s: lambda x: () if _equal(x, c) else _error(f"{c!r} was expected"),
+    "enum": lambda options, s: lambda x: () if any(_equal(x, o) for o in options)
+    else _error(f"{x!r} is not one of {options!r}"),
+    "not": lambda check, s: lambda x: _error(f"{x!r} should not be valid under {s['not']!r}")
+    if not check(x) else (),
     "schema_version": lambda v, s: None,  # an annotation of this package
 }
 
 
 def _checker(schema):
-    """The test x -> whether x is valid under schema, built once.  A keyword
+    """The test x -> the errors of x under schema, built once.  A keyword
     outside KEYWORDS or a container ``const`` or ``enum`` raises here, before
     any document is checked, so a schema edit cannot be silently ignored."""
     if isinstance(schema, bool):
-        return lambda x: schema
+        return lambda x: () if schema else _error(f"False schema does not allow {x!r}")
     tests = []
     for key, arg in schema.items():
         if key not in KEYWORDS:
@@ -375,10 +385,11 @@ def _checker(schema):
         return tests[0]
 
     def every(x):
+        errors = ()
         for test in tests:
-            if not test(x):
-                return False
-        return True
+            if found := test(x):
+                errors = [*errors, *found]
+        return errors
 
     return every
 
@@ -386,22 +397,6 @@ def _checker(schema):
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _validator(key):
-    """Compiled jsonschema validator of ``SCHEMAS[key]``.
-
-    Only a document that the checker of its key (:func:`_key_checker`)
-    rejects reaches this, so a run of valid documents never imports
-    jsonschema.  The schemas are constants of this module, so the tests
-    check them against their meta-schema; loading the meta-schema on every
-    run would cost more than validating a document.
-    """
-    import jsonschema
-
-    schema = SCHEMAS[key]
-    return jsonschema.validators.validator_for(schema)(schema)
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,23 +409,21 @@ def _check(source: str, key, doc) -> None:
     """Raise :class:`InputError` naming source unless doc is valid under
     ``SCHEMAS[key]``.
 
-    The checker of each key is built on its first use.  The error is
-    jsonschema's, worded "at PATH: MESSAGE" and picked with
-    ``best_match`` exactly as ``jsonschema.validate`` picks it.  Should
-    jsonschema find none where the checker rejected, the document is
-    accepted.  A document nested too deeply to check is an input error.
+    The checker of each key is built on its first use.  Of the errors it
+    finds, the one reported is the one jsonschema's ``best_match`` picks
+    for these schemas: the shallowest, then the greatest path, the first
+    found at that path; it is worded "at PATH: MESSAGE".  A document nested
+    too deeply to check is an input error.
     """
     try:
-        if _key_checker(key)(doc):
+        errors = _key_checker(key)(doc)
+        if not errors:
             return
-        from jsonschema.exceptions import best_match
-
-        error = best_match(_validator(key).iter_errors(doc))
+        path, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
     except RecursionError as exc:
         raise InputError(f"{source}: {exc}") from None
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise InputError(f"{source}: at {where}: {error.message}")
+    where = "/".join(map(str, path)) or "<root>"
+    raise InputError(f"{source}: at {where}: {message}")
 
 
 def _read_json(source: str, path):

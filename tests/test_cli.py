@@ -189,6 +189,14 @@ class TestWriter:
 
 
 class TestExitCodes:
+    def test_empty_delta_check_is_input_error(self, tmp_path):
+        # every delta-check field is optional, and with none it checked
+        # nothing and held
+        path = scenario_file(tmp_path / "empty.json", "delta-check", {})
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path}: at <root>: {{}} should be non-empty\n"
+
     def test_malformed_weights_is_input_error(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -796,6 +804,8 @@ def test_scale_harness_reads_the_peak_of_the_polyrec_child(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["exit"] == 0 and result["maxrss_kb"] < 100 * 1024, result
+    # and times verify-certificate on the certificate the run emits
+    assert result["verify_exit"] == 0 and result["verify_cpu_s"] > 0, result
 
 
 @st.composite
@@ -1016,7 +1026,8 @@ class TestFrontDoorFuzz:
     )
 
     @FUZZ
-    @given(payload=delta_payloads(), cap=st.sampled_from([1, 200, 5000]))
+    # a payload with no field is refused by its schema (minProperties)
+    @given(payload=delta_payloads().filter(bool), cap=st.sampled_from([1, 200, 5000]))
     def test_delta_check(self, tmp_path_factory, payload, cap):
         jsonschema.validate(payload, cli.PAYLOAD_SCHEMAS["delta-check"])
         path = scenario_file(tmp_path_factory.mktemp("fuzz") / "dc.json", "delta-check", payload)
@@ -1449,15 +1460,41 @@ def mutated(draw, doc):
     return doc
 
 
+@functools.cache
+def oracle(kind):
+    """jsonschema's validator of ``cli.SCHEMAS[kind]``."""
+    schema = cli.SCHEMAS[kind]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def agrees(kind, doc):
     """The verdict on doc of the checker _check uses, asserted equal to
     jsonschema's.  A certificate is decided as its envelope and then the
     schema of its kind, each step compared."""
-    accepted = cli._key_checker(kind)(doc)
-    assert accepted == cli._validator(kind).is_valid(doc), (kind, doc)
+    accepted = not cli._key_checker(kind)(doc)
+    assert accepted == oracle(kind).is_valid(doc), (kind, doc)
     if kind == "certificate" and accepted:
         return agrees(("certificate", doc["certificate_kind"]), doc)
     return accepted
+
+
+def message(kind, doc):
+    """The error _check raises on doc under ``cli.SCHEMAS[kind]``, or None."""
+    try:
+        cli._check("doc", kind, doc)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def best_match_message(kind, doc):
+    """jsonschema's ``best_match`` error on doc under ``cli.SCHEMAS[kind]``,
+    worded as _check words an error, or None."""
+    error = jsonschema.exceptions.best_match(oracle(kind).iter_errors(doc))
+    if error is None:
+        return None
+    where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    return f"doc: at {where}: {error.message}"
 
 
 def schema_keywords(schema):
@@ -1505,6 +1542,48 @@ class TestSchemaChecker:
     def test_certificates_agree_with_jsonschema(self, data):
         _, certificates = bundled_documents()
         agrees("certificate", data.draw(mutated(data.draw(st.sampled_from(certificates)))))
+
+    def assert_best_match(self, steps):
+        """On ORACLE's examples, _check words the error best_match picks at
+        each (kind, document) of steps(data), taken in turn until one is
+        rejected; at least 300 examples, at least 200 of them rejected."""
+        checked = []
+
+        @self.ORACLE
+        @given(data=st.data())
+        def same_message(data):
+            for kind, doc in steps(data):
+                got = message(kind, doc)
+                assert got == best_match_message(kind, doc), (kind, doc)
+                if got is not None:
+                    break
+            checked.append(got)
+
+        same_message()
+        assert len(checked) >= 300 and sum(m is not None for m in checked) >= 200
+
+    def test_scenario_errors_read_as_best_match(self):
+        scenarios, _ = bundled_documents()
+
+        def steps(data):
+            # the payload's keys in any order, so that the fields another
+            # kind does not name are listed in an order of their own
+            doc = data.draw(st.sampled_from(scenarios))
+            payload = dict(data.draw(st.permutations(list(doc["payload"].items()))))
+            doc = data.draw(mutated({**doc, "payload": payload}))
+            yield None, doc
+            yield doc["kind"], doc["payload"]
+
+        self.assert_best_match(steps)
+
+    def test_payload_errors_read_as_best_match(self):
+        scenarios, _ = bundled_documents()
+
+        def steps(data):
+            doc = data.draw(st.sampled_from(scenarios))
+            yield doc["kind"], data.draw(mutated(doc["payload"]))
+
+        self.assert_best_match(steps)
 
     # the certificate schema as one document with a conditional per kind,
     # the form the envelope-then-kind check replaced: the oracle of its wording
@@ -1635,6 +1714,39 @@ class TestSchemaChecker:
             cli._key_checker.cache_clear()
         assert sorted(map(repr, built)) == sorted(map(repr, cli.SCHEMAS))
 
+    def test_runs_with_jsonschema_blocked(self, tmp_path):
+        # jsonschema is the oracle of these tests, not a dependency: with its
+        # import blocked a run decides, its certificates verify, and an
+        # invalid document is refused in jsonschema's words
+        scenarios, _ = bundled_documents()
+        doc = next(d for d in scenarios if d["kind"] == "r-epsilon")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "payload": {**doc["payload"], "epsilon": "1/0"}}))
+        child = "\n".join(
+            [
+                "import sys",
+                "sys.modules['jsonschema'] = None",
+                "from pathlib import Path",
+                "from polyrec import cli",
+                "out = Path(sys.argv[1])",
+                "codes = [cli.main(['run', '--bundled', '--emit-certificates', str(out)])]",
+                "codes += [cli.main(['verify-certificate', str(p)]) for p in out.glob('*.json')]",
+                "codes += [cli.main(['run', sys.argv[2]])]",
+                "print(codes)",
+            ]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "certs"), str(bad)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 2]"
+        pattern = cli.RATIONAL["pattern"]
+        assert proc.stderr == f"error: {bad}: at epsilon: '1/0' does not match {pattern!r}\n"
+
     def test_valid_documents_never_import_jsonschema(self, tmp_path):
         child = "\n".join(
             [
@@ -1658,7 +1770,7 @@ class TestSchemaChecker:
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] False", "[2] True"]
+        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] False", "[2] False"]
 
 
 RUNNER_MODULES = {"dynamics", "intpoly", "ipstruct", "keyengine", "lattice", "runners", "spectral"}

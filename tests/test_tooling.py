@@ -18,12 +18,8 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_no_thread_imports():
-    # scenarios run one after another, and bench/tracer.py keeps one span
-    # stack for the whole process, which only holds while polyrec runs
-    # single-threaded
-    banned = {"concurrent", "threading"}
-    found = []
+def _imports():
+    """(file:line, top-level module) of each absolute import in the package."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -32,7 +28,14 @@ def test_no_thread_imports():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in banned]
+            yield from ((f"{path.name}:{node.lineno}", n.split(".")[0]) for n in names)
+
+
+def test_no_thread_imports():
+    # scenarios run one after another, and bench/tracer.py keeps one span
+    # stack for the whole process, which only holds while polyrec runs
+    # single-threaded
+    found = [where for where, module in _imports() if module in {"concurrent", "threading"}]
     assert not found, f"thread imports in the package: {found}"
 
 
@@ -63,28 +66,11 @@ def test_tracer_names_exist():
     assert not missing, f"bench/tracer.py wraps names that do not exist: {missing}"
 
 
-def _module_level(node):
-    """The nodes under node that run at import, not inside a function body."""
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield child
-            yield from _module_level(child)
-
-
-def test_jsonschema_is_imported_only_inside_functions():
-    # the schema checker in cli.py accepts valid documents on its own;
-    # jsonschema is imported only to word the error of a rejected one
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in _module_level(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "jsonschema"]
-    assert not found, f"module-level jsonschema imports: {found}"
+def test_no_module_imports_jsonschema():
+    # the schema checker in cli.py decides and words every input error;
+    # jsonschema is the oracle of the tests, not a dependency
+    found = [where for where, module in _imports() if module == "jsonschema"]
+    assert not found, f"jsonschema imports in the package: {found}"
 
 
 # Top-level names no command reaches that the tests still need: the exact

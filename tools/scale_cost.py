@@ -36,18 +36,20 @@ The cases (``CASES``: name, scenario, ``--cap`` or None for the default):
   first 30 points.  Its 60 distinct maps charge C(60, 2) * 60 = 106 200
   for the commutation check, and each f_i is taken modulo its own order.
 
-Each case runs ``python -m polyrec.cli run FILE --json REPORT`` in a child
-with ``--src`` (default: this tree's ``src``) on PYTHONPATH, and prints one
-JSON line: the case, the cap, the exit code, the child's CPU seconds (user +
-system, from ``os.wait4``), its ``ru_maxrss`` in kB, and the bytes of the
-report and of standard output.  The report is counted without its
-``wall_time_ms`` fields, whose digits vary from run to run.  A
-spectral-limit case also prints its charge against ``--cap``, computed from
-the scenario (``spectral_charge``), and its child CPU per unit of that
-charge in microseconds, start-up included.  A child's
-``ru_maxrss`` starts at the peak of the process it is forked from, so each
-child is started, waited for and measured by a small launcher (``LAUNCHER``),
-not by this process.
+Each case runs ``python -m polyrec.cli run FILE --json REPORT
+--emit-certificates DIR`` in a child with ``--src`` (default: this tree's
+``src``) on PYTHONPATH, and prints one JSON line: the case, the cap, the exit
+code, the child's CPU seconds (user + system, from ``os.wait4``), its
+``ru_maxrss`` in kB, and the bytes of the report and of standard output.
+The report is counted without its ``wall_time_ms`` fields, whose digits vary
+from run to run.  A spectral-limit case also prints its charge against
+``--cap``, computed from the scenario (``spectral_charge``), and its child
+CPU per unit of that charge in microseconds, start-up included.  A case that
+emits a certificate also prints the exit code and CPU seconds of a
+``verify-certificate`` child on it (``verify_exit``, ``verify_cpu_s``).  A
+child's ``ru_maxrss`` starts at the peak of the process it is forked from,
+so each child is started, waited for and measured by a small launcher
+(``LAUNCHER``), not by this process.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -167,30 +170,42 @@ def spectral_charge(payload: dict) -> int:
     return len(rows) * len(indices)
 
 
+def measured(argv, env, stdout: Path):
+    """Exit code, CPU seconds and ``ru_maxrss`` in kB of the child argv,
+    started by ``LAUNCHER`` with its standard output in stdout."""
+    launcher = [sys.executable, "-S", "-c", LAUNCHER, str(stdout), *argv]
+    code, cpu, maxrss = subprocess.run(launcher, env=env, stdout=subprocess.PIPE, check=True).stdout.split()
+    return int(code), float(cpu), int(maxrss)
+
+
 def run_case(src: Path, scratch: Path, name: str, doc: dict, cap) -> dict:
-    path, report, stdout = (scratch / f"{name}.{ext}" for ext in ("json", "report.json", "out"))
+    path, report, stdout, certs = (scratch / f"{name}.{ext}" for ext in ("json", "report.json", "out", "certs"))
     path.write_text(json.dumps(doc))
-    argv = [sys.executable, "-m", "polyrec.cli", "run", str(path), "--json", str(report)]
+    polyrec = [sys.executable, "-m", "polyrec.cli"]
+    argv = [*polyrec, "run", str(path), "--json", str(report), "--emit-certificates", str(certs)]
     if cap is not None:
         argv += ["--cap", str(cap)]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    launcher = [sys.executable, "-S", "-c", LAUNCHER, str(stdout), *argv]
-    measured = subprocess.run(launcher, env=env, stdout=subprocess.PIPE, check=True)
-    code, cpu, maxrss = measured.stdout.split()
+    code, cpu, maxrss = measured(argv, env, stdout)
     result = {
         "case": name,
         "cap": cap,
-        "exit": int(code),
-        "cpu_s": round(float(cpu), 2),
-        "maxrss_kb": int(maxrss),
+        "exit": code,
+        "cpu_s": round(cpu, 2),
+        "maxrss_kb": maxrss,
         "report_bytes": report_bytes(report) if report.exists() else 0,
         "stdout_bytes": stdout.stat().st_size,
     }
     if doc["kind"] == "spectral-limit":
         result["charge"] = spectral_charge(doc["payload"])
-        result["cpu_us_per_unit"] = round(float(cpu) * 1e6 / result["charge"], 1)
+        result["cpu_us_per_unit"] = round(cpu * 1e6 / result["charge"], 1)
+    # a case is one scenario, so it emits at most one certificate
+    for cert in certs.glob("*.cert.json"):
+        code, cpu, _ = measured([*polyrec, "verify-certificate", str(cert)], env, stdout)
+        result["verify_exit"], result["verify_cpu_s"] = code, round(cpu, 2)
     for p in (path, report, stdout):
         p.unlink(missing_ok=True)
+    shutil.rmtree(certs, ignore_errors=True)
     return result
 
 

@@ -18,14 +18,14 @@ of the first difference in z_j, and only the primes up to the degree d
 are divided out of that start, so no integer is factored.  The key-lemma
 witness comes from it, and through :func:`cyclic_periods` (a product of
 cyclic groups, one component at a time) the period grid of
-:mod:`polyrec.dynamics` and the spectral-limit certificate.  Every
-constructor re-verifies its output before returning.
+:mod:`polyrec.dynamics` and the spectral-limit certificate, which its twin
+:func:`cyclic_escape` checks.  Every constructor re-verifies its output.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import compress, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import intpoly, lattice
@@ -226,16 +226,32 @@ def least_periods(us: Sequence[BinPoly], V: Lattice) -> Tuple[int, ...]:
     return tuple(least)
 
 
+def _cyclic_pairs(us: Sequence[BinPoly], moduli: Sequence[int]):
+    """([u_i], m_i * Z) per distinct pair (u_i, m_i), one m * Z per distinct m."""
+    for m in dict.fromkeys(moduli):
+        target = lattice.diagonal([m])
+        for u in dict.fromkeys(compress(us, map(m.__eq__, moduli))):
+            yield [u], target
+
+
 def cyclic_periods(us: Sequence[BinPoly], moduli: Sequence[int]) -> Tuple[int, ...]:
     """Least per-coordinate periods of z -> (u_i(z) mod m_i)_i.
 
     The target is the product of the cyclic groups m_i * Z, so coordinate
     j's periods of the tuple are those its components share: N_j is the
     lcm of the :func:`least_periods` of each distinct pair (u_i, m_i)
-    against m_i * Z alone.
+    against m_i * Z alone.  Its twin is :func:`cyclic_escape`.
     """
-    periods = [least_periods([u], lattice.diagonal([m])) for u, m in dict.fromkeys(zip(us, moduli))]
+    periods = [least_periods(*pair) for pair in _cyclic_pairs(us, moduli)]
     return tuple(map(math.lcm, *periods))
+
+
+def cyclic_escape(us: Sequence[BinPoly], moduli: Sequence[int]) -> Optional[MultiIndex]:
+    """Least binomial index at which z -> (u_i(z) mod m_i)_i is not zero, or
+    None: the least :func:`first_escape` of each distinct pair (u_i, m_i)
+    against m_i * Z alone, the twin of :func:`cyclic_periods`."""
+    escapes = (first_escape(*pair) for pair in _cyclic_pairs(us, moduli))
+    return min((a for a in escapes if a is not None), default=None)
 
 
 def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
@@ -330,7 +346,6 @@ def stable_rank_subgroup(
     target = lattice.hnf_from_generators(
         v.arity, list(_binomial_coordinates(v.components).values())
     ).rank
-    gens: List[Tuple[int, ...]] = []
     samples: List[Tuple[int, ...]] = []
     current = lattice.zero_lattice(v.arity)
     # one pass suffices: the rational span only grows, so a point skipped
@@ -340,9 +355,9 @@ def stable_rank_subgroup(
             break
         img = v.evaluate(pt)
         if lattice.smallest_multiple(current, img) is None:
-            gens.append(img)
             samples.append(pt)
-            current = lattice.hnf_from_generators(v.arity, gens)
+            # current's Hermite basis generates the images kept so far
+            current = lattice.hnf_from_generators(v.arity, [*current.basis, img])
     _check_saturation(v, current)
     return RankCertificate(
         r=current.rank,

@@ -153,35 +153,17 @@ def _random_binpoly(rng: random.Random, nvars: int, max_degree: int, bound: int)
     return f
 
 
-def _delta_identities(f) -> Tuple[bool, dict]:
-    d = max(f.degree, 0)
-    collapsed = intpoly.delta(f, d + 1)
-    expected_value = (-1) ** d * f.constant_term()
-    expected = intpoly.constant((d + 1) * f.nvars, expected_value)
-    constant_ok = collapsed == expected
-    drop_ok = True
-    if d >= 1:
-        doubled = intpoly.delta(f, 2)
-        n = f.nvars
-        for block in (range(n), range(n, 2 * n)):
-            if intpoly.degree_in_vars(doubled, block) >= d:
-                drop_ok = False
-    return constant_ok and drop_ok, {
-        "constant_collapse": constant_ok,
-        "collapsed_value": str(expected_value),
-        "block_degree_drop": drop_ok,
-    }
-
-
-def _recursion_consistent(f, max_s: int) -> bool:
-    """delta(f, s) equals the recursion at every 2 <= s <= max_s.  The chain
-    of recursion levels is built once, and stops at the first mismatch."""
+def _recursion_consistent(f, max_s: int) -> Tuple[bool, intpoly.BinPoly]:
+    """Whether delta(f, s) equals the recursion at every 2 <= s <= max_s,
+    and the recursion's level at s = 2.  The chain of recursion levels is
+    built once, and stops at the first mismatch."""
     level = f
     for s in range(2, max_s + 1):
         level = intpoly.delta_recursive(f, s, level)
+        doubled = level if s == 2 else doubled
         if intpoly.delta(f, s) != level:
-            return False
-    return True
+            return False, doubled
+    return True, doubled
 
 
 def _run_delta_check(payload, cap, seed):
@@ -190,18 +172,24 @@ def _run_delta_check(payload, cap, seed):
     if "poly" in payload:
         f = intpoly.from_json(payload["poly"])
         max_s = int(payload.get("recursion_max_s", 3))
-        # delta(f, d + 1) expands no row; delta(f, 2) is expanded once for the
-        # identities, then delta and delta_recursive once each per s.  The
-        # random suite is not counted: its schema bounds it to polynomials
-        # in at most 3 variables of degree at most 4.
-        rows = intpoly.delta_rows(f, 2)
-        rows += 2 * sum(intpoly.delta_rows(f, s) for s in range(2, max_s + 1))
+        # delta and delta_recursive expand once each per s, delta(f, d + 1)
+        # no row.  The random suite is not counted: its schema bounds it to
+        # polynomials in at most 3 variables of degree at most 4.
+        rows = 2 * sum(intpoly.delta_rows(f, s) for s in range(2, max_s + 1))
         charge(rows, cap, f"delta-check expands {rows} rows")
-        good, info = _delta_identities(f)
-        ok &= good
-        details["poly"] = info
-        rec = _recursion_consistent(f, max_s)
-        ok &= rec
+        rec, doubled = _recursion_consistent(f, max_s)
+        # the identities: delta(f, d + 1) is constant, and each block of the
+        # recursion's delta(f, 2) has degree below d
+        d, n = max(f.degree, 0), f.nvars
+        value = (-1) ** d * f.constant_term()
+        constant_ok = intpoly.delta(f, d + 1) == intpoly.constant((d + 1) * n, value)
+        drop_ok = d < 1 or all(intpoly.degree_in_vars(doubled, b) < d for b in (range(n), range(n, 2 * n)))
+        ok &= constant_ok and drop_ok and rec
+        details["poly"] = {
+            "constant_collapse": constant_ok,
+            "collapsed_value": str(value),
+            "block_degree_drop": drop_ok,
+        }
         details["recursion_consistent"] = rec
     if "c_table_max" in payload:
         top = int(payload["c_table_max"])
@@ -218,11 +206,8 @@ def _run_delta_check(payload, cap, seed):
         count, nvars, max_degree = (int(params[k]) for k in ("count", "nvars", "max_degree"))
         bound = int(params.get("coeff_bound", 9))
         rng = random.Random(seed)
-        failures = 0
-        for _ in range(count):
-            f = _random_binpoly(rng, nvars, max_degree, bound)
-            good, _info = _delta_identities(f)
-            failures += 0 if good else 1
+        polys = (_random_binpoly(rng, nvars, max_degree, bound) for _ in range(count))
+        failures = sum(intpoly.delta(f, 2) != intpoly.delta_recursive(f, 2) for f in polys)
         ok &= failures == 0
         details["random"] = {"count": count, "failures": failures, "seed": seed}
     return ok, details, None

@@ -9,7 +9,7 @@ invariant set of z is then computable exactly, in integers: the product is
 the identity on the diagonal lattice of the lcm of the least periods modulo
 q * Z of the phase polynomials, one per distinct row
 (:func:`keyengine.cyclic_periods`), which is returned as a certificate
-verified row by row (:func:`keyengine.first_escape`).  Projection
+verified row by row (:func:`keyengine.cyclic_escape`).  Projection
 predicates and the quadratic averaging expansion are checked in exact
 Gaussian-rational arithmetic.
 """
@@ -216,8 +216,8 @@ def _check_budget(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int) -> None:
 
     The charge is the number of distinct phase rows times the number of
     distinct binomial indices of ``fs``: each row is decided on its own
-    against q * Z by :func:`keyengine.least_periods` and
-    :func:`keyengine.first_escape`.  :func:`limit_projection` and
+    against q * Z by :func:`keyengine.cyclic_periods` and
+    :func:`keyengine.cyclic_escape`.  :func:`limit_projection` and
     :func:`verify_limit_certificate` charge it before any lattice is built.
     """
     rows = len(set(u.table))
@@ -243,6 +243,7 @@ def limit_projection(u: PhaseUnitary, fs: Sequence[BinPoly], cap: int = SWEEP_CA
     intpoly.exponent_tuple(fs)
     rows = _phase_polys(u, fs)
     cert = lattice.diagonal(keyengine.cyclic_periods(rows, [u.order] * len(rows)))
+    del rows  # the check combines rows of its own, on the lattice
     verify_limit_certificate(u, fs, cert, cap=cap)
     return ProjectionDesc(dim=u.dim, fixed=frozenset(range(u.dim)), certificate=cert)
 
@@ -253,7 +254,7 @@ def verify_limit_certificate(
     """Decide that all eigen-phases vanish on the whole certificate lattice.
 
     The claim is that each phase polynomial (:func:`_phase_polys`) lands in
-    q * Z on the lattice; :func:`keyengine.first_escape` decides it row by
+    q * Z on the lattice; :func:`keyengine.cyclic_escape` decides it row by
     row on the lattice's Hermite coordinates (:func:`keyengine.restrict`).
     Raises :class:`VerificationFailed` at the least escaping index over the
     rows, which is the bad point whose lattice coordinates are
@@ -267,11 +268,10 @@ def verify_limit_certificate(
         )
     # restriction is linear, so restrict the m polynomials f_i once and
     # combine them into the phase polynomials after
-    target = lattice.diagonal([u.order])
     rows = _phase_polys(u, keyengine.restrict(fs, cert))
-    escapes = [a for a in (keyengine.first_escape([g], target) for g in rows) if a is not None]
-    if escapes:
-        point = keyengine.lattice_point(cert, min(escapes))
+    a = keyengine.cyclic_escape(rows, [u.order] * len(rows))
+    if a is not None:
+        point = keyengine.lattice_point(cert, a)
         raise VerificationFailed(
             witness=point,
             message=f"certificate lattice leaves a nonzero phase at {point}",

@@ -589,22 +589,53 @@ class TestDeltaCheckCap:
         code, out, err = run_in_process("run", str(path))
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "delta-check expands 1759345 rows, cap is 1000000" in err
+        assert "delta-check expands 1746484 rows, cap is 1000000" in err
 
     def test_dense_one_variable_degree_eight_decides(self, tmp_path):
         payload = {"poly": dense_poly(1, 8), "recursion_max_s": 4}
         path = scenario_file(tmp_path / "dense1.json", "delta-check", payload)
         code, out, err = run_in_process("run", str(path))
         assert code == 0 and "HOLDS" in out, err
-        # 42 rows for delta(f, 2) in the identities, then 2 * (42 + 155 + 460)
-        code, out, err = run_in_process("run", str(path), "--cap", "1355")
-        assert code == 2 and "delta-check expands 1356 rows, cap is 1355" in err
-        assert run_in_process("run", str(path), "--cap", "1356")[0] == 0
+        # 2 * (42 + 155 + 460): delta and delta_recursive once each per s,
+        # the identities reading the recursion's delta(f, 2)
+        code, out, err = run_in_process("run", str(path), "--cap", "1313")
+        assert code == 2 and "delta-check expands 1314 rows, cap is 1313" in err
+        assert run_in_process("run", str(path), "--cap", "1314")[0] == 0
 
     def test_random_suite_is_not_counted(self, tmp_path):
         payload = {"random": {"count": 3, "nvars": 3, "max_degree": 4}}
         path = scenario_file(tmp_path / "suite.json", "delta-check", payload)
         assert run_in_process("run", str(path), "--cap", "1")[0] == 0
+
+
+class TestDeltaCheckRandomSuite:
+    def test_a_delta_that_drops_a_row_fails(self, tmp_path, monkeypatch):
+        # each random polynomial's delta(f, 2) is compared with the
+        # recursion; the constant-collapse and degree-drop identities hold
+        # for any closed form built like delta, this broken copy included
+        path = scenario_file(tmp_path / "suite.json", "delta-check",
+                             {"random": {"count": 60, "nvars": 3, "max_degree": 4}})
+
+        def suite(seed):
+            out = tmp_path / f"report-{seed}.json"
+            code = run_in_process("run", str(path), "--seed", str(seed), "--json", str(out))[0]
+            report = json.loads(out.read_text())["reports"][0]
+            out.unlink()
+            return code, report["verdict"], report["details"]["random"]
+
+        for seed in (1, 2, 3):
+            assert suite(seed) == (0, "holds", {"count": 60, "failures": 0, "seed": seed})
+        real = ip.delta
+
+        def drop_one_row(f, s):
+            g = real(f, s)
+            row = next((t for t in g.terms if any(t[0])), None)
+            return g._replace(terms=tuple(t for t in g.terms if t is not row))
+
+        monkeypatch.setattr(ip, "delta", drop_one_row)
+        for seed in (1, 2, 3):
+            code, verdict, random_suite = suite(seed)
+            assert code == 1 and verdict == "fails" and random_suite["failures"] > 0, random_suite
 
 
 def ncycle_payload(n, a_size):

@@ -202,22 +202,34 @@ class TestLeastPeriods:
 
 class TestCyclicPeriods:
     def test_against_the_joint_periods(self):
-        # the oracle is the joint least periods modulo the diagonal lattice
-        # of the moduli; pairs repeat, and the lcm of the per-pair periods
-        # often exceeds their max
+        # the oracles are the joint least periods and the joint first escape
+        # modulo the diagonal lattice of the moduli; pairs repeat, and the
+        # lcm of the per-pair periods often exceeds their max.  Escapes are
+        # decided on the tuple and on its shift differences in z_1 by the
+        # period N_1, where every pair lands, and by N_1 over its least
+        # prime factor, where only some pairs may escape
         rng = random.Random(211)
-        repeated = wider = 0
+        repeated = wider = escaping = landing = 0
         for _ in range(300):
             n = rng.randint(1, 3)
             pool = [(random_binpoly(rng, n, rng.randint(1, 4), bound=6), rng.randint(1, 12))
                     for _ in range(rng.randint(1, 3))]
             pairs = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
             us, moduli = [u for u, _ in pairs], [m for _, m in pairs]
-            assert ke.cyclic_periods(us, moduli) == ke.least_periods(us, lat.diagonal(moduli)), pairs
+            periods = ke.cyclic_periods(us, moduli)
+            assert periods == ke.least_periods(us, lat.diagonal(moduli)), pairs
             repeated += len(set(pairs)) < len(pairs)
             alone = [ke.least_periods([u], lat.diagonal([m])) for u, m in set(pairs)]
             wider += any(math.lcm(*steps) > max(steps) for steps in zip(*alone))
+            step = periods[0]
+            for vs in [us] + [[ip.shift_difference(u, 0, s) for u in us]
+                              for s in (step, step // min(primefactors(step), default=1))]:
+                escape = ke.cyclic_escape(vs, moduli)
+                assert escape == ke.first_escape(vs, lat.diagonal(moduli)), pairs
+                escaping += escape is not None
+                landing += escape is None
         assert repeated > 100 and wider > 30, (repeated, wider)
+        assert escaping > 300 and landing > 300, (escaping, landing)
 
 
 class TestMembershipVerifier:

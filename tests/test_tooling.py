@@ -225,3 +225,29 @@ def test_spectral_phases_are_integers_past_the_parser():
         if any(isinstance(node, ast.Name) and node.id == "Fraction" for node in ast.walk(functions[name]))
     ]
     assert not found, found
+
+
+def test_every_mutant_applies_once_and_names_existing_tests(monkeypatch):
+    # tools/mutants.py replaces each old text, which must occur exactly once
+    # and leave a file that still parses, and runs the named tests, which
+    # must exist; the mutant runs themselves stay outside this suite
+    root = SRC.parent.parent
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    mutants = runpy.run_path(str(root / "tools" / "mutants.py"))["MUTANTS"]
+    assert len({m.name for m in mutants}) == len(mutants)
+    problems = []
+    for m in mutants:
+        source = (root / m.path).read_text()
+        if source.count(m.old) != 1:
+            problems.append(f"{m.name}: old text occurs {source.count(m.old)} times in {m.path}")
+        else:
+            ast.parse(source.replace(m.old, m.new), filename=m.path)
+        for node_id in m.tests:
+            path, *names = node_id.split("::")
+            scope = ast.parse((root / path).read_text()).body
+            for name in names:
+                scope = next((node.body for node in scope if getattr(node, "name", None) == name), None)
+                if scope is None:
+                    problems.append(f"{m.name}: no test {node_id}")
+                    break
+    assert not problems, problems

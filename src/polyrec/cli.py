@@ -614,13 +614,7 @@ def cmd_verify_certificate(args) -> int:
             witness = lattice.from_json(doc["witness"])
             _require_finite_index(witness, "witness")
             v = intpoly.polytuple_from_json(doc["v"])
-            target = lattice.from_json(doc["V"])
-            offset = v.evaluate([0] * v.nvars)
-            point = keyengine.verify_value_membership(v, offset, target, witness)
-            if point is not None:
-                raise VerificationFailed(
-                    witness=point, message=f"certificate lattice fails membership at {point}"
-                )
+            keyengine.verify_key_lemma_certificate(v, lattice.from_json(doc["V"]), witness)
         elif kind == "stable-rank":
             v = intpoly.polytuple_from_json(doc["v"])
             cert = keyengine.RankCertificate(

@@ -95,4 +95,5 @@ class SaturationFailed(CheckFailed):
 
 
 class VerificationFailed(CheckFailed):
-    """An internal construction or invariant failed its own post-check (bug guard)."""
+    """A certificate or invariant failed its check: a tampered certificate
+    read by ``verify-certificate``, or a bug caught by a post-check."""

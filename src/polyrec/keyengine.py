@@ -19,7 +19,11 @@ are divided out of that start, so no integer is factored.  The key-lemma
 witness comes from it, and through :func:`cyclic_periods` (a product of
 cyclic groups, one component at a time) the period grid of
 :mod:`polyrec.dynamics` and the spectral-limit certificate, which its twin
-:func:`cyclic_escape` checks.  Every constructor re-verifies its output.
+:func:`cyclic_escape` checks.
+
+Each certificate kind has one check, which its constructor ends with and
+``verify-certificate`` runs: :func:`verify_key_lemma_certificate` and
+:func:`verify_rank_certificate`.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def key_instance(v: PolyTuple, V: Lattice) -> KeyInstance:
 class RankCertificate(NamedTuple):
     """Greedy rank witness: samples whose images span the image subgroup.
 
-    Invariants (re-assertable via :func:`verify_rank_certificate`): V is the
+    Invariants (decided by :func:`verify_rank_certificate`): V is the
     lattice generated by the sample images, rank(V) = r, and v(z) lies in
     the rational span of V for every z in Z^n.  ``saturation_window`` is
     the box radius the samples were searched in.
@@ -264,10 +268,9 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
     :class:`HypothesisFailed` with a counterexample if false.  A polynomial
     that lands in a subspace on a full-rank lattice lands in it everywhere,
     so :func:`least_periods` applies, and L is the diagonal lattice of v's
-    least periods modulo V.
-    L is re-verified with :func:`verify_value_membership` before being
-    returned; a verification failure signals an implementation bug, never
-    a silent wrong answer.
+    least periods modulo V.  L is checked by
+    :func:`verify_key_lemma_certificate` before being returned; a failure
+    there signals an implementation bug, never a silent wrong answer.
     """
     v, V = inst.v, inst.V
     n = v.nvars
@@ -288,13 +291,19 @@ def key_lemma_lattice(inst: KeyInstance, hypothesis: Lattice) -> Lattice:
         )
 
     result = lattice.diagonal(least_periods(v.components, V))
-    counterexample = verify_value_membership(v, v.evaluate([0] * n), V, result)
-    if counterexample is not None:
-        raise VerificationFailed(
-            witness=counterexample,
-            message=f"constructed lattice fails its post-check at {counterexample}",
-        )
+    verify_key_lemma_certificate(v, V, result)
     return result
+
+
+def verify_key_lemma_certificate(v: PolyTuple, V: Lattice, witness: Lattice) -> None:
+    """Decide the key-lemma claim: v(a) - v(0) lies in V for every a in the
+    witness (:func:`verify_value_membership`), else raises
+    :class:`VerificationFailed` at the counterexample."""
+    point = verify_value_membership(v, v.evaluate([0] * v.nvars), V, witness)
+    if point is not None:
+        raise VerificationFailed(
+            witness=point, message=f"certificate lattice fails membership at {point}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +317,6 @@ def window_points(n: int, window: int):
         for pt in product(range(-radius, radius + 1), repeat=n):
             if max((abs(c) for c in pt), default=0) == radius:
                 yield pt
-
-
-def _check_saturation(v: PolyTuple, V: Lattice) -> None:
-    """Decide that v(z) lies in the rational span of V for every z in Z^n,
-    from the binomial coordinates of v (:func:`first_escape` with ``span``)."""
-    pt = first_escape(v.components, V, span=True)
-    if pt is not None:
-        raise SaturationFailed(
-            witness=pt,
-            message=f"image of {pt} escapes the rational span of the image subgroup",
-        )
 
 
 def stable_rank_subgroup(
@@ -336,7 +334,7 @@ def stable_rank_subgroup(
     can visit, not the window.  A window too small to reach r raises :class:`SaturationFailed` with the
     least non-negative point whose image escapes the rational span of the
     samples.  The degenerate map (identically zero) certifies r = 0 with
-    the zero subgroup.
+    the zero subgroup.  :func:`verify_rank_certificate` checks the result.
     """
     if window < 1:
         raise ArityMismatch(f"window must be positive, got {window}")
@@ -358,20 +356,19 @@ def stable_rank_subgroup(
             samples.append(pt)
             # current's Hermite basis generates the images kept so far
             current = lattice.hnf_from_generators(v.arity, [*current.basis, img])
-    _check_saturation(v, current)
-    return RankCertificate(
-        r=current.rank,
-        samples=tuple(samples),
-        V=current,
-        saturation_window=window,
+    cert = RankCertificate(
+        r=current.rank, samples=tuple(samples), V=current, saturation_window=window
     )
+    verify_rank_certificate(v, cert)
+    return cert
 
 
 def verify_rank_certificate(v: PolyTuple, cert: RankCertificate) -> None:
     """Re-assert every :class:`RankCertificate` invariant from scratch.
 
     v is evaluated at the samples only; the saturation claim is decided for
-    all of Z^n from binomial coordinates, so the window size costs nothing.
+    all of Z^n from binomial coordinates (:func:`first_escape` with
+    ``span``), so the window size costs nothing.
     """
     regenerated = lattice.hnf_from_generators(
         v.arity, [v.evaluate(pt) for pt in cert.samples]
@@ -386,5 +383,10 @@ def verify_rank_certificate(v: PolyTuple, cert: RankCertificate) -> None:
             witness=cert.r,
             message=f"recorded rank {cert.r} differs from actual {cert.V.rank}",
         )
-    _check_saturation(v, cert.V)
+    pt = first_escape(v.components, cert.V, span=True)
+    if pt is not None:
+        raise SaturationFailed(
+            witness=pt,
+            message=f"image of {pt} escapes the rational span of the image subgroup",
+        )
 

@@ -20,6 +20,7 @@ from polyrec.errors import (
     NonzeroConstantTerm,
     SaturationFailed,
     SweepCapExceeded,
+    VerificationFailed,
 )
 from polyrec.numutil import lcm_upto
 
@@ -335,6 +336,45 @@ class TestKeyLemma:
                         pt[i] += c * col[i]
                 value = [a - b for a, b in zip(v.evaluate(pt), offset)]
                 assert target.contains(value)
+
+    def test_a_shrunk_period_fails_as_verify_certificate_words_it(self, monkeypatch, tmp_path):
+        # least_periods with one period divided by its least prime factor;
+        # the lattice claim is weaker than periodicity, so only the shrunk
+        # lattices that leave V count.  On each, the constructor's post-check
+        # fails with the witness and words of verify-certificate on a
+        # certificate carrying that lattice.
+        rng = random.Random(199)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(1, 2)
+            K = rng.randint(1, 3)
+            v = ip.polytuple([random_binpoly(rng, n, 3, bound=4) for _ in range(K)])
+            target = random_fullrank_lattice(rng, K, pivot_max=3)
+            periods = list(ke.least_periods(v.components, target))
+            shrinkable = [j for j, p in enumerate(periods) if p > 1]
+            if not shrinkable:
+                continue
+            j = rng.choice(shrinkable)
+            periods[j] //= min(primefactors(periods[j]))
+            shrunk = lat.diagonal(periods)
+            point = ke.verify_value_membership(v, v.evaluate([0] * n), target, shrunk)
+            if point is None:
+                continue
+            doc = {
+                "certificate_kind": "key-lemma",
+                "v": ip.polytuple_to_json(v),
+                "V": lat.to_json(target),
+                "witness": lat.to_json(shrunk),
+            }
+            code, out, err = verify_certificate(tmp_path / "kl.cert.json", doc)
+            assert (code, out) == (1, "")
+            with monkeypatch.context() as patch, pytest.raises(VerificationFailed) as failed:
+                patch.setattr(ke, "least_periods", lambda us, V, p=tuple(periods): p)
+                ke.key_lemma_lattice(ke.key_instance(v, target), lat.full_lattice(n))
+            assert failed.value.witness == point
+            assert err == f"verification failed: {failed.value}\n"
+            checked += 1
+        assert checked >= 20
 
     def test_rank_deficient_target(self):
         # v(b) = (b, 2b) always lies on the line spanned by (1, 2); landing

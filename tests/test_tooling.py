@@ -185,6 +185,58 @@ def test_certificate_documents_have_one_writer_and_one_reader():
     assert found == ["cli.py", "runners.py"], found
 
 
+# Each certificate kind's constructor, by its module.
+CONSTRUCTORS = {
+    "key-lemma": ("keyengine", "key_lemma_lattice"),
+    "stable-rank": ("keyengine", "stable_rank_subgroup"),
+    "spectral-limit": ("spectral", "limit_projection"),
+}
+
+
+def _called(nodes):
+    """(module or None, name) of each call under nodes, as written."""
+    return [
+        (getattr(call.func.value, "id", None), call.func.attr)
+        if isinstance(call.func, ast.Attribute)
+        else (None, getattr(call.func, "id", None))
+        for node in nodes
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    ]
+
+
+def test_each_certificate_kind_has_one_check():
+    # verify-certificate runs one check per kind, and the kind's constructor
+    # ends with the same function, so a constructed certificate and a read
+    # one fail alike; the keyengine constructors word no failure themselves
+    functions = {
+        path.stem: {node.name: node for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.FunctionDef)}
+        for path in SRC.glob("*.py")
+    }
+    verify = functions["cli"]["cmd_verify_certificate"]
+    node = next(n for n in ast.walk(verify) if isinstance(n, ast.If) and "kind ==" in ast.unparse(n.test))
+    branches = {}
+    while isinstance(node, ast.If):
+        branches[node.test.comparators[0].value] = node.body
+        rest = node.orelse
+        node = rest[0] if len(rest) == 1 else None
+    # the last kind is the final else
+    (last,) = set(CONSTRUCTORS) - set(branches)
+    branches[last] = rest
+    for kind, body in branches.items():
+        module, constructor = CONSTRUCTORS[kind]
+        checks = [call for call in _called(body) if call[1].startswith("verify_")]
+        assert checks == [(module, checks[0][1])], (kind, checks)
+        built = {name for _, name in _called(body)} & {"VerificationFailed", "SaturationFailed"}
+        assert not built, (kind, built)
+        called = _called([functions[module][constructor]])
+        assert (None, checks[0][1]) in called, (kind, constructor)
+        if module == "keyengine":
+            built = {name for _, name in called} & {"VerificationFailed", "SaturationFailed"}
+            assert not built, (constructor, built)
+
+
 def test_sweep_cap_exceeded_is_raised_by_charge_only():
     # every --cap refusal is decided and worded by errors.charge, so no
     # other code constructs or raises SweepCapExceeded

@@ -108,6 +108,51 @@ MUTANTS = (
         ("tests/test_spectral.py::TestIntegerTable::test_phase_polys_are_one_combine_per_distinct_row",),
     ),
     Mutant(
+        "verify_rank_certificate skips its regenerate comparison",
+        "src/polyrec/keyengine.py",
+        "if regenerated != cert.V:",
+        "if False:",
+        ("tests/test_keyengine.py::TestStableRank::test_certificate_reverification",),
+    ),
+    Mutant(
+        "the key-lemma check takes offset 0 for v(0)",
+        "src/polyrec/keyengine.py",
+        "verify_value_membership(v, v.evaluate([0] * v.nvars), V, witness)",
+        "verify_value_membership(v, [0] * v.arity, V, witness)",
+        ("tests/test_first_escape.py::TestCallSitesAgreeWithSweeps::test_value_membership_and_key_certificates",),
+    ),
+    Mutant(
+        "key_lemma_lattice skips its post-check",
+        "src/polyrec/keyengine.py",
+        "    verify_key_lemma_certificate(v, V, result)\n",
+        "",
+        ("tests/test_keyengine.py::TestKeyLemma::test_a_shrunk_period_fails_as_verify_certificate_words_it",),
+    ),
+    Mutant(
+        "first_escape ignores span",
+        "src/polyrec/keyengine.py",
+        "if (lattice.smallest_multiple(V, c) is None) if span else not V.contains(c):",
+        "if not V.contains(c):",
+        (
+            "tests/test_first_escape.py::TestCallSitesAgreeWithSweeps::test_key_lemma_hypothesis",
+            "tests/test_first_escape.py::TestCallSitesAgreeWithSweeps::test_stable_rank",
+        ),
+    ),
+    Mutant(
+        "_exponent_lines swaps the arguments of its binomials",
+        "src/polyrec/dynamics.py",
+        "math.prod(map(math.comb, prefix, idx))",
+        "math.prod(map(math.comb, idx, prefix))",
+        ("tests/test_dynamics.py::TestMinimalGrid::test_forward_differences_match_evaluate",),
+    ),
+    Mutant(
+        "certificate kind schemas miss one required field",
+        "src/polyrec/cli.py",
+        '{"required": sorted(fields), "properties": fields}',
+        '{"required": sorted(fields)[1:], "properties": fields}',
+        ("tests/test_cli.py::TestSchemaChecker::test_certificate_errors_read_as_under_one_conditional_schema",),
+    ),
+    Mutant(
         "_check picks its error by depth alone",
         "src/polyrec/cli.py",
         "key=lambda error: (-len(error[0]), error[0]))",

@@ -1,4 +1,4 @@
-"""Compare what a git ref and the working tree print and write on valid input.
+"""Compare what a git ref and the working tree print and write.
 
 Run from the repository root:
 
@@ -18,11 +18,14 @@ cases:
   tree.
 
 Each ``run`` writes ``--json`` and ``--emit-certificates``, and each emitted
-certificate is checked with ``verify-certificate``.  Per case the two sides'
-exit codes, standard output and error, report without its ``wall_time_ms``
-fields, certificate files, and every ``verify-certificate`` exit code and
-output are compared.  One JSON line per case names what differs; the exit
-code is 1 if anything does.
+certificate is checked with ``verify-certificate``, and so are two tampered
+copies of it (``TAMPERED``): its lattice field (``LATTICE_FIELDS``) replaced
+by Z^n, and that field with its last basis column dropped.  Per case the two
+sides' exit codes, standard output and error, report without its
+``wall_time_ms`` fields, certificate files, and every ``verify-certificate``
+exit code and output are compared.  One JSON line per case names what
+differs and counts the tampered copies the working tree refuses with exit
+code 1; the exit code is 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -38,6 +41,18 @@ from pathlib import Path
 from bench_pairs import ROOT, copy_tree
 
 SEEDS = (1, 2, 3)
+
+# The lattice each certificate kind claims something on.
+LATTICE_FIELDS = {"key-lemma": "witness", "stable-rank": "V", "spectral-limit": "lattice"}
+
+# Each tampering of a lattice document, by name.
+TAMPERED = {
+    "whole": lambda lat: {
+        "ambient": lat["ambient"],
+        "basis": [[int(i == j) for i in range(lat["ambient"])] for j in range(lat["ambient"])],
+    },
+    "short": lambda lat: {"ambient": lat["ambient"], "basis": lat["basis"][:-1]},
+}
 
 
 def polyrec(src: Path, cwd: Path, *args) -> dict:
@@ -64,6 +79,14 @@ def run_outputs(src: Path, work: Path, args) -> dict:
     certs = sorted((work / "certs").glob("*")) if (work / "certs").is_dir() else []
     out["certificates"] = {p.name: p.read_bytes() for p in certs}
     out["verify"] = {p.name: polyrec(src, work, "verify-certificate", f"certs/{p.name}") for p in certs}
+    (work / "tampered").mkdir()
+    for p in certs:
+        doc = json.loads(p.read_text())
+        field = LATTICE_FIELDS[doc["certificate_kind"]]
+        for how, tamper in TAMPERED.items():
+            name = f"{how}.{p.name}"
+            (work / "tampered" / name).write_text(json.dumps({**doc, field: tamper(doc[field])}))
+            out["verify"][name] = polyrec(src, work, "verify-certificate", f"tampered/{name}")
     return out
 
 
@@ -101,6 +124,9 @@ def main(argv=None) -> int:
                 for side, tree in sides.items()
             }
             line = {"case": name, "certificates": len(got["tree"]["certificates"])}
+            line["tampered_refused"] = sum(
+                out["exit"] == 1 for key, out in got["tree"]["verify"].items() if key.split(".")[0] in TAMPERED
+            )
             line["differs"] = differing(got["ref"], got["tree"])
             differs_anywhere |= bool(line["differs"])
             print(json.dumps(line), flush=True)

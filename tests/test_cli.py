@@ -40,6 +40,14 @@ def run_cli(*args, cwd=None, timeout=120):
     )
 
 
+@pytest.fixture
+def harness(monkeypatch):
+    """The namespace of tools/same_output.py, which imports tools/bench_pairs.py."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    monkeypatch.syspath_prepend(str(tools))
+    return runpy.run_path(str(tools / "same_output.py"))
+
+
 def scenario_file(path, kind, payload):
     doc = {"schema_version": 1, "id": path.stem, "kind": kind, "payload": payload}
     path.write_text(json.dumps(doc))
@@ -687,10 +695,9 @@ class TestCommutationCap:
         assert "1124250 pairs of distinct maps at 60 points charge 67455000, cap is 1000000" in proc.stderr
         assert cpu < 2.0, cpu
 
-    def test_many_repeated_maps_decide(self, tmp_path):
+    def test_many_repeated_maps_decide(self, tmp_path, harness):
         # the scale harness's many-maps system with 2 000 maps: 60 distinct
         # maps charge 106 200, and each f_i is taken modulo its own order
-        harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
         path = scenario_file(tmp_path / "maps.json", "khintchine", harness["rotations"](2000))
         proc, cpu = TestSpectralCap.child_cpu("run", str(path))
         assert proc.returncode == 0 and proc.stdout.startswith("== maps [khintchine] HOLDS\n"), proc.stderr
@@ -779,19 +786,18 @@ class TestSpectralCap:
             sp.verify_limit_certificate(u, fs, cert, cap=7)
 
     @pytest.mark.parametrize("case", ["spectral-rows-1000", "spectral-rows-10000"])
-    def test_distinct_rows_of_the_scale_harness_decide(self, tmp_path, case):
+    def test_distinct_rows_of_the_scale_harness_decide(self, tmp_path, harness, case):
         # rows x indices charge 2 000 and 20 000
         root = Path(__file__).resolve().parent.parent
-        harness = runpy.run_path(str(root / "tools" / "scale_cost.py"))
         [(name, doc, cap)] = [c for c in harness["CASES"] if c[0] == case]
         assert cap is None
-        result = harness["run_case"](root / "src", tmp_path, name, doc, cap)
+        args = harness["scale_args"](tmp_path, name, doc, cap)
+        _, result = harness["run_case"](root / "src", tmp_path / "work", args)
         assert result["exit"] == 0 and result["cpu_s"] < 2.0, result
 
 
-def test_every_scale_harness_case_is_schema_valid(tmp_path):
+def test_every_scale_harness_case_is_schema_valid(tmp_path, harness):
     # the cases are written and loaded, not run: some take seconds
-    harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
     assert len(harness["CASES"]) == 20
     for name, doc, cap in harness["CASES"]:
         path = tmp_path / f"{name}.json"
@@ -800,10 +806,9 @@ def test_every_scale_harness_case_is_schema_valid(tmp_path):
         assert loaded == doc and (cap is None or cap > 0), name
 
 
-def test_scale_harness_charges_are_the_spectral_charges():
+def test_scale_harness_charges_are_the_spectral_charges(harness):
     # the harness prints each spectral case's charge, computed from the
     # scenario; one below it, polyrec refuses the case with that amount
-    harness = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "scale_cost.py"))
     payloads = [doc["payload"] for _, doc, _ in harness["CASES"] if doc["kind"] == "spectral-limit"]
     charges = [harness["spectral_charge"](payload) for payload in payloads]
     assert charges == [12, 12, 12, 168, 168, 2000, 20000, 200000]
@@ -814,6 +819,19 @@ def test_scale_harness_charges_are_the_spectral_charges():
             sp.limit_projection(u, fs, cap=charge - 1)
 
 
+def test_harness_drops_every_wall_time_of_a_report(tmp_path, harness):
+    # the harness compares reports as bytes without their wall_time_ms
+    # fields, which vary from run to run; the bundled report has one per
+    # scenario, and the bytes left parse to the report without them
+    work = tmp_path / "work"
+    out, _ = harness["run_case"](Path(__file__).resolve().parent.parent / "src", work, ["--bundled"])
+    doc = json.loads((work / "report.json").read_text())
+    assert len(doc["reports"]) > 1
+    for entry in doc["reports"]:
+        del entry["wall_time_ms"]
+    assert json.loads(out["report"]) == doc
+
+
 def test_scale_harness_reads_the_peak_of_the_polyrec_child(tmp_path):
     # a child's ru_maxrss starts at the peak of the process it is forked
     # from; a harness holding 200 MB must still read a small child's own
@@ -821,14 +839,18 @@ def test_scale_harness_reads_the_peak_of_the_polyrec_child(tmp_path):
         [
             "import json, runpy, sys",
             "from pathlib import Path",
+            "sys.path.insert(0, str(Path(sys.argv[1]).parent))",
             "harness = runpy.run_path(sys.argv[1])",
             "held = b'x' * (200 << 20)",
             "[case] = [c for c in harness['CASES'] if c[0] == 'spectral-z-500']",
-            "print(json.dumps(harness['run_case'](Path(sys.argv[2]), Path(sys.argv[3]), *case)))",
+            "args = harness['scale_args'](Path(sys.argv[3]), *case)",
+            "out, result = harness['run_case'](Path(sys.argv[2]), Path(sys.argv[3]) / 'work', args)",
+            "[result['verify_exit']] = [check['exit'] for check in out['verify'].values()]",
+            "print(json.dumps(result))",
         ]
     )
     root = Path(__file__).resolve().parent.parent
-    argv = [str(root / "tools" / "scale_cost.py"), str(root / "src"), str(tmp_path)]
+    argv = [str(root / "tools" / "same_output.py"), str(root / "src"), str(tmp_path)]
     proc = subprocess.run(
         [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=60
     )

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import re
 import runpy
 from pathlib import Path
 
@@ -303,3 +304,11 @@ def test_every_mutant_applies_once_and_names_existing_tests(monkeypatch):
                     problems.append(f"{m.name}: no test {node_id}")
                     break
     assert not problems, problems
+
+
+def test_readme_names_every_tool_and_only_tools_that_exist():
+    # a tool that goes must leave the docs, and a new one must enter them
+    root = SRC.parent.parent
+    named = set(re.findall(r"tools/([\w.]+\.py)", (root / "README.md").read_text()))
+    present = {path.name for path in (root / "tools").iterdir() if path.is_file()}
+    assert named == present, {"named, missing": named - present, "present, unnamed": present - named}

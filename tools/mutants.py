@@ -153,6 +153,13 @@ MUTANTS = (
         ("tests/test_cli.py::TestSchemaChecker::test_certificate_errors_read_as_under_one_conditional_schema",),
     ),
     Mutant(
+        "is_ip_star_window visits strictly increasing tuples only",
+        "src/polyrec/ipstruct.py",
+        "_least_tuple(k, min(window, modulus), True,",
+        "_least_tuple(k, min(window, modulus), False,",
+        ("tests/test_ipstruct.py::TestIpStarWindow::test_against_brute_force",),
+    ),
+    Mutant(
         "_check picks its error by depth alone",
         "src/polyrec/cli.py",
         "key=lambda error: (-len(error[0]), error[0]))",
